@@ -11,7 +11,6 @@ from .activity import (
     ReductionSummary,
     analyze_trace,
     compare_reports,
-    format_tau,
     switching_activity,
 )
 from .bits import (
@@ -35,7 +34,6 @@ from .encoders import (
 from .generators import (
     DEFAULT_TAPS_16,
     GeneratorConfig,
-    GeneratorState,
     ca_step,
     counter_step,
     generate,
@@ -71,7 +69,6 @@ __all__ = [
     "DEFAULT_TAPS_16",
     "DynamicPowerParams",
     "GeneratorConfig",
-    "GeneratorState",
     "MAX_WIDTH",
     "ReductionSummary",
     "StaticPowerParams",
@@ -88,7 +85,6 @@ __all__ = [
     "compare_reports",
     "counter_step",
     "dynamic_power",
-    "format_tau",
     "generate",
     "gray_decode",
     "gray_encode",

@@ -8,7 +8,6 @@ transfers. It is 1.0 when every line flips on every transfer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
 from itertools import pairwise
 
 from .bits import Trace
@@ -93,7 +92,9 @@ def compare_reports(a: ActivityReport, b: ActivityReport) -> ReductionSummary:
     )
 
 
-def format_tau(tau: float, decimals: int = 2) -> str:
-    """Activity rounded half-up for display, e.g. 0.43333 -> '0.43'."""
-    quantum = Decimal(1).scaleb(-decimals)
-    return str(Decimal(repr(tau)).quantize(quantum, rounding=ROUND_HALF_UP))
+def rounded_display(transitions: int, width: int, transfers: int, decimals: int) -> str:
+    """Activity rounded half-up to `decimals` places, via exact integer math."""
+    denominator = width * transfers
+    scale = 10**decimals
+    scaled = (2 * transitions * scale + denominator) // (2 * denominator)
+    return f"{scaled // scale}.{scaled % scale:0{decimals}d}"

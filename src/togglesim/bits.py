@@ -66,10 +66,6 @@ class Word:
         return f"Word({self.width}, '{self.to_binary()}')"
 
 
-def zero(width: int) -> Word:
-    return Word(width, 0)
-
-
 def word_from_text(text: str, radix: int, width: int) -> Word:
     """Parse an MSB-first binary or hex string into a `width`-bit Word.
 

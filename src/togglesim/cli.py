@@ -10,15 +10,16 @@ import json
 import os
 import sys
 
-from .activity import analyze_trace, format_tau
+from .activity import analyze_trace
 from .bits import Word, word_from_text
 from .encoders import bus_invert_encode_trace, gray_encode_trace
 from .generators import (
+    BOUNDARIES,
     DEFAULT_TAPS_16,
     GeneratorConfig,
     KINDS,
-    LFSR_KINDS,
     generate,
+    kind_parameter,
 )
 from .power import DynamicPowerParams, StaticPowerParams, dynamic_power, static_power
 from .tables import (
@@ -69,8 +70,9 @@ def _build_config(args: argparse.Namespace) -> GeneratorConfig:
         seed = _parse_seed(seed_text, args.width, args.seed_radix)
     except ValueError as exc:
         raise UsageError(f"bad --seed: {exc}")
+    param = kind_parameter(args.kind)
     taps = None
-    if args.kind in LFSR_KINDS:
+    if param == "taps":
         if args.taps is not None:
             taps = _parse_taps(args.taps)
         elif args.width == 16:
@@ -80,7 +82,7 @@ def _build_config(args: argparse.Namespace) -> GeneratorConfig:
                 f"--taps is required for {args.kind} at width {args.width} "
                 "(a default exists only for width 16)"
             )
-    boundary = args.boundary if args.kind in ("ca90", "ca150") else None
+    boundary = args.boundary if param == "boundary" else None
     try:
         return GeneratorConfig(
             kind=args.kind, width=args.width, seed=seed, taps=taps, boundary=boundary
@@ -196,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="force seed interpretation",
     )
     gen.add_argument("--taps", help="comma-separated 1-based tap positions (LFSR kinds)")
-    gen.add_argument("--boundary", choices=("null", "cyclic"), default="null",
+    gen.add_argument("--boundary", choices=BOUNDARIES, default="null",
                      help="CA boundary (CA kinds)")
     gen.add_argument("--cycles", type=int, required=True,
                      help="number of generated transfers; trace has cycles+1 words")
@@ -229,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     tables = sub.add_parser("tables", help="reproduce the bundled reference tables")
     tables.add_argument("--taps", help="LFSR taps for the generator table")
-    tables.add_argument("--boundary", choices=("null", "cyclic"), default="null")
+    tables.add_argument("--boundary", choices=BOUNDARIES, default="null")
     tables.set_defaults(func=cmd_tables)
 
     return parser

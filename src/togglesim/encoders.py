@@ -4,22 +4,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bits import Trace, Word, hamming_distance
+from .bits import MAX_WIDTH, Trace, Word, hamming_distance
+
+
+def binary_to_gray(n: int) -> int:
+    """Reflected-binary code of n: each increment of n flips one bit."""
+    return n ^ (n >> 1)
+
+
+def gray_to_binary(g: int) -> int:
+    """Inverse of binary_to_gray: prefix XOR from the MSB down, in doubling strides."""
+    shift = 1
+    while g >> shift:
+        g ^= g >> shift
+        shift <<= 1
+    return g
 
 
 def gray_encode(w: Word) -> Word:
     """Reflected-binary code: each increment of the source flips one bit."""
-    return Word(w.width, w.value ^ (w.value >> 1))
+    return Word(w.width, binary_to_gray(w.value))
 
 
 def gray_decode(g: Word) -> Word:
-    """Inverse of gray_encode (prefix XOR from the MSB down)."""
-    value = g.value
-    mask = value >> 1
-    while mask:
-        value ^= mask
-        mask >>= 1
-    return Word(g.width, value)
+    """Inverse of gray_encode."""
+    return Word(g.width, gray_to_binary(g.value))
 
 
 @dataclass(frozen=True)
@@ -66,6 +75,11 @@ def bus_invert_encode_trace(trace: Trace) -> Trace:
     Output words are one bit wider, the invert line being the extra MSB.
     The first word is transmitted unmodified with the invert line low.
     """
+    if trace.width >= MAX_WIDTH:
+        raise ValueError(
+            f"bus-invert needs one extra line above the {trace.width} data lines, "
+            f"but bus width is capped at MAX_WIDTH={MAX_WIDTH}"
+        )
     state = BusLineState(trace[0], False)
     encoded = [_with_invert_line(state)]
     for raw in trace.words[1:]:

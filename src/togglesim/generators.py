@@ -19,23 +19,29 @@ Shift and tap conventions, fixed so sequences are reproducible:
 * CA cells are the bit positions; the left neighbor of cell i is bit i+1
   (one position more significant), the right neighbor bit i-1. A null
   boundary reads constant 0 outside the register; a cyclic boundary wraps.
+
+`_GENERATORS` is the single place a kind is defined: it names the one
+`GeneratorConfig` field the kind accepts (`taps`, `boundary` or none) and a
+builder that validates that parameter once and returns the kind's step as
+a plain `int -> int` recurrence. `GeneratorConfig`, `generate`, the public
+`*_step` functions and the CLI all go through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .bits import Trace, Word, check_width
-from .encoders import gray_decode, gray_encode
+from .encoders import binary_to_gray, gray_to_binary
 
-KINDS = ("lfsr_internal", "lfsr_external", "ca90", "ca150", "binary", "gray")
-LFSR_KINDS = ("lfsr_internal", "lfsr_external")
-CA_KINDS = ("ca90", "ca150")
+Step = Callable[[int], int]
 
 # Stock degree-16 feedback polynomial, used for 16-bit registers when none
 # is given explicitly; maximal-length in the Galois form.
 DEFAULT_TAPS_16 = frozenset({16, 14, 13, 11})
+
+BOUNDARIES = ("null", "cyclic")
 
 
 def _validated_taps(taps: Iterable[int], width: int) -> frozenset[int]:
@@ -48,35 +54,89 @@ def _validated_taps(taps: Iterable[int], width: int) -> frozenset[int]:
     return positions
 
 
-def _fibonacci_mask(taps: Iterable[int], width: int) -> int:
+def _check_boundary(boundary: str) -> None:
+    if boundary not in BOUNDARIES:
+        raise ValueError(f"boundary must be 'null' or 'cyclic', got {boundary!r}")
+
+
+def _fibonacci(width: int, taps: Iterable[int]) -> Step:
     mask = 0
     for t in _validated_taps(taps, width):
         mask |= 1 << (t - 1)
-    return mask
+    top = width - 1
+    return lambda v: (v >> 1) | (((v & mask).bit_count() & 1) << top)
 
 
-def _galois_mask(taps: Iterable[int], width: int) -> int:
+def _galois(width: int, taps: Iterable[int]) -> Step:
     mask = 1 << (width - 1)
     for t in _validated_taps(taps, width):
         if t != width:
             mask |= 1 << (t - 1)
-    return mask
+    return lambda v: (v >> 1) ^ mask if v & 1 else v >> 1
+
+
+def _ca(width: int, rule: int | Sequence[int], boundary: str) -> Step:
+    _check_boundary(boundary)
+    full = (1 << width) - 1
+    # Both rules XOR the two neighbors; rule-150 cells also XOR themselves in.
+    if isinstance(rule, int):
+        if rule not in (90, 150):
+            raise ValueError(f"rule must be 90 or 150, got {rule}")
+        self_mask = full if rule == 150 else 0
+    else:
+        rules = tuple(rule)
+        if len(rules) != width:
+            raise ValueError(f"need one rule per cell: got {len(rules)} for width {width}")
+        self_mask = 0
+        for i, r in enumerate(rules):
+            if r not in (90, 150):
+                raise ValueError(f"rule must be 90 or 150, got {r} at cell {i}")
+            if r == 150:
+                self_mask |= 1 << i
+    if boundary == "null":
+        return lambda v: (v >> 1) ^ ((v << 1) & full) ^ (v & self_mask)
+    top = width - 1
+    return lambda v: (
+        (v >> 1 | (v & 1) << top) ^ ((v << 1 | v >> top) & full) ^ (v & self_mask)
+    )
+
+
+def _binary(width: int, _: None) -> Step:
+    full = (1 << width) - 1
+    return lambda v: (v + 1) & full
+
+
+def _gray(width: int, _: None) -> Step:
+    full = (1 << width) - 1
+    return lambda g: binary_to_gray((gray_to_binary(g) + 1) & full)
+
+
+# kind -> (the one GeneratorConfig field it accepts, builder taking the
+# width and that field's value and returning the validated step)
+_GENERATORS: dict[str, tuple[str | None, Callable[[int, Any], Step]]] = {
+    "lfsr_internal": ("taps", _galois),
+    "lfsr_external": ("taps", _fibonacci),
+    "ca90": ("boundary", lambda width, boundary: _ca(width, 90, boundary)),
+    "ca150": ("boundary", lambda width, boundary: _ca(width, 150, boundary)),
+    "binary": (None, _binary),
+    "gray": (None, _gray),
+}
+KINDS = tuple(_GENERATORS)
+
+
+def kind_parameter(kind: str) -> str | None:
+    """The GeneratorConfig field `kind` accepts: "taps", "boundary" or None."""
+    return _GENERATORS[kind][0]
 
 
 def lfsr_external_step(state: Word, taps: Iterable[int]) -> Word:
     """Fibonacci form: tapped bits XOR together and feed the vacated MSB."""
-    mask = _fibonacci_mask(taps, state.width)
-    feedback = (state.value & mask).bit_count() & 1
-    return Word(state.width, (state.value >> 1) | (feedback << (state.width - 1)))
+    return Word(state.width, _fibonacci(state.width, taps)(state.value))
 
 
 def lfsr_internal_step(state: Word, taps: Iterable[int]) -> Word:
     """Galois form: the exiting LSB re-enters at the MSB and XORs into each tapped stage."""
-    mask = _galois_mask(taps, state.width)
-    value = state.value >> 1
-    if state.value & 1:
-        value ^= mask
-    return Word(state.width, value)
+    return Word(state.width, _galois(state.width, taps)(state.value))
 
 
 def ca_step(state: Word, rule: int | Sequence[int], boundary: str = "null") -> Word:
@@ -86,48 +146,14 @@ def ca_step(state: Word, rule: int | Sequence[int], boundary: str = "null") -> W
     right. A per-cell sequence of 90/150 (index i ruling cell/bit i) is also
     accepted for hybrid registers.
     """
-    width = state.width
-    v = state.value
-    mask = (1 << width) - 1
-    if boundary == "null":
-        left = v >> 1
-        right = (v << 1) & mask
-    elif boundary == "cyclic":
-        left = (v >> 1) | ((v & 1) << (width - 1))
-        right = ((v << 1) | (v >> (width - 1))) & mask
-    else:
-        raise ValueError(f"boundary must be 'null' or 'cyclic', got {boundary!r}")
-    updated90 = left ^ right
-    updated150 = left ^ v ^ right
-    if isinstance(rule, int):
-        if rule == 90:
-            return Word(width, updated90)
-        if rule == 150:
-            return Word(width, updated150)
-        raise ValueError(f"rule must be 90 or 150, got {rule}")
-    rules = tuple(rule)
-    if len(rules) != width:
-        raise ValueError(f"need one rule per cell: got {len(rules)} for width {width}")
-    value = 0
-    for i, r in enumerate(rules):
-        if r == 90:
-            value |= updated90 & (1 << i)
-        elif r == 150:
-            value |= updated150 & (1 << i)
-        else:
-            raise ValueError(f"rule must be 90 or 150, got {r} at cell {i}")
-    return Word(width, value)
+    return Word(state.width, _ca(state.width, rule, boundary)(state.value))
 
 
 def counter_step(state: Word, kind: str) -> Word:
     """Advance a binary or gray address counter by one, wrapping at 2^width."""
-    mask = (1 << state.width) - 1
-    if kind == "binary":
-        return Word(state.width, (state.value + 1) & mask)
-    if kind == "gray":
-        nxt = (gray_decode(state).value + 1) & mask
-        return gray_encode(Word(state.width, nxt))
-    raise ValueError(f"counter kind must be 'binary' or 'gray', got {kind!r}")
+    if kind not in ("binary", "gray"):
+        raise ValueError(f"counter kind must be 'binary' or 'gray', got {kind!r}")
+    return Word(state.width, _GENERATORS[kind][1](state.width, None)(state.value))
 
 
 @dataclass(frozen=True)
@@ -145,14 +171,15 @@ class GeneratorConfig:
     boundary: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
+        if self.kind not in _GENERATORS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         check_width(self.width)
         if self.seed.width != self.width:
             raise ValueError(
                 f"seed width {self.seed.width} does not match generator width {self.width}"
             )
-        if self.kind in LFSR_KINDS:
+        param = kind_parameter(self.kind)
+        if param == "taps":
             if self.taps is None:
                 raise ValueError(f"{self.kind} requires feedback taps")
             taps = _validated_taps(self.taps, self.width)
@@ -161,58 +188,26 @@ class GeneratorConfig:
             object.__setattr__(self, "taps", taps)
             if self.seed.value == 0:
                 raise ValueError("all-zero LFSR seed locks up; use a non-zero seed")
-            if self.boundary is not None:
-                raise ValueError("boundary applies to CA kinds only")
-        elif self.kind in CA_KINDS:
-            if self.taps is not None:
-                raise ValueError("taps apply to LFSR kinds only")
+        elif self.taps is not None:
+            raise ValueError("taps apply to LFSR kinds only")
+        if param == "boundary":
             boundary = self.boundary if self.boundary is not None else "null"
-            if boundary not in ("null", "cyclic"):
-                raise ValueError(f"boundary must be 'null' or 'cyclic', got {boundary!r}")
+            _check_boundary(boundary)
             object.__setattr__(self, "boundary", boundary)
-        else:
-            if self.taps is not None:
-                raise ValueError("taps apply to LFSR kinds only")
-            if self.boundary is not None:
-                raise ValueError("boundary applies to CA kinds only")
-
-
-def step(config: GeneratorConfig, current: Word) -> Word:
-    """One step of the configured generator."""
-    if config.kind == "lfsr_external":
-        return lfsr_external_step(current, config.taps)
-    if config.kind == "lfsr_internal":
-        return lfsr_internal_step(current, config.taps)
-    if config.kind == "ca90":
-        return ca_step(current, 90, config.boundary)
-    if config.kind == "ca150":
-        return ca_step(current, 150, config.boundary)
-    return counter_step(current, config.kind)
-
-
-class GeneratorState:
-    """Mutable cursor over a generator's sequence, starting at the seed."""
-
-    def __init__(self, config: GeneratorConfig, current: Word | None = None):
-        self.config = config
-        self.current = config.seed if current is None else current
-        if self.current.width != config.width:
-            raise ValueError(
-                f"state width {self.current.width} does not match config width {config.width}"
-            )
-
-    def advance(self) -> Word:
-        self.current = step(self.config, self.current)
-        return self.current
+        elif self.boundary is not None:
+            raise ValueError("boundary applies to CA kinds only")
 
 
 def generate(config: GeneratorConfig, cycles: int) -> Trace:
     """Seed plus `cycles` generated words: a trace with `cycles` transfers."""
     if cycles < 0:
         raise ValueError(f"cycles must be >= 0, got {cycles}")
+    param, build = _GENERATORS[config.kind]
+    step = build(config.width, getattr(config, param) if param else None)
+    width = config.width
+    value = config.seed.value
     words = [config.seed]
-    current = config.seed
     for _ in range(cycles):
-        current = step(config, current)
-        words.append(current)
-    return Trace(config.width, tuple(words))
+        value = step(value)
+        words.append(Word(width, value))
+    return Trace(width, tuple(words))

@@ -21,6 +21,17 @@ BOLTZMANN = 1.380649e-23  # J/K
 _MAX_EXPONENT = 700.0
 
 
+def _check_positive(name: str, value: float) -> None:
+    """Physical magnitudes must be real, positive and finite (no inf, no NaN)."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be > 0 and finite, got {value}")
+
+
+def _check_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class DynamicPowerParams:
     tau: float
@@ -32,9 +43,9 @@ class DynamicPowerParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError(f"tau must be in [0, 1], got {self.tau}")
-        for name in ("load_capacitance", "supply_voltage", "frequency"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        _check_positive("load_capacitance", self.load_capacitance)
+        _check_positive("supply_voltage", self.supply_voltage)
+        _check_positive("frequency", self.frequency)
         if self.voltage_exponent not in (1, 2):
             raise ValueError(
                 f"voltage_exponent must be 1 or 2, got {self.voltage_exponent}"
@@ -49,12 +60,10 @@ class StaticPowerParams:
     supply_voltage: float  # V
 
     def __post_init__(self) -> None:
-        if not self.saturation_current > 0.0:
-            raise ValueError(f"saturation_current must be > 0, got {self.saturation_current}")
-        if not self.temperature > 0.0:
-            raise ValueError(f"temperature must be > 0, got {self.temperature}")
-        if not self.supply_voltage > 0.0:
-            raise ValueError(f"supply_voltage must be > 0, got {self.supply_voltage}")
+        _check_positive("saturation_current", self.saturation_current)
+        _check_finite("diode_voltage", self.diode_voltage)
+        _check_positive("temperature", self.temperature)
+        _check_positive("supply_voltage", self.supply_voltage)
 
 
 def dynamic_power(p: DynamicPowerParams) -> float:
@@ -64,10 +73,9 @@ def dynamic_power(p: DynamicPowerParams) -> float:
 
 def leakage_current(saturation_current: float, voltage: float, temperature: float) -> float:
     """Subthreshold leakage in amperes: i_s * (exp(qV / kT) - 1)."""
-    if not saturation_current > 0.0:
-        raise ValueError(f"saturation_current must be > 0, got {saturation_current}")
-    if not temperature > 0.0:
-        raise ValueError(f"temperature must be > 0, got {temperature}")
+    _check_positive("saturation_current", saturation_current)
+    _check_finite("voltage", voltage)
+    _check_positive("temperature", temperature)
     exponent = ELEMENTARY_CHARGE * voltage / (BOLTZMANN * temperature)
     if exponent > _MAX_EXPONENT:
         raise ValueError(
@@ -90,6 +98,5 @@ def static_power(p: StaticPowerParams) -> float:
 
 def thermal_voltage(temperature: float) -> float:
     """kT/q in volts; handy for choosing diode voltages in tests and CLIs."""
-    if not temperature > 0.0:
-        raise ValueError(f"temperature must be > 0, got {temperature}")
+    _check_positive("temperature", temperature)
     return BOLTZMANN * temperature / ELEMENTARY_CHARGE

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .activity import analyze_trace
+from .activity import analyze_trace, rounded_display
 from .bits import Word, word_from_text
-from .generators import DEFAULT_TAPS_16, GeneratorConfig, generate
+from .generators import DEFAULT_TAPS_16, GeneratorConfig, generate, kind_parameter
 
 CYCLE_COLUMNS = (8, 16, 32)
 REFERENCE_SEED_TEXT = "1011001010110110"
@@ -47,14 +47,6 @@ GENERATOR_REFERENCE = (
 def truncated_cents(transitions: int, width: int, transfers: int) -> int:
     """Activity in hundredths, truncated: floor(100 * tau). Exact integer math."""
     return 100 * transitions // (width * transfers)
-
-
-def rounded_display(transitions: int, width: int, transfers: int, decimals: int) -> str:
-    """Activity rounded half-up to `decimals` places, via exact integer math."""
-    denominator = width * transfers
-    scale = 10**decimals
-    scaled = (2 * transitions * scale + denominator) // (2 * denominator)
-    return f"{scaled // scale}.{scaled % scale:0{decimals}d}"
 
 
 def cents_display(cents: int) -> str:
@@ -129,14 +121,12 @@ def generator_rows(
 ) -> list[GeneratorRow]:
     """Run each generator from the reference seed over 8/16/32 transfers."""
     seed = word_from_text(REFERENCE_SEED_TEXT, 2, REFERENCE_WIDTH)
+    options = {"taps": taps, "boundary": boundary}
     rows = []
     for label, kind, reference in GENERATOR_REFERENCE:
-        if kind.startswith("lfsr"):
-            config = GeneratorConfig(kind=kind, width=REFERENCE_WIDTH, seed=seed, taps=taps)
-        else:
-            config = GeneratorConfig(
-                kind=kind, width=REFERENCE_WIDTH, seed=seed, boundary=boundary
-            )
+        param = kind_parameter(kind)
+        given = {param: options[param]} if param else {}
+        config = GeneratorConfig(kind=kind, width=REFERENCE_WIDTH, seed=seed, **given)
         cells = []
         for cycles in CYCLE_COLUMNS:
             report = analyze_trace(generate(config, cycles))

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from typing import IO
 
-from .activity import ActivityReport, format_tau
+from .activity import ActivityReport, rounded_display
 from .bits import Trace, Word, check_width, word_from_text
 
 REPORT_FORMATS = ("json", "csv", "table")
@@ -103,25 +103,18 @@ def render_trace(trace: Trace, radix: int = 2) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_trace(trace: Trace, stream: IO, radix: int = 2) -> None:
-    text = render_trace(trace, radix)
-    stream.write(text.encode("utf-8") if _is_binary(stream) else text)
-
-
-def _is_binary(stream: IO) -> bool:
-    mode = getattr(stream, "mode", "")
-    return "b" in mode or isinstance(stream, (io.RawIOBase, io.BufferedIOBase))
-
-
 def write_report(report: ActivityReport, format: str = "table") -> str:
     """Serialize an ActivityReport; json key set is stable for tooling."""
+    tau_display = rounded_display(
+        report.total_transitions, report.width, report.transfers, 2
+    )
     if format == "json":
         payload = {
             "width": report.width,
             "transfers": report.transfers,
             "total_transitions": report.total_transitions,
             "tau": report.tau,
-            "tau_display": float(format_tau(report.tau)),
+            "tau_display": float(tau_display),
             "per_bit_toggles": list(report.per_bit_toggles),
         }
         return json.dumps(payload, indent=2) + "\n"
@@ -141,7 +134,7 @@ def write_report(report: ActivityReport, format: str = "table") -> str:
             f"lines               {report.width}",
             f"transfers           {report.transfers}",
             f"total transitions   {report.total_transitions}",
-            f"switching activity  {format_tau(report.tau)}",
+            f"switching activity  {tau_display}",
             "per-bit toggles     "
             + " ".join(
                 f"bit{i}={report.per_bit_toggles[i]}"

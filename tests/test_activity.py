@@ -7,12 +7,12 @@ from togglesim import (
     Word,
     analyze_trace,
     compare_reports,
-    format_tau,
     generate,
     hamming_distance,
     run_trace,
     switching_activity,
 )
+from togglesim.activity import rounded_display
 from strategies import traces
 
 
@@ -28,7 +28,7 @@ class TestSwitchingActivity:
     def test_binary_counter_row(self):
         tau = switching_activity(26, 4, 15)
         assert tau == pytest.approx(26 / 60)
-        assert format_tau(tau) == "0.43"
+        assert rounded_display(26, 4, 15, 2) == "0.43"
 
     @pytest.mark.parametrize("width,transfers", [(1, 1), (8, 3), (64, 100)])
     def test_quiet_bus(self, width, transfers):
@@ -143,20 +143,25 @@ class TestCompareReports:
 
 
 class TestFormatTau:
+    """Display of tau = transitions / (width * transfers), rounded half-up."""
+
+    CASES = [
+        (26, 4, 15, "0.43"),
+        (1, 4, 1, "0.25"),
+        (1, 8, 1, "0.13"),  # half-up at 2 decimals
+        (0, 1, 1, "0.00"),
+        (1, 1, 1, "1.00"),
+        (33, 64, 1, "0.52"),
+    ]
+
     @pytest.mark.parametrize(
-        "tau,text",
-        [
-            (26 / 60, "0.43"),
-            (0.25, "0.25"),
-            (0.125, "0.13"),  # half-up at 2 decimals
-            (0.0, "0.00"),
-            (1.0, "1.00"),
-            (0.515625, "0.52"),
-        ],
+        "transitions,width,transfers,text",
+        CASES,
+        ids=[f"{t / (w * n)!r}-{text}" for t, w, n, text in CASES],
     )
-    def test_two_decimal_display(self, tau, text):
-        assert format_tau(tau) == text
+    def test_two_decimal_display(self, transitions, width, transfers, text):
+        assert rounded_display(transitions, width, transfers, 2) == text
 
     def test_three_decimals(self):
-        assert format_tau(502 / 2040, 3) == "0.246"
-        assert format_tau(0.125, 3) == "0.125"
+        assert rounded_display(502, 8, 255, 3) == "0.246"
+        assert rounded_display(1, 8, 1, 3) == "0.125"

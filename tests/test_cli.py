@@ -111,6 +111,14 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(stdout)["width"] == 5
 
+    def test_businvert_at_width_limit_exits_3(self, capsys, tmp_path):
+        wide = tmp_path / "wide.trace"
+        wide.write_text("width=1024 radix=hex\n0\n1\n")
+        code, _, stderr = run_cli(capsys, "analyze", str(wide), "--encode", "businvert")
+        assert code == 3
+        assert "bus-invert" in stderr
+        assert "1025" not in stderr
+
     def test_stdin_matches_file(self, capsys, monkeypatch, binary4_trace):
         _, from_file, _ = run_cli(capsys, "analyze", str(binary4_trace))
         stdin = io.TextIOWrapper(io.BytesIO(binary4_trace.read_bytes()))
@@ -195,6 +203,30 @@ class TestPower:
         assert code == 0
         assert "static power" in stdout
         assert "0 W" in stdout  # zero diode voltage leaks nothing
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--cap", "inf"),
+            ("--vdd", "inf"),
+            ("--freq", "nan"),
+            ("--isat", "inf"),
+            ("--temp", "inf"),
+            ("--vdiode", "-inf"),
+            ("--vdiode", "nan"),
+        ],
+    )
+    def test_non_finite_parameter_exits_2(self, capsys, flag, value):
+        params = {
+            "--tau": "0.5", "--cap": "1e-12", "--vdd": "1", "--freq": "1e6",
+            "--isat": "1e-12", "--vdiode": "0.1", "--temp": "300",
+        }
+        params[flag] = value
+        argv = [f"{name}={text}" for name, text in params.items()]
+        code, stdout, stderr = run_cli(capsys, "power", *argv)
+        assert code == 2
+        assert "inf W" not in stdout and "nan W" not in stdout
+        assert "finite" in stderr
 
 
 class TestTables:

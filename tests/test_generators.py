@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from togglesim import (
     GeneratorConfig,
-    GeneratorState,
     Trace,
     Word,
     analyze_trace,
@@ -18,6 +17,8 @@ from togglesim import (
     lfsr_internal_step,
     word_from_text,
 )
+from togglesim.generators import KINDS, kind_parameter
+import reference_generators as reference
 from strategies import words
 
 
@@ -326,17 +327,53 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(config, -1)
 
-    def test_generator_state_advances(self):
-        config = GeneratorConfig(kind="binary", width=4, seed=Word(4, 5))
-        state = GeneratorState(config)
-        assert state.current == Word(4, 5)
-        assert state.advance() == Word(4, 6)
-        assert state.advance() == Word(4, 7)
-        assert state.current == Word(4, 7)
 
-    def test_generate_agrees_with_state_walk(self):
-        config = GeneratorConfig(kind="ca90", width=8, seed=Word(8, 0b10011010))
-        trace = generate(config, 12)
-        state = GeneratorState(config)
-        walked = [state.current] + [state.advance() for _ in range(12)]
-        assert list(trace) == walked
+WIDTHS = st.one_of(st.integers(1, 64), st.sampled_from([256, 1024]))
+
+
+@st.composite
+def configs(draw):
+    """Any valid GeneratorConfig: all six kinds, random taps and seeds."""
+    kind = draw(st.sampled_from(KINDS))
+    width = draw(WIDTHS)
+    taps = boundary = None
+    low = 0
+    if kind_parameter(kind) == "taps":
+        taps = draw(st.sets(st.integers(1, width), max_size=6)) | {width}
+        low = 1  # all-zero LFSR seeds are rejected
+    elif kind_parameter(kind) == "boundary":
+        boundary = draw(st.sampled_from(["null", "cyclic"]))
+    seed = Word(width, draw(st.integers(low, (1 << width) - 1)))
+    return GeneratorConfig(kind, width, seed, taps, boundary)
+
+
+class TestAgainstReference:
+    """The generator table against the Word-based steps it replaced."""
+
+    @given(configs(), st.integers(0, 40))
+    def test_generate_equals_reference_walk(self, config, cycles):
+        assert list(generate(config, cycles)) == reference.walk(config, cycles)
+
+    @given(words(max_width=64), st.data())
+    def test_lfsr_steps(self, state, data):
+        taps = data.draw(st.sets(st.integers(1, state.width), min_size=1, max_size=6))
+        assert lfsr_external_step(state, taps) == reference.lfsr_external_step(state, taps)
+        assert lfsr_internal_step(state, taps) == reference.lfsr_internal_step(state, taps)
+
+    @given(
+        st.one_of(words(max_width=64), words(min_width=1024, max_width=1024)),
+        st.sampled_from(["null", "cyclic"]),
+        st.data(),
+    )
+    def test_ca_steps(self, state, boundary, data):
+        for rule in (90, 150):
+            assert ca_step(state, rule, boundary) == reference.ca_step(state, rule, boundary)
+        hybrid = data.draw(
+            st.lists(st.sampled_from([90, 150]), min_size=state.width, max_size=state.width)
+        )
+        assert ca_step(state, hybrid, boundary) == reference.ca_step(state, hybrid, boundary)
+
+    @given(st.one_of(words(max_width=64), words(min_width=256, max_width=256)))
+    def test_counter_steps(self, state):
+        for kind in ("binary", "gray"):
+            assert counter_step(state, kind) == reference.counter_step(state, kind)

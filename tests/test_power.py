@@ -83,6 +83,10 @@ class TestDynamicPower:
             dict(supply_voltage=0.0),
             dict(frequency=-1.0),
             dict(voltage_exponent=3),
+            dict(tau=math.nan),
+            dict(load_capacitance=math.inf),
+            dict(supply_voltage=math.inf),
+            dict(frequency=math.nan),
         ],
     )
     def test_invalid_params(self, kwargs):
@@ -133,6 +137,25 @@ class TestLeakageCurrent:
         with pytest.raises(ValueError):
             leakage_current(1e-12, 0.1, 0.0)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (math.inf, 0.1, 300.0),
+            (math.nan, 0.1, 300.0),
+            (1e-12, 0.1, math.inf),
+            (1e-12, math.nan, 300.0),
+            (1e-12, -math.inf, 300.0),
+        ],
+    )
+    def test_non_finite_rejected(self, args):
+        with pytest.raises(ValueError, match="finite"):
+            leakage_current(*args)
+
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, math.inf, math.nan])
+    def test_thermal_voltage_needs_positive_finite_temperature(self, temperature):
+        with pytest.raises(ValueError):
+            thermal_voltage(temperature)
+
 
 class TestStaticPower:
     def test_zero_diode_voltage(self):
@@ -157,6 +180,12 @@ class TestStaticPower:
             dict(saturation_current=0.0),
             dict(temperature=-10.0),
             dict(supply_voltage=0.0),
+            dict(saturation_current=math.inf),
+            dict(temperature=math.inf),
+            dict(supply_voltage=math.nan),
+            dict(diode_voltage=math.inf),
+            dict(diode_voltage=-math.inf),
+            dict(diode_voltage=math.nan),
         ],
     )
     def test_invalid_params(self, kwargs):
@@ -167,6 +196,10 @@ class TestStaticPower:
         base.update(kwargs)
         with pytest.raises(ValueError):
             StaticPowerParams(**base)
+
+    def test_negative_diode_voltage_allowed(self):
+        p = StaticPowerParams(1e-12, -40 * thermal_voltage(300.0), 300.0, 1.0)
+        assert static_power(p) == pytest.approx(-1e-12, rel=1e-15)
 
 
 def test_physical_constants_are_exact_si():

@@ -16,7 +16,6 @@ from togglesim import (
     render_trace,
     write_report,
 )
-from togglesim.trace_io import write_trace
 from strategies import traces
 
 FIG_STIMULUS = "width=16 radix=hex\n0000\n0303\n0F03\n"
@@ -89,18 +88,6 @@ class TestRenderTrace:
             TraceFileHeader(16, 8)
         with pytest.raises(ValueError):
             TraceFileHeader(0, 2)
-
-    def test_write_trace_binary_stream(self):
-        trace = Trace.from_words([Word(4, 5)])
-        buf = io.BytesIO()
-        write_trace(trace, buf, 2)
-        assert buf.getvalue() == b"width=4 radix=bin\n0101\n"
-
-    def test_write_trace_text_stream(self):
-        trace = Trace.from_words([Word(4, 5)])
-        buf = io.StringIO()
-        write_trace(trace, buf, 16)
-        assert buf.getvalue() == "width=4 radix=hex\n5\n"
 
 
 def binary_counter_report():
