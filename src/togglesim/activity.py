@@ -58,8 +58,8 @@ def analyze_trace(trace: Trace, include_per_cycle: bool = False) -> ActivityRepo
     toggles = [0] * width
     per_cycle: list[int] = []
     total = 0
-    for prev, cur in pairwise(trace):
-        diff = prev.value ^ cur.value
+    for prev, cur in pairwise(trace.values):
+        diff = prev ^ cur
         count = diff.bit_count()
         total += count
         per_cycle.append(count)

@@ -3,8 +3,9 @@
 A :class:`Word` is an immutable bit pattern of known width. Bit 0 is the
 least significant bit and the rightmost character of the binary text form,
 so a 16-bit bus "data(15)..data(0)" maps to indices 15..0. A :class:`Trace`
-is an ordered sequence of same-width words, one per clock cycle; the number
-of word-to-word transfers is one less than the number of words.
+is a width plus a tuple of plain int values, one per clock cycle; iterating
+or indexing it yields :class:`Word` objects. The number of word-to-word
+transfers is one less than the number of words.
 
 The transition count between two consecutive words is their Hamming
 distance, i.e. the popcount of their XOR.
@@ -66,8 +67,8 @@ class Word:
         return f"Word({self.width}, '{self.to_binary()}')"
 
 
-def word_from_text(text: str, radix: int, width: int) -> Word:
-    """Parse an MSB-first binary or hex string into a `width`-bit Word.
+def value_from_text(text: str, radix: int, width: int) -> int:
+    """Parse an MSB-first binary or hex string into a `width`-bit value.
 
     Binary accepts at most `width` digits, hex at most ceil(width/4); excess
     leading zeros within those limits are fine. Hex is case-insensitive.
@@ -83,7 +84,7 @@ def word_from_text(text: str, radix: int, width: int) -> Word:
             raise ValueError(f"invalid binary digit {sorted(bad)[0]!r} in {text!r}")
         if len(text) > width:
             raise ValueError(f"{len(text)} binary digits exceed width {width}")
-        return Word(width, int(text, 2))
+        return int(text, 2)
     bad = set(text) - _HEX_DIGITS
     if bad:
         raise ValueError(f"invalid hex digit {sorted(bad)[0]!r} in {text!r}")
@@ -92,7 +93,12 @@ def word_from_text(text: str, radix: int, width: int) -> Word:
     value = int(text, 16)
     if value >= 1 << width:
         raise ValueError(f"value 0x{value:X} does not fit in {width} bits")
-    return Word(width, value)
+    return value
+
+
+def word_from_text(text: str, radix: int, width: int) -> Word:
+    """value_from_text as a Word."""
+    return Word(width, value_from_text(text, radix, width))
 
 
 def popcount(a: Word) -> int:
@@ -109,39 +115,41 @@ def hamming_distance(a: Word, b: Word) -> int:
 
 @dataclass(frozen=True)
 class Trace:
-    """Same-width words over consecutive clock cycles, cycle 0 first."""
+    """Same-width int values over consecutive clock cycles, cycle 0 first."""
 
     width: int
-    words: tuple[Word, ...]
+    values: tuple[int, ...]
 
     def __post_init__(self) -> None:
         check_width(self.width)
-        object.__setattr__(self, "words", tuple(self.words))
-        if not self.words:
+        object.__setattr__(self, "values", tuple(self.values))
+        if not self.values:
             raise ValueError("empty trace: need at least one word")
-        for i, w in enumerate(self.words):
-            if w.width != self.width:
-                raise ValueError(
-                    f"word {i} has width {w.width}, trace declares {self.width}"
-                )
+        low, high = min(self.values), max(self.values)
+        if low < 0 or high >> self.width:
+            raise ValueError(f"values {low}..{high} do not all fit in {self.width} bits")
 
     @classmethod
     def from_words(cls, words: Iterable[Word]) -> "Trace":
         ws = tuple(words)
         if not ws:
             raise ValueError("empty trace: need at least one word")
-        return cls(ws[0].width, ws)
+        width = ws[0].width
+        for i, w in enumerate(ws):
+            if w.width != width:
+                raise ValueError(f"word {i} has width {w.width}, trace declares {width}")
+        return cls(width, tuple(w.value for w in ws))
 
     @property
     def transfers(self) -> int:
-        """Word-to-word transitions observed; len(words) - 1."""
-        return len(self.words) - 1
+        """Word-to-word transitions observed; len(values) - 1."""
+        return len(self.values) - 1
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.values)
 
     def __iter__(self) -> Iterator[Word]:
-        return iter(self.words)
+        return (Word(self.width, v) for v in self.values)
 
     def __getitem__(self, index: int) -> Word:
-        return self.words[index]
+        return Word(self.width, self.values[index])

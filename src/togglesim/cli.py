@@ -108,6 +108,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    if args.per_cycle and args.format == "csv":
+        raise UsageError("--per-cycle has no csv form; use --format table or json")
     if args.trace == "-":
         trace = read_trace(sys.stdin.buffer)
     else:
@@ -173,11 +175,13 @@ def _painter(stream):
 def cmd_tables(args: argparse.Namespace) -> int:
     paint = _painter(sys.stdout)
     taps = _parse_taps(args.taps) if args.taps is not None else DEFAULT_TAPS_16
+    try:
+        generators = generator_rows(taps=taps, boundary=args.boundary)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     sys.stdout.write(render_counter_table(counter_rows(), paint))
     print()
-    sys.stdout.write(
-        render_generator_table(generator_rows(taps=taps, boundary=args.boundary), paint)
-    )
+    sys.stdout.write(render_generator_table(generators, paint))
     return EXIT_OK
 
 
@@ -213,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="re-encode the trace before measuring")
     analyze.add_argument("--format", choices=REPORT_FORMATS, default="table")
     analyze.add_argument("--per-cycle", action="store_true",
-                         help="include per-transfer counts in table output")
+                         help="include per-transfer counts (table and json output)")
     analyze.set_defaults(func=cmd_analyze)
 
     power = sub.add_parser("power", help="estimate power from an activity factor")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bits import MAX_WIDTH, Trace, Word, hamming_distance
+from .bits import MAX_WIDTH, Trace, Word
 
 
 def binary_to_gray(n: int) -> int:
@@ -39,16 +39,18 @@ class BusLineState:
     invert: bool
 
 
-def bus_invert_encode(prev: BusLineState, next_raw: Word) -> BusLineState:
-    """Choose the next line state for `next_raw` given the current lines.
+def _inverts(lines: int, raw: int, width: int) -> bool:
+    """Invert `raw` when more than half of `width` lines would flip from `lines`;
+    a tie (exactly half) stays uninverted so the invert line keeps quiet."""
+    return 2 * (lines ^ raw).bit_count() > width
 
-    If more than half the data lines would flip, the complement is driven
-    with the invert line high; a tie (exactly half) stays uninverted so the
-    invert line keeps quiet.
-    """
+
+def bus_invert_encode(prev: BusLineState, next_raw: Word) -> BusLineState:
+    """Choose the next line state for `next_raw` given the current lines;
+    see `_inverts` for the rule."""
     if prev.word.width != next_raw.width:
         raise ValueError(f"width mismatch: {prev.word.width} vs {next_raw.width}")
-    if 2 * hamming_distance(prev.word, next_raw) > next_raw.width:
+    if _inverts(prev.word.value, next_raw.value, next_raw.width):
         return BusLineState(next_raw.complement(), True)
     return BusLineState(next_raw, False)
 
@@ -60,13 +62,7 @@ def bus_invert_decode(line: BusLineState) -> Word:
 
 def gray_encode_trace(trace: Trace) -> Trace:
     """Gray-map every word of a trace (an address-bus style recoding)."""
-    return Trace(trace.width, tuple(gray_encode(w) for w in trace))
-
-
-def _with_invert_line(state: BusLineState) -> Word:
-    # Invert line rides as the extra MSB above the data lines.
-    w = state.word
-    return Word(w.width + 1, (int(state.invert) << w.width) | w.value)
+    return Trace(trace.width, tuple(map(binary_to_gray, trace.values)))
 
 
 def bus_invert_encode_trace(trace: Trace) -> Trace:
@@ -75,17 +71,20 @@ def bus_invert_encode_trace(trace: Trace) -> Trace:
     Output words are one bit wider, the invert line being the extra MSB.
     The first word is transmitted unmodified with the invert line low.
     """
-    if trace.width >= MAX_WIDTH:
+    width = trace.width
+    if width >= MAX_WIDTH:
         raise ValueError(
-            f"bus-invert needs one extra line above the {trace.width} data lines, "
+            f"bus-invert needs one extra line above the {width} data lines, "
             f"but bus width is capped at MAX_WIDTH={MAX_WIDTH}"
         )
-    state = BusLineState(trace[0], False)
-    encoded = [_with_invert_line(state)]
-    for raw in trace.words[1:]:
-        state = bus_invert_encode(state, raw)
-        encoded.append(_with_invert_line(state))
-    return Trace(trace.width + 1, tuple(encoded))
+    full = (1 << width) - 1
+    lines = trace.values[0]  # what the data lines currently carry
+    encoded = [lines]
+    for raw in trace.values[1:]:
+        invert = _inverts(lines, raw, width)
+        lines = raw ^ full if invert else raw
+        encoded.append((invert << width) | lines)
+    return Trace(width + 1, tuple(encoded))
 
 
 def bus_invert_decode_trace(encoded: Trace) -> Trace:
@@ -94,8 +93,6 @@ def bus_invert_decode_trace(encoded: Trace) -> Trace:
         raise ValueError("encoded trace must carry at least one data line")
     width = encoded.width - 1
     mask = (1 << width) - 1
-    words = []
-    for w in encoded:
-        line = BusLineState(Word(width, w.value & mask), bool(w.bit(width)))
-        words.append(bus_invert_decode(line))
-    return Trace(width, tuple(words))
+    return Trace(
+        width, tuple((v & mask) ^ mask if v >> width else v for v in encoded.values)
+    )

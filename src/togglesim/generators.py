@@ -204,10 +204,9 @@ def generate(config: GeneratorConfig, cycles: int) -> Trace:
         raise ValueError(f"cycles must be >= 0, got {cycles}")
     param, build = _GENERATORS[config.kind]
     step = build(config.width, getattr(config, param) if param else None)
-    width = config.width
     value = config.seed.value
-    words = [config.seed]
+    values = [value]
     for _ in range(cycles):
         value = step(value)
-        words.append(Word(width, value))
-    return Trace(width, tuple(words))
+        values.append(value)
+    return Trace(config.width, tuple(values))

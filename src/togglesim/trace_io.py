@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import IO
 
 from .activity import ActivityReport, rounded_display
-from .bits import Trace, Word, check_width, word_from_text
+from .bits import Trace, check_width, value_from_text
 
 REPORT_FORMATS = ("json", "csv", "table")
 
@@ -52,7 +52,7 @@ class TraceFileHeader:
 def parse_trace(text: str) -> Trace:
     """Parse trace text into a Trace; raises TraceFormatError with line numbers."""
     header: TraceFileHeader | None = None
-    words: list[Word] = []
+    values: list[int] = []
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
@@ -69,21 +69,29 @@ def parse_trace(text: str) -> Trace:
                 raise TraceFormatError(f"line {lineno}: {exc}") from exc
             continue
         try:
-            words.append(word_from_text(line, header.radix, header.width))
+            values.append(value_from_text(line, header.radix, header.width))
         except ValueError as exc:
             raise TraceFormatError(f"line {lineno}: {exc}") from exc
     if header is None:
         raise TraceFormatError("missing header 'width=<n> radix=<bin|hex>'")
-    if not words:
+    if not values:
         raise TraceFormatError("empty trace: no words after the header")
-    return Trace(header.width, tuple(words))
+    return Trace(header.width, tuple(values))
 
 
 def read_trace(stream: IO) -> Trace:
     """Parse a trace from a readable text or byte stream."""
     data = stream.read()
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # number lines as parse_trace does; the text before exc.start is valid
+            lineno = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+            raise TraceFormatError(
+                f"line {lineno}: byte 0x{data[exc.start]:02X} is not UTF-8 text "
+                f"({exc.reason})"
+            ) from exc
     return parse_trace(data)
 
 
@@ -96,10 +104,9 @@ def render_trace(trace: Trace, radix: int = 2) -> str:
     """Canonical text form; parse_trace(render_trace(t)) == t."""
     header = TraceFileHeader(trace.width, radix)
     lines = [header.render()]
-    if radix == 2:
-        lines.extend(w.to_binary() for w in trace)
-    else:
-        lines.extend(w.to_hex() for w in trace)
+    # the format specs of Word.to_binary and Word.to_hex
+    spec = f"0{trace.width}b" if radix == 2 else f"0{(trace.width + 3) // 4}X"
+    lines.extend(format(v, spec) for v in trace.values)
     return "\n".join(lines) + "\n"
 
 
@@ -117,6 +124,8 @@ def write_report(report: ActivityReport, format: str = "table") -> str:
             "tau_display": float(tau_display),
             "per_bit_toggles": list(report.per_bit_toggles),
         }
+        if report.per_cycle is not None:
+            payload["per_cycle"] = list(report.per_cycle)
         return json.dumps(payload, indent=2) + "\n"
     if format == "csv":
         buf = io.StringIO()

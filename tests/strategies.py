@@ -1,5 +1,7 @@
 """Shared hypothesis strategies for bit-vector tests."""
 
+import random
+
 from hypothesis import strategies as st
 
 from togglesim import Trace, Word
@@ -34,4 +36,18 @@ def traces(draw, min_len=2, max_len=40, min_width=1, max_width=32):
     width = draw(st.integers(min_width, max_width))
     top = (1 << width) - 1
     values = draw(st.lists(st.integers(0, top), min_size=min_len, max_size=max_len))
-    return Trace(width, tuple(Word(width, v) for v in values))
+    return Trace(width, tuple(values))
+
+
+def wide_trace(width, length=12):
+    """A fixed pseudo-random trace, for explicit examples beyond drawn widths."""
+    rng = random.Random(width)
+    return Trace(width, tuple(rng.getrandbits(width) for _ in range(length)))
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)

@@ -123,7 +123,7 @@ def test_criterion_07_oracle_equivalence_on_random_traces():
         width = rng.randint(1, 64)
         length = rng.randint(2, 200)
         words = tuple(Word(width, rng.getrandbits(width)) for _ in range(length))
-        trace = Trace(width, words)
+        trace = Trace.from_words(words)
         by_loop = sum(
             hamming_distance(words[i], words[i + 1]) for i in range(length - 1)
         )
@@ -235,8 +235,8 @@ def test_criterion_11_round_trips_bit_exact():
     for _ in range(200):
         width = rng.randint(1, 32)
         length = rng.randint(2, 40)
-        trace = Trace(
-            width, tuple(Word(width, rng.getrandbits(width)) for _ in range(length))
+        trace = Trace.from_words(
+            Word(width, rng.getrandbits(width)) for _ in range(length)
         )
         radix = rng.choice([2, 16])
         text = render_trace(trace, radix)

@@ -1,5 +1,6 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from togglesim import (
     GeneratorConfig,
@@ -12,8 +13,9 @@ from togglesim import (
     run_trace,
     switching_activity,
 )
+import reference_trace as reference
 from togglesim.activity import rounded_display
-from strategies import traces
+from strategies import outcome, traces, wide_trace
 
 
 def counter_trace(kind: str, width: int) -> Trace:
@@ -92,7 +94,7 @@ class TestAnalyzeTrace:
     @given(traces(min_len=2, max_len=40))
     def test_appending_never_decreases_total(self, trace):
         report = analyze_trace(trace)
-        extended = Trace(trace.width, trace.words + (trace[-1].complement(),))
+        extended = Trace(trace.width, trace.values + (trace[-1].complement().value,))
         grown = analyze_trace(extended)
         assert grown.total_transitions >= report.total_transitions
         assert 0.0 <= grown.tau <= 1.0
@@ -165,3 +167,16 @@ class TestFormatTau:
     def test_three_decimals(self):
         assert rounded_display(502, 8, 255, 3) == "0.246"
         assert rounded_display(1, 8, 1, 3) == "0.125"
+
+
+class TestAgainstReference:
+    """analyze_trace against the Word-based loop it replaced."""
+
+    @given(traces(min_len=1, max_width=64), st.booleans())
+    @example(wide_trace(256), True)
+    @example(wide_trace(1023), False)
+    @example(wide_trace(1024), True)
+    def test_analyze_trace(self, trace, per_cycle):
+        assert outcome(analyze_trace, trace, per_cycle) == outcome(
+            reference.analyze_trace, tuple(trace), per_cycle
+        )

@@ -150,7 +150,16 @@ class TestPopcount:
 class TestTrace:
     def test_width_enforced(self):
         with pytest.raises(ValueError):
-            Trace(4, (Word(4, 0), Word(5, 0)))
+            Trace.from_words((Word(4, 0), Word(5, 0)))
+
+    @pytest.mark.parametrize("values", [(0, 16), (-1, 0), (3, -5, 15), (1 << 64,)])
+    def test_out_of_range_values_rejected(self, values):
+        with pytest.raises(ValueError, match="do not all fit in 4 bits"):
+            Trace(4, values)
+
+    def test_from_words_names_the_mismatched_word(self):
+        with pytest.raises(ValueError, match="word 2 has width 5, trace declares 4"):
+            Trace.from_words((Word(4, 0), Word(4, 1), Word(5, 0)))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty trace"):
@@ -159,7 +168,7 @@ class TestTrace:
             Trace.from_words([])
 
     def test_transfers(self):
-        t = Trace(4, (Word(4, 0),))
+        t = Trace(4, (0,))
         assert t.transfers == 0
         t = Trace.from_words([Word(4, 0), Word(4, 1), Word(4, 2)])
         assert t.transfers == 2

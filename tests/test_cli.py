@@ -134,6 +134,44 @@ class TestAnalyze:
         assert code == 3
         assert "line 3" in stderr
 
+    def test_non_utf8_file_names_line(self, capsys, tmp_path):
+        bad = tmp_path / "bad.trace"
+        bad.write_bytes(b"width=4 radix=bin\n0000\n\xff\n")
+        code, stdout, stderr = run_cli(capsys, "analyze", str(bad))
+        assert code == 3
+        assert stdout == ""
+        assert stderr.startswith("togglesim: error: line 3: ")
+        assert "0xFF" in stderr
+
+    def test_non_utf8_stdin_names_line(self, capsys, monkeypatch):
+        data = b"width=4 radix=bin\n0000\n0001\n00\xc3\n"
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        code, stdout, stderr = run_cli(capsys, "analyze", "-")
+        assert code == 3
+        assert stdout == ""
+        assert stderr.startswith("togglesim: error: line 4: ")
+
+    def test_per_cycle_json_lists_counts(self, capsys, binary4_trace):
+        _, plain, _ = run_cli(capsys, "analyze", str(binary4_trace), "--format", "json")
+        code, stdout, _ = run_cli(
+            capsys, "analyze", str(binary4_trace), "--format", "json", "--per-cycle"
+        )
+        assert code == 0
+        payload = json.loads(stdout)
+        assert "per_cycle" not in json.loads(plain)
+        assert list(payload) == list(json.loads(plain)) + ["per_cycle"]
+        assert payload["per_cycle"][:4] == [1, 2, 1, 3]
+        assert len(payload["per_cycle"]) == payload["transfers"] == 15
+        assert sum(payload["per_cycle"]) == payload["total_transitions"] == 26
+
+    def test_per_cycle_csv_is_usage_error(self, capsys, binary4_trace):
+        code, stdout, stderr = run_cli(
+            capsys, "analyze", str(binary4_trace), "--format", "csv", "--per-cycle"
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "--per-cycle" in stderr
+
     def test_missing_file_exits_3(self, capsys, tmp_path):
         code, _, stderr = run_cli(capsys, "analyze", str(tmp_path / "nope.trace"))
         assert code == 3
@@ -254,3 +292,15 @@ class TestTables:
         _, nocolor, _ = run_cli(capsys, "tables")
         assert plain == nocolor
         assert "\x1b[" not in nocolor
+
+    @pytest.mark.parametrize("taps", ["17", "1,2"])
+    def test_bad_taps_is_usage_error_like_gen(self, capsys, taps):
+        code, stdout, stderr = run_cli(capsys, "tables", "--taps", taps)
+        gen_code, _, gen_stderr = run_cli(
+            capsys, "gen", "--kind", "lfsr_internal", "--width", "16",
+            "--cycles", "3", "--taps", taps,
+        )
+        assert code == gen_code == 2
+        assert stdout == ""
+        assert stderr == gen_stderr
+        assert "tap" in stderr

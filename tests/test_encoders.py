@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from togglesim import (
@@ -21,7 +21,8 @@ from togglesim import (
     hamming_distance,
     word_from_text,
 )
-from strategies import traces, words
+import reference_trace as reference
+from strategies import outcome, traces, wide_trace, words
 
 
 class TestGray:
@@ -102,7 +103,7 @@ class TestTraceTransforms:
         encoded = bus_invert_encode_trace(trace)
         assert encoded.width == trace.width + 1
         assert len(encoded) == len(trace)
-        assert bus_invert_decode_trace(encoded).words == trace.words
+        assert bus_invert_decode_trace(encoded).values == trace.values
 
     @given(traces(min_len=2, max_len=30, max_width=16))
     def test_bus_invert_never_beats_half_plus_invert(self, trace):
@@ -127,3 +128,69 @@ class TestTraceTransforms:
     def test_decode_requires_data_lines(self):
         with pytest.raises(ValueError):
             bus_invert_decode_trace(Trace.from_words([Word(1, 0)]))
+
+
+@st.composite
+def tie_traces(draw, max_width=64):
+    """Even-width traces where many transfers flip exactly half the lines,
+    bus-invert's tie, whichever way the previous word went out."""
+    width = 2 * draw(st.integers(1, max_width // 2))
+    values = [draw(st.integers(0, (1 << width) - 1))]
+    for _ in range(draw(st.integers(1, 30))):
+        if draw(st.booleans()):
+            flipped = draw(st.permutations(range(width)))[: width // 2]
+            values.append(values[-1] ^ sum(1 << i for i in flipped))
+        else:
+            values.append(draw(st.integers(0, (1 << width) - 1)))
+    return Trace(width, tuple(values))
+
+
+def any_traces(min_width=1, max_width=64):
+    drawn = traces(min_len=1, min_width=min_width, max_width=max_width)
+    return st.one_of(drawn, tie_traces())
+
+
+class TestAgainstReference:
+    """The int-backed trace encoders against the Word-based ones they replaced."""
+
+    def test_tie_stays_uninverted(self):
+        trace = Trace(4, (0b0000, 0b0011, 0b1111, 0b1110, 0b0001))
+        assert bus_invert_encode_trace(trace).values == (
+            0b00000, 0b00011, 0b01111, 0b01110, 0b11110,
+        )
+        assert tuple(bus_invert_encode_trace(trace)) == reference.bus_invert_encode_trace(
+            tuple(trace)
+        )
+
+    @given(any_traces())
+    @example(wide_trace(256))
+    @example(wide_trace(1024))
+    def test_gray_encode_trace(self, trace):
+        assert tuple(gray_encode_trace(trace)) == reference.gray_encode_trace(tuple(trace))
+
+    @given(any_traces())
+    @example(wide_trace(256))
+    @example(wide_trace(1023))
+    @example(wide_trace(1024))
+    def test_bus_invert_encode_trace(self, trace):
+        assert outcome(lambda: tuple(bus_invert_encode_trace(trace))) == outcome(
+            reference.bus_invert_encode_trace, tuple(trace)
+        )
+
+    @given(
+        st.one_of(
+            any_traces(min_width=2, max_width=65), any_traces().map(bus_invert_encode_trace)
+        )
+    )
+    @example(wide_trace(256))
+    @example(wide_trace(1024))
+    @example(Trace(1, (0, 1)))
+    def test_bus_invert_decode_trace(self, encoded):
+        assert outcome(lambda: tuple(bus_invert_decode_trace(encoded))) == outcome(
+            reference.bus_invert_decode_trace, tuple(encoded)
+        )
+
+    @given(st.one_of(tie_traces(), traces(min_len=2, max_width=64)), st.booleans())
+    def test_bus_invert_encode_word(self, trace, invert):
+        prev = BusLineState(trace[0], invert)
+        assert bus_invert_encode(prev, trace[1]) == reference.bus_invert_encode(prev, trace[1])

@@ -304,7 +304,7 @@ class TestGenerate:
         config = GeneratorConfig(kind="gray", width=4, seed=Word(4, 0))
         trace = generate(config, 16)
         assert trace[16] == Word(4, 0)
-        assert len({w.value for w in trace.words[:16]}) == 16
+        assert len(set(trace.values[:16])) == 16
 
     def test_lfsr_trace_shape_and_determinism(self):
         seed = word_from_text("1011001010110110", 2, 16)
@@ -315,7 +315,7 @@ class TestGenerate:
         b = generate(config, 8)
         assert len(a) == 9
         assert a[0] == seed
-        assert a.words == b.words
+        assert a.values == b.values
 
     def test_transfer_count(self):
         config = GeneratorConfig(kind="ca150", width=8, seed=Word(8, 1))

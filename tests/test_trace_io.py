@@ -1,8 +1,9 @@
 import io
 import json
+import re
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from togglesim import (
@@ -16,7 +17,8 @@ from togglesim import (
     render_trace,
     write_report,
 )
-from strategies import traces
+import reference_trace as reference
+from strategies import traces, wide_trace
 
 FIG_STIMULUS = "width=16 radix=hex\n0000\n0303\n0F03\n"
 
@@ -69,6 +71,19 @@ class TestParseTrace:
     def test_read_from_text_stream(self):
         trace = read_trace(io.StringIO(FIG_STIMULUS))
         assert len(trace) == 3
+
+    @pytest.mark.parametrize(
+        "data,lineno",
+        [
+            (b"width=4 radix=bin\n0000\n\xff\n", 3),
+            (b"\xfewidth=4 radix=bin\n0000\n", 1),
+            (b"width=4 radix=bin\r\n0000\r\n0001\r\n\xff\r\n", 4),
+            (b"width=4 radix=bin\n0000\n\n0001\n00\xe2\x82", 5),
+        ],
+    )
+    def test_non_utf8_bytes_name_their_line(self, data, lineno):
+        with pytest.raises(TraceFormatError, match=f"^line {lineno}: .*not UTF-8"):
+            read_trace(io.BytesIO(data))
 
 
 class TestRenderTrace:
@@ -143,3 +158,139 @@ class TestWriteReport:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             write_report(binary_counter_report(), "yaml")
+
+
+LINE_ERROR = re.compile(r"line ([1-9][0-9]*): ")
+WHOLE_TEXT_ERRORS = ("missing header ", "empty trace: no words after the header")
+
+
+def parse_outcome(parse, source):
+    """The Trace `parse` returns, or the line number its TraceFormatError
+    names (None for an error about the text as a whole). Any other
+    exception propagates and fails the test."""
+    try:
+        return parse(source)
+    except TraceFormatError as exc:
+        match = LINE_ERROR.match(str(exc))
+        if match is None:
+            assert str(exc).startswith(WHOLE_TEXT_ERRORS), str(exc)
+            return None
+        return int(match.group(1))
+
+
+@st.composite
+def trace_text_lines(draw):
+    trace = draw(traces(min_len=1, max_len=8))
+    return render_trace(trace, draw(st.sampled_from([2, 16]))).splitlines()
+
+
+@st.composite
+def mutated_trace_texts(draw):
+    """A valid trace text with one line replaced or one character changed,
+    and the 1-based number of that line."""
+    lines = draw(trace_text_lines())
+    index = draw(st.integers(0, len(lines) - 1))
+    line = lines[index]
+    if draw(st.booleans()):
+        lines[index] = draw(st.text(max_size=12))
+    else:
+        at = draw(st.integers(0, len(line) - 1))
+        lines[index] = line[:at] + draw(st.characters()) + line[at + 1:]
+    return "\n".join(lines) + "\n", index + 1
+
+
+@st.composite
+def mutated_trace_bytes(draw):
+    """A valid trace file with one byte replaced by an arbitrary byte."""
+    data = bytearray(("\n".join(draw(trace_text_lines())) + "\n").encode())
+    data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    return bytes(data)
+
+
+class TestParserFuzz:
+    """Every input gives a Trace or a TraceFormatError; an error about one
+    line starts with `line N:` for a line N that exists."""
+
+    def check_text(self, text):
+        outcome = parse_outcome(parse_trace, text)
+        if isinstance(outcome, int):
+            assert outcome <= len(text.splitlines())
+        return outcome
+
+    def check_bytes(self, data):
+        outcome = parse_outcome(read_trace, io.BytesIO(data))
+        if isinstance(outcome, int):
+            lines = data.decode("utf-8", "replace").splitlines()
+            assert outcome <= len(lines)
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError:
+                assert "\ufffd" in lines[outcome - 1]
+
+    @given(st.text(max_size=200))
+    def test_arbitrary_text(self, text):
+        self.check_text(text)
+
+    @given(mutated_trace_texts())
+    def test_one_mutated_line(self, case):
+        text, lineno = case
+        outcome = self.check_text(text)
+        # a word line was mutated and only "\n" breaks lines: that line is named
+        if lineno > 1 and len(text.splitlines()) == text.count("\n"):
+            assert not isinstance(outcome, int) or outcome == lineno
+
+    @given(st.binary(max_size=200))
+    def test_arbitrary_bytes(self, data):
+        self.check_bytes(data)
+
+    @given(mutated_trace_bytes())
+    def test_one_mutated_byte(self, data):
+        self.check_bytes(data)
+
+
+@st.composite
+def decorated_trace_texts(draw):
+    """Valid trace text in a non-canonical spelling: leading zeros, mixed-case
+    hex, comments, blank lines, trailing whitespace and CRLF line ends."""
+    trace = draw(traces(min_len=1, max_len=10, max_width=64))
+    radix = draw(st.sampled_from([2, 16]))
+    digits = trace.width if radix == 2 else (trace.width + 3) // 4
+    lines = [f"width={trace.width} radix={'bin' if radix == 2 else 'hex'}"]
+    for value in trace.values:
+        text = format(value, "b" if radix == 2 else "x")
+        text = text.zfill(draw(st.integers(1, digits)))
+        lines.append(text.upper() if draw(st.booleans()) else text)
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "# note", "  "])))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + end
+
+
+class TestAgainstReference:
+    """parse_trace and render_trace against the Word-based versions they replaced."""
+
+    @given(
+        st.one_of(
+            decorated_trace_texts(),
+            mutated_trace_texts().map(lambda case: case[0]),
+            st.text(max_size=60),
+        )
+    )
+    @example(render_trace(wide_trace(1024), 16))
+    @example(render_trace(wide_trace(1023), 2))
+    def test_parse_trace(self, text):
+        def parsed(parse):
+            try:
+                return tuple(parse(text))
+            except TraceFormatError as exc:
+                return str(exc)
+
+        assert parsed(parse_trace) == parsed(reference.parse_trace)
+
+    @given(traces(min_len=1, max_width=64), st.sampled_from([2, 16]))
+    @example(wide_trace(256), 2)
+    @example(wide_trace(1023), 16)
+    @example(wide_trace(1024), 2)
+    @example(wide_trace(1024), 16)
+    def test_render_trace(self, trace, radix):
+        assert render_trace(trace, radix) == reference.render_trace(tuple(trace), radix)

@@ -129,7 +129,7 @@ class TestRunTrace:
         counter = BitTransitionCounter(trace.width)
         for i, word in enumerate(trace):
             rec = counter.step(word, reset=(i == 0 or i == k))
-        tail = Trace(trace.width, trace.words[k:])
+        tail = Trace(trace.width, trace.values[k:])
         assert rec.total_transition == pairwise_total(tail)
 
     @given(traces(max_len=30))
