@@ -18,7 +18,7 @@ from togglesim import (
     write_report,
 )
 import reference_trace as reference
-from strategies import traces, wide_trace
+from strategies import outcome, traces, wide_trace
 
 FIG_STIMULUS = "width=16 radix=hex\n0000\n0303\n0F03\n"
 
@@ -279,13 +279,9 @@ class TestAgainstReference:
     @example(render_trace(wide_trace(1024), 16))
     @example(render_trace(wide_trace(1023), 2))
     def test_parse_trace(self, text):
-        def parsed(parse):
-            try:
-                return tuple(parse(text))
-            except TraceFormatError as exc:
-                return str(exc)
-
-        assert parsed(parse_trace) == parsed(reference.parse_trace)
+        assert outcome(lambda: tuple(parse_trace(text))) == outcome(
+            reference.parse_trace, text
+        )
 
     @given(traces(min_len=1, max_width=64), st.sampled_from([2, 16]))
     @example(wide_trace(256), 2)
