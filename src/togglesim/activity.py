@@ -8,7 +8,8 @@ transfers. It is 1.0 when every line flips on every transfer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import pairwise
+from itertools import islice, pairwise
+from operator import xor
 
 from .bits import Trace
 
@@ -51,29 +52,42 @@ def switching_activity(total_transitions: int, width: int, transfers: int) -> fl
 
 
 def analyze_trace(trace: Trace, include_per_cycle: bool = False) -> ActivityReport:
-    """Count transitions over consecutive word pairs of a trace."""
+    """Count transitions over consecutive word pairs of a trace.
+
+    Per-line toggle counts are kept bit-sliced: bit i of ``planes[k]`` is
+    bit k of line i's running count. Each transfer's XOR is added to every
+    line at once by a ripple carry through the planes, so the cost per
+    transfer is a few big-int operations however many lines flip.
+    """
     if len(trace) < 2:
         raise ValueError("trace too short: need at least 2 words to observe a transfer")
     width = trace.width
-    toggles = [0] * width
-    per_cycle: list[int] = []
-    total = 0
-    for prev, cur in pairwise(trace.values):
-        diff = prev ^ cur
-        count = diff.bit_count()
-        total += count
-        per_cycle.append(count)
-        while diff:
-            low = diff & -diff
-            toggles[low.bit_length() - 1] += 1
-            diff ^= low
+    values = trace.values
+    planes: list[int] = []
+    for carry in map(xor, values, islice(values, 1, None)):
+        k = 0
+        while carry:
+            if k == len(planes):
+                planes.append(0)
+            plane = planes[k]
+            planes[k] = plane ^ carry
+            carry &= plane
+            k += 1
+    toggles = tuple(
+        sum(((plane >> bit) & 1) << k for k, plane in enumerate(planes))
+        for bit in range(width)
+    )
+    total = sum(toggles)
+    per_cycle = None
+    if include_per_cycle:
+        per_cycle = tuple((prev ^ cur).bit_count() for prev, cur in pairwise(values))
     return ActivityReport(
         width=width,
         transfers=trace.transfers,
         total_transitions=total,
         tau=switching_activity(total, width, trace.transfers),
-        per_bit_toggles=tuple(toggles),
-        per_cycle=tuple(per_cycle) if include_per_cycle else None,
+        per_bit_toggles=toggles,
+        per_cycle=per_cycle,
     )
 
 

@@ -130,8 +130,11 @@ def cmd_power(args: argparse.Namespace) -> int:
         try:
             with open(args.from_report, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
-            tau = float(payload["tau"])
-        except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            tau = payload["tau"]
+            if isinstance(tau, bool) or not isinstance(tau, (int, float)):
+                raise TypeError(f"tau must be a JSON number, got {json.dumps(tau)}")
+            tau = float(tau)
+        except (OSError, OverflowError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise TraceFormatError(f"cannot read tau from {args.from_report}: {exc}")
     else:
         tau = args.tau

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bits import Trace, Word, check_width, hamming_distance
+from .bits import Trace, Word, check_width
 
 # Running total saturates instead of wrapping on very long runs.
 TOTAL_SATURATION = (1 << 64) - 1
@@ -54,7 +54,7 @@ class BitTransitionCounter:
             self.total = 0
             self.prev_data = datain
             return CycleRecord(cycle, True, datain, Word(self.width, 0), 0, 0)
-        one = hamming_distance(self.prev_data, datain)
+        one = (self.prev_data.value ^ datain.value).bit_count()
         self.total = min(self.total + one, TOTAL_SATURATION)
         dataout = self.prev_data
         self.prev_data = datain

@@ -86,9 +86,10 @@ class TestAnalyzeTrace:
 
     @given(traces(max_len=50, max_width=48))
     def test_totals_match_probe_and_toggle_sum(self, trace):
-        report = analyze_trace(trace)
+        report = analyze_trace(trace, include_per_cycle=True)
         assert report.total_transitions == run_trace(trace)[-1].total_transition
         assert sum(report.per_bit_toggles) == report.total_transitions
+        assert sum(report.per_cycle) == report.total_transitions
         assert 0.0 <= report.tau <= 1.0
 
     @given(traces(min_len=2, max_len=40))
@@ -180,3 +181,21 @@ class TestAgainstReference:
         assert outcome(analyze_trace, trace, per_cycle) == outcome(
             reference.analyze_trace, tuple(trace), per_cycle
         )
+
+    @given(traces(min_len=100, max_len=300, max_width=8), st.booleans())
+    def test_analyze_long_narrow_trace(self, trace, per_cycle):
+        assert outcome(analyze_trace, trace, per_cycle) == outcome(
+            reference.analyze_trace, tuple(trace), per_cycle
+        )
+
+    @pytest.mark.parametrize("width", [1, 63, 1024])
+    @pytest.mark.parametrize(
+        "transfers", sorted({(1 << k) + d for k in range(1, 12) for d in (-1, 0, 1)})
+    )
+    def test_alternating_trace_carries_through_every_plane(self, width, transfers):
+        # every line flips on every transfer, so each count is `transfers`
+        top = (1 << width) - 1
+        trace = Trace(width, tuple(top * (i % 2) for i in range(transfers + 1)))
+        report = analyze_trace(trace, include_per_cycle=True)
+        assert report.per_bit_toggles == (transfers,) * width
+        assert report == reference.analyze_trace(tuple(trace), True)

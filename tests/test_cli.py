@@ -224,6 +224,22 @@ class TestPower:
         assert code == 0
         assert "2.5e-07 W" in stdout  # tau 0.25 from the gray report
 
+    @pytest.mark.parametrize(
+        "tau",
+        ["true", '"0.5"', "null", "1" + "0" * 400],
+        ids=["true", "string", "null", "int-beyond-float"],
+    )
+    def test_from_report_tau_must_be_a_number(self, capsys, tmp_path, tau):
+        report = tmp_path / "report.json"
+        report.write_text(f'{{"tau": {tau}}}')
+        code, stdout, stderr = run_cli(
+            capsys, "power", "--from-report", str(report), "--cap", "1e-12",
+            "--vdd", "1", "--freq", "1e6",
+        )
+        assert code == 3
+        assert stdout == ""
+        assert f"cannot read tau from {report}" in stderr
+
     def test_tau_and_report_conflict(self, capsys, tmp_path):
         report = tmp_path / "r.json"
         report.write_text("{}")
