@@ -11,7 +11,7 @@ import os
 import sys
 
 from .activity import analyze_trace
-from .bits import Word, word_from_text
+from .bits import Word, check_width, word_from_text
 from .encoders import bus_invert_encode_trace, gray_encode_trace
 from .generators import (
     BOUNDARIES,
@@ -65,27 +65,26 @@ def _parse_seed(text: str, width: int, radix: str) -> Word:
 
 
 def _build_config(args: argparse.Namespace) -> GeneratorConfig:
+    try:
+        check_width(args.width)
+    except ValueError as exc:
+        raise UsageError(f"bad --width: {exc}")
     seed_text = args.seed if args.seed is not None else "0" * args.width
     try:
         seed = _parse_seed(seed_text, args.width, args.seed_radix)
     except ValueError as exc:
         raise UsageError(f"bad --seed: {exc}")
-    param = kind_parameter(args.kind)
-    taps = None
-    if param == "taps":
-        if args.taps is not None:
-            taps = _parse_taps(args.taps)
-        elif args.width == 16:
-            taps = DEFAULT_TAPS_16
-        else:
+    taps = _parse_taps(args.taps) if args.taps is not None else None
+    if taps is None and kind_parameter(args.kind) == "taps":
+        if args.width != 16:
             raise UsageError(
                 f"--taps is required for {args.kind} at width {args.width} "
                 "(a default exists only for width 16)"
             )
-    boundary = args.boundary if param == "boundary" else None
+        taps = DEFAULT_TAPS_16
     try:
         return GeneratorConfig(
-            kind=args.kind, width=args.width, seed=seed, taps=taps, boundary=boundary
+            kind=args.kind, width=args.width, seed=seed, taps=taps, boundary=args.boundary
         )
     except ValueError as exc:
         raise UsageError(str(exc))
@@ -149,7 +148,7 @@ def cmd_power(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     watts = dynamic_power(params)
-    print(f"dynamic power: {watts:.6g} W ({watts * 1e6:.6g} uW)")
+    lines = [f"dynamic power: {watts:.6g} W ({watts * 1e6:.6g} uW)"]
     if args.isat is not None or args.vdiode is not None:
         if args.isat is None or args.vdiode is None:
             raise UsageError("static power needs both --isat and --vdiode")
@@ -163,7 +162,8 @@ def cmd_power(args: argparse.Namespace) -> int:
             swatts = static_power(sp)
         except ValueError as exc:
             raise UsageError(str(exc))
-        print(f"static power:  {swatts:.6g} W ({swatts * 1e6:.6g} uW)")
+        lines.append(f"static power:  {swatts:.6g} W ({swatts * 1e6:.6g} uW)")
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -205,8 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="force seed interpretation",
     )
     gen.add_argument("--taps", help="comma-separated 1-based tap positions (LFSR kinds)")
-    gen.add_argument("--boundary", choices=BOUNDARIES, default="null",
-                     help="CA boundary (CA kinds)")
+    gen.add_argument("--boundary", choices=BOUNDARIES,
+                     help="CA boundary (CA kinds; default null)")
     gen.add_argument("--cycles", type=int, required=True,
                      help="number of generated transfers; trace has cycles+1 words")
     gen.add_argument("--radix", choices=("bin", "hex"), default="bin",

@@ -4,10 +4,11 @@ Trace text format, chosen for hand-editability of small fixtures:
 
     # comments start with '#', blank lines are skipped
     width=16 radix=hex      <- first significant line, the header
-    0000                    <- one word per line, trailing whitespace ignored
+    0000                    <- one word per line
     0303
     0F03
 
+Leading and trailing whitespace is stripped from every line.
 `radix` is `bin` (MSB-first binary) or `hex` (case-insensitive on input,
 rendered uppercase and zero-padded).
 """
@@ -19,6 +20,7 @@ import io
 import json
 import re
 from dataclasses import dataclass
+from itertools import islice, repeat
 from typing import IO
 
 from .activity import ActivityReport, rounded_display
@@ -29,6 +31,11 @@ REPORT_FORMATS = ("json", "csv", "table")
 _RADIX_BY_NAME = {"bin": 2, "hex": 16}
 _NAME_BY_RADIX = {2: "bin", 16: "hex"}
 _HEADER_RE = re.compile(r"^width=(\d+)\s+radix=(bin|hex)$")
+# Every character of a run of words joined by newlines. A single character
+# class, not a repeated group per word: sre keeps no backtracking stack for it.
+_WORDS_RE = {2: re.compile(r"[01\n]*"), 16: re.compile(r"[0-9a-fA-F\n]*")}
+# Words per joined string, so the check never copies the whole body at once.
+_CHUNK_WORDS = 2048
 
 
 class TraceFormatError(ValueError):
@@ -50,33 +57,60 @@ class TraceFileHeader:
 
 
 def parse_trace(text: str) -> Trace:
-    """Parse trace text into a Trace; raises TraceFormatError with line numbers."""
+    """Parse trace text into a Trace; raises TraceFormatError with line numbers.
+
+    The words are checked in bulk: the longest against the digit limit, and
+    their characters by one regular-expression match per chunk of words; a
+    hex word too large for the width fails Trace's own range check. Only when
+    one of these checks fails are the lines walked again through
+    value_from_text, which names the first bad line.
+    """
+    lines = text.splitlines()
     header: TraceFileHeader | None = None
-    values: list[int] = []
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+    for lineno, raw_line in enumerate(lines, start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
-        if header is None:
-            match = _HEADER_RE.match(line)
-            if not match:
-                raise TraceFormatError(
-                    f"line {lineno}: expected header 'width=<n> radix=<bin|hex>', got {line!r}"
-                )
-            try:
-                header = TraceFileHeader(int(match.group(1)), _RADIX_BY_NAME[match.group(2)])
-            except ValueError as exc:
-                raise TraceFormatError(f"line {lineno}: {exc}") from exc
-            continue
+        match = _HEADER_RE.match(line)
+        if not match:
+            raise TraceFormatError(
+                f"line {lineno}: expected header 'width=<n> radix=<bin|hex>', got {line!r}"
+            )
         try:
-            values.append(value_from_text(line, header.radix, header.width))
+            header = TraceFileHeader(int(match.group(1)), _RADIX_BY_NAME[match.group(2)])
         except ValueError as exc:
             raise TraceFormatError(f"line {lineno}: {exc}") from exc
+        break
     if header is None:
         raise TraceFormatError("missing header 'width=<n> radix=<bin|hex>'")
-    if not values:
+    header_lineno = lineno
+    words = [
+        w for w in map(str.strip, islice(lines, header_lineno, None)) if w and w[0] != "#"
+    ]
+    del lines
+    if not words:
         raise TraceFormatError("empty trace: no words after the header")
-    return Trace(header.width, tuple(values))
+    width, radix = header.width, header.radix
+    digits = width if radix == 2 else (width + 3) // 4
+    fullmatch = _WORDS_RE[radix].fullmatch
+    if max(map(len, words)) <= digits and all(
+        fullmatch("\n".join(words[i : i + _CHUNK_WORDS]))
+        for i in range(0, len(words), _CHUNK_WORDS)
+    ):
+        try:
+            return Trace(width, tuple(map(int, words, repeat(radix))))
+        except ValueError:
+            pass  # a hex word above 2**width - 1, possible when 4 does not divide width
+    values = []
+    for lineno, raw_line in islice(enumerate(text.splitlines(), start=1), header_lineno, None):
+        line = raw_line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            values.append(value_from_text(line, radix, width))
+        except ValueError as exc:
+            raise TraceFormatError(f"line {lineno}: {exc}") from exc
+    return Trace(width, tuple(values))
 
 
 def read_trace(stream: IO) -> Trace:
@@ -103,11 +137,9 @@ def load_trace(path: str) -> Trace:
 def render_trace(trace: Trace, radix: int = 2) -> str:
     """Canonical text form; parse_trace(render_trace(t)) == t."""
     header = TraceFileHeader(trace.width, radix)
-    lines = [header.render()]
     # the format specs of Word.to_binary and Word.to_hex
     spec = f"0{trace.width}b" if radix == 2 else f"0{(trace.width + 3) // 4}X"
-    lines.extend(format(v, spec) for v in trace.values)
-    return "\n".join(lines) + "\n"
+    return "\n".join([header.render(), *map(format, trace.values, repeat(spec)), ""])
 
 
 def write_report(report: ActivityReport, format: str = "table") -> str:

@@ -63,6 +63,43 @@ class TestGen:
         assert stdout.startswith("width=4 radix=bin\n")
         assert "4 words" in stderr
 
+    @pytest.mark.parametrize("width", ["2000", "0"])
+    def test_bad_width_names_width(self, capsys, width):
+        code, stdout, stderr = run_cli(
+            capsys, "gen", "--kind", "binary", "--width", width, "--cycles", "3",
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "bad --width: width must be" in stderr
+        assert "--seed" not in stderr
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--kind", "ca90", "--width", "8", "--seed", "01", "--taps", "4"],
+             "taps apply to LFSR kinds only"),
+            (["--kind", "binary", "--width", "4", "--taps", "4"],
+             "taps apply to LFSR kinds only"),
+            (["--kind", "lfsr_internal", "--width", "16", "--seed", "0001",
+              "--boundary", "cyclic"], "boundary applies to CA kinds only"),
+            (["--kind", "gray", "--width", "4", "--boundary", "null"],
+             "boundary applies to CA kinds only"),
+        ],
+        ids=["taps-ca90", "taps-binary", "boundary-lfsr", "boundary-gray"],
+    )
+    def test_parameter_of_another_kind_is_usage_error(self, capsys, argv, message):
+        code, stdout, stderr = run_cli(capsys, "gen", *argv, "--cycles", "3")
+        assert code == 2
+        assert stdout == ""
+        assert message in stderr
+
+    def test_ca_boundary_defaults_to_null(self, capsys):
+        argv = ("gen", "--kind", "ca150", "--width", "8", "--seed", "01", "--cycles", "9")
+        code, default, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert run_cli(capsys, *argv, "--boundary", "null")[1] == default
+        assert run_cli(capsys, *argv, "--boundary", "cyclic")[1] != default
+
     def test_missing_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main([])
@@ -257,6 +294,20 @@ class TestPower:
         assert code == 0
         assert "static power" in stdout
         assert "0 W" in stdout  # zero diode voltage leaks nothing
+
+    @pytest.mark.parametrize(
+        "static",
+        [["--isat", "1e-12", "--vdiode", "100"], ["--isat", "1e-12"], ["--vdiode", "0.1"]],
+        ids=["leakage-overflows", "isat-alone", "vdiode-alone"],
+    )
+    def test_static_power_error_prints_nothing(self, capsys, static):
+        code, stdout, stderr = run_cli(
+            capsys, "power", "--tau", "0.5", "--cap", "1e-12", "--vdd", "1",
+            "--freq", "1e6", *static,
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("togglesim: error: ")
 
     @pytest.mark.parametrize(
         "flag,value",

@@ -1,9 +1,10 @@
 import io
 import json
+import random
 import re
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from togglesim import (
@@ -266,6 +267,51 @@ def decorated_trace_texts(draw):
     return end.join(lines) + end
 
 
+# Word spellings int() accepts that the trace format does not.
+INT_ONLY_SPELLINGS = ("0_1", "+1", "-1", "0b1", "0x1", "1 0", "\uff11", "\u0661")
+
+
+def examples(*texts):
+    """Hypothesis @example for each text."""
+    def decorate(test):
+        for text in texts:
+            test = example(text)(test)
+        return test
+    return decorate
+
+
+def counter_text(width, radix, count, last):
+    """A `count`-word counter trace whose last word is spelled `last`."""
+    values = tuple(v % (1 << width) for v in range(count))
+    lines = render_trace(Trace(width, values), radix).splitlines()
+    return "\n".join([*lines[:-1], last, ""])
+
+
+BAD_CHARS = "gG_+-x.\uff11\u0661"
+
+
+@st.composite
+def long_corrupted_traces(draw):
+    """A valid trace text of 3000..6000 words with one word made invalid, and
+    the 1-based number of its line."""
+    width = draw(st.integers(1, 64))
+    radix = draw(st.sampled_from([2, 16]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    values = tuple(rng.getrandbits(width) for _ in range(draw(st.integers(3000, 6000))))
+    lines = render_trace(Trace(width, values), radix).splitlines()
+    index = draw(st.integers(1, len(lines) - 1))
+    word = lines[index]
+    how = draw(st.sampled_from(["char", "long", "overflow"]))
+    if how == "overflow" and radix == 16 and width % 4:
+        lines[index] = "F" + word[1:]
+    elif how == "long":
+        lines[index] = "0" + word
+    else:
+        at = draw(st.integers(0, len(word) - 1))
+        lines[index] = word[:at] + draw(st.sampled_from(BAD_CHARS)) + word[at + 1:]
+    return "\n".join(lines) + "\n", index + 1
+
+
 class TestAgainstReference:
     """parse_trace and render_trace against the Word-based versions they replaced."""
 
@@ -278,10 +324,25 @@ class TestAgainstReference:
     )
     @example(render_trace(wide_trace(1024), 16))
     @example(render_trace(wide_trace(1023), 2))
+    @examples(*(f"width=8 radix=bin\n0000\n{w}\n" for w in INT_ONLY_SPELLINGS))
+    @examples(*(f"width=8 radix=hex\n00\n{w}\n" for w in INT_ONLY_SPELLINGS))
+    @examples("width=4 radix=bin\n0001\n00001\n", "width=8 radix=hex\n00\n001\n")
+    @example(counter_text(15, 16, 5000, "8000"))
+    @examples(*(counter_text(16, 16, n, "0_1F") for n in (2047, 2048, 2049)))
+    @examples(*(counter_text(4, 2, n, "0_01") for n in (2047, 2048, 2049)))
+    @example("# fixture\n\nwidth=4 radix=bin\n0001\n\n# body\n   \n\n01x1\n0010\n")
     def test_parse_trace(self, text):
         assert outcome(lambda: tuple(parse_trace(text))) == outcome(
             reference.parse_trace, text
         )
+
+    @settings(max_examples=25, deadline=None)
+    @given(long_corrupted_traces())
+    def test_long_trace_names_the_corrupted_line(self, case):
+        text, lineno = case
+        with pytest.raises(TraceFormatError, match=f"^line {lineno}: "):
+            parse_trace(text)
+        assert outcome(parse_trace, text) == outcome(reference.parse_trace, text)
 
     @given(traces(min_len=1, max_width=64), st.sampled_from([2, 16]))
     @example(wide_trace(256), 2)
