@@ -21,7 +21,7 @@ from .generators import (
     generate,
     kind_parameter,
 )
-from .power import DynamicPowerParams, StaticPowerParams, dynamic_power, static_power
+from .power import DynamicPowerParams, StaticPowerParams, check_tau, dynamic_power, static_power
 from .tables import (
     counter_rows,
     generator_rows,
@@ -132,7 +132,7 @@ def cmd_power(args: argparse.Namespace) -> int:
             tau = payload["tau"]
             if isinstance(tau, bool) or not isinstance(tau, (int, float)):
                 raise TypeError(f"tau must be a JSON number, got {json.dumps(tau)}")
-            tau = float(tau)
+            tau = check_tau(float(tau))
         except (OSError, OverflowError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise TraceFormatError(f"cannot read tau from {args.from_report}: {exc}")
     else:
@@ -147,8 +147,7 @@ def cmd_power(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc))
-    watts = dynamic_power(params)
-    lines = [f"dynamic power: {watts:.6g} W ({watts * 1e6:.6g} uW)"]
+    powers = [("dynamic power: ", dynamic_power(params))]
     if args.isat is not None or args.vdiode is not None:
         if args.isat is None or args.vdiode is None:
             raise UsageError("static power needs both --isat and --vdiode")
@@ -159,11 +158,12 @@ def cmd_power(args: argparse.Namespace) -> int:
                 temperature=args.temp,
                 supply_voltage=args.vdd,
             )
-            swatts = static_power(sp)
+            powers.append(("static power:  ", static_power(sp)))
         except ValueError as exc:
             raise UsageError(str(exc))
-        lines.append(f"static power:  {swatts:.6g} W ({swatts * 1e6:.6g} uW)")
-    print("\n".join(lines))
+    for label, watts in powers:
+        watts += 0.0  # IEEE -0.0 + 0.0 is 0.0: a -0 tau or vdiode prints 0, not -0
+        print(f"{label}{watts:.6g} W ({watts * 1e6:.6g} uW)")
     return EXIT_OK
 
 

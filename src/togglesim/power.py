@@ -32,6 +32,13 @@ def _check_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value}")
 
 
+def check_tau(tau: float) -> float:
+    """Return tau if it is an activity factor in [0, 1]; raise ValueError if not."""
+    if not 0.0 <= tau <= 1.0:  # NaN fails both comparisons
+        raise ValueError(f"tau must be in [0, 1], got {tau}")
+    return tau
+
+
 @dataclass(frozen=True)
 class DynamicPowerParams:
     tau: float
@@ -41,8 +48,7 @@ class DynamicPowerParams:
     voltage_exponent: int = 1
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.tau <= 1.0:
-            raise ValueError(f"tau must be in [0, 1], got {self.tau}")
+        check_tau(self.tau)
         _check_positive("load_capacitance", self.load_capacitance)
         _check_positive("supply_voltage", self.supply_voltage)
         _check_positive("frequency", self.frequency)

@@ -15,8 +15,6 @@ rendered uppercase and zero-padded).
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import re
 from dataclasses import dataclass
@@ -160,16 +158,12 @@ def write_report(report: ActivityReport, format: str = "table") -> str:
             payload["per_cycle"] = list(report.per_cycle)
         return json.dumps(payload, indent=2) + "\n"
     if format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["line", "toggles", "width", "transfers", "tau"])
-        for i, count in enumerate(report.per_bit_toggles):
-            writer.writerow([f"bit{i}", count, "", "", ""])
-        writer.writerow(
-            ["summary", report.total_transitions, report.width, report.transfers,
-             repr(report.tau)]
-        )
-        return buf.getvalue()
+        # no field can hold a comma, quote or newline, so none needs quoting
+        rows = ["line,toggles,width,transfers,tau"]
+        rows += (f"bit{i},{count},,," for i, count in enumerate(report.per_bit_toggles))
+        rows.append(f"summary,{report.total_transitions},{report.width},{report.transfers},"
+                    f"{report.tau!r}")
+        return "\n".join(rows) + "\n"
     if format == "table":
         lines = [
             f"lines               {report.width}",

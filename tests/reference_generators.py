@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from togglesim import GeneratorConfig, Word
+from togglesim.bits import Word
+from togglesim.generators import GeneratorConfig
 
 
 def gray_encode(w: Word) -> Word:

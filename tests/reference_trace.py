@@ -14,18 +14,10 @@ import re
 from itertools import pairwise
 
 from reference_generators import gray_encode
-from togglesim import (
-    MAX_WIDTH,
-    ActivityReport,
-    BusLineState,
-    TraceFileHeader,
-    TraceFormatError,
-    Word,
-    bus_invert_decode,
-    hamming_distance,
-    switching_activity,
-)
-from togglesim.bits import check_width
+from togglesim.activity import ActivityReport, switching_activity
+from togglesim.bits import MAX_WIDTH, Word, check_width, hamming_distance
+from togglesim.encoders import BusLineState, bus_invert_decode
+from togglesim.trace_io import TraceFileHeader, TraceFormatError
 
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 _RADIX_BY_NAME = {"bin": 2, "hex": 16}

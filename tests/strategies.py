@@ -4,7 +4,7 @@ import random
 
 from hypothesis import strategies as st
 
-from togglesim import Trace, Word
+from togglesim.bits import Trace, Word
 
 
 @st.composite

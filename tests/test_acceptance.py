@@ -7,35 +7,38 @@ once its assertions hold (run with `pytest -s` or `-v` to see them).
 import json
 import random
 
-from togglesim import (
-    GeneratorConfig,
-    Trace,
-    Word,
+from togglesim.activity import (
     analyze_trace,
     compare_reports,
-    dynamic_power,
-    DynamicPowerParams,
-    generate,
-    hamming_distance,
-    leakage_current,
-    parse_trace,
-    render_trace,
-    run_trace,
+    rounded_display,
     switching_activity,
-    thermal_voltage,
-    word_from_text,
-    write_report,
 )
-from togglesim.generators import DEFAULT_TAPS_16, ca_step, counter_step
+from togglesim.bits import Trace, Word, hamming_distance, word_from_text
+from togglesim.generators import (
+    DEFAULT_TAPS_16,
+    GeneratorConfig,
+    ca_step,
+    counter_step,
+    generate,
+    lfsr_external_step,
+    lfsr_internal_step,
+)
+from togglesim.power import (
+    DynamicPowerParams,
+    dynamic_power,
+    leakage_current,
+    thermal_voltage,
+)
 from togglesim.tables import (
     GENERATOR_REFERENCE,
     REFERENCE_SEED_TEXT,
     cents_display,
     counter_rows,
     generator_rows,
-    rounded_display,
     truncated_cents,
 )
+from togglesim.trace_io import parse_trace, render_trace, write_report
+from togglesim.transition_counter import run_trace
 
 import math
 
@@ -148,8 +151,6 @@ def test_criterion_08_generator_properties():
         trace = counter_trace("binary", width)
         total = analyze_trace(trace).total_transitions
         assert total == 2 ** (width + 1) - width - 2
-
-    from togglesim import lfsr_external_step, lfsr_internal_step
 
     # taps {4,3} are maximal for the Galois form; the shift-toward-LSB
     # Fibonacci form is injective only with position 1 tapped, so its

@@ -2,19 +2,16 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from togglesim import (
-    GeneratorConfig,
-    Trace,
-    Word,
+from togglesim.activity import (
     analyze_trace,
     compare_reports,
-    generate,
-    hamming_distance,
-    run_trace,
+    rounded_display,
     switching_activity,
 )
+from togglesim.bits import Trace, Word, hamming_distance
+from togglesim.generators import GeneratorConfig, generate
+from togglesim.transition_counter import run_trace
 import reference_trace as reference
-from togglesim.activity import rounded_display
 from strategies import outcome, traces, wide_trace
 
 

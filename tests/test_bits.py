@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from togglesim import Trace, Word, hamming_distance, popcount, word_from_text
+from togglesim.bits import Trace, Word, hamming_distance, popcount, word_from_text
 from strategies import word_pairs, word_triples, words
 
 

@@ -277,6 +277,21 @@ class TestPower:
         assert stdout == ""
         assert f"cannot read tau from {report}" in stderr
 
+    @pytest.mark.parametrize("tau", ["1.5", "-0.1", "NaN"])
+    def test_from_report_tau_out_of_range_exits_3(self, capsys, tmp_path, tau):
+        report = tmp_path / "report.json"
+        report.write_text(f'{{"tau": {tau}}}')
+        code, stdout, stderr = run_cli(
+            capsys, "power", "--from-report", str(report), "--cap", "1e-12",
+            "--vdd", "1", "--freq", "1e6",
+        )
+        assert code == 3
+        assert stdout == ""
+        assert stderr == (
+            f"togglesim: error: cannot read tau from {report}: "
+            f"tau must be in [0, 1], got {float(tau)}\n"
+        )
+
     def test_tau_and_report_conflict(self, capsys, tmp_path):
         report = tmp_path / "r.json"
         report.write_text("{}")
@@ -294,6 +309,15 @@ class TestPower:
         assert code == 0
         assert "static power" in stdout
         assert "0 W" in stdout  # zero diode voltage leaks nothing
+
+    def test_negative_zero_prints_as_zero(self, capsys):
+        code, stdout, _ = run_cli(
+            capsys, "power", "--tau", "-0", "--cap", "1e-12", "--vdd", "1",
+            "--freq", "1e6", "--isat", "1e-12", "--vdiode", "-0",
+        )
+        assert code == 0
+        assert stdout == "dynamic power: 0 W (0 uW)\nstatic power:  0 W (0 uW)\n"
+        assert "-0" not in stdout
 
     @pytest.mark.parametrize(
         "static",

@@ -4,23 +4,19 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from togglesim import (
+from togglesim.activity import analyze_trace
+from togglesim.bits import Trace, Word, hamming_distance, word_from_text
+from togglesim.encoders import (
     BusLineState,
-    GeneratorConfig,
-    Trace,
-    Word,
-    analyze_trace,
     bus_invert_decode,
     bus_invert_decode_trace,
     bus_invert_encode,
     bus_invert_encode_trace,
-    generate,
     gray_decode,
     gray_encode,
     gray_encode_trace,
-    hamming_distance,
-    word_from_text,
 )
+from togglesim.generators import GeneratorConfig, generate
 import reference_trace as reference
 from strategies import outcome, traces, wide_trace, words
 

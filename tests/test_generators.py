@@ -4,20 +4,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from togglesim import (
+from togglesim.activity import analyze_trace
+from togglesim.bits import Trace, Word, hamming_distance, word_from_text
+from togglesim.generators import (
+    KINDS,
     GeneratorConfig,
-    Trace,
-    Word,
-    analyze_trace,
     ca_step,
     counter_step,
     generate,
-    hamming_distance,
+    kind_parameter,
     lfsr_external_step,
     lfsr_internal_step,
-    word_from_text,
 )
-from togglesim.generators import KINDS, kind_parameter
 import reference_generators as reference
 from strategies import words
 

@@ -3,7 +3,9 @@ import random
 
 import pytest
 
-from togglesim import (
+from togglesim.power import (
+    BOLTZMANN,
+    ELEMENTARY_CHARGE,
     DynamicPowerParams,
     StaticPowerParams,
     dynamic_power,
@@ -11,7 +13,6 @@ from togglesim import (
     static_power,
     thermal_voltage,
 )
-from togglesim.power import BOLTZMANN, ELEMENTARY_CHARGE
 
 
 def exp_minus_one_series(x: float) -> float:

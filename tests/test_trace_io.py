@@ -7,12 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from togglesim import (
-    Trace,
+from togglesim.activity import analyze_trace
+from togglesim.bits import Trace, Word
+from togglesim.trace_io import (
     TraceFileHeader,
     TraceFormatError,
-    Word,
-    analyze_trace,
     parse_trace,
     read_trace,
     render_trace,
@@ -188,7 +187,7 @@ def trace_text_lines(draw):
 @st.composite
 def mutated_trace_texts(draw):
     """A valid trace text with one line replaced or one character changed,
-    and the 1-based number of that line."""
+    the 1-based number of that line and the number of lines before the change."""
     lines = draw(trace_text_lines())
     index = draw(st.integers(0, len(lines) - 1))
     line = lines[index]
@@ -197,7 +196,7 @@ def mutated_trace_texts(draw):
     else:
         at = draw(st.integers(0, len(line) - 1))
         lines[index] = line[:at] + draw(st.characters()) + line[at + 1:]
-    return "\n".join(lines) + "\n", index + 1
+    return "\n".join(lines) + "\n", index + 1, len(lines)
 
 
 @st.composite
@@ -233,11 +232,13 @@ class TestParserFuzz:
         self.check_text(text)
 
     @given(mutated_trace_texts())
+    # the replacement "\n2" puts the bad word on line 3, which is then named
+    @example(case=("width=1 radix=bin\n\n2\n", 2, 2))
     def test_one_mutated_line(self, case):
-        text, lineno = case
+        text, lineno, line_count = case
         outcome = self.check_text(text)
-        # a word line was mutated and only "\n" breaks lines: that line is named
-        if lineno > 1 and len(text.splitlines()) == text.count("\n"):
+        # a word line was mutated and added no line break: that line is named
+        if lineno > 1 and len(text.splitlines()) == text.count("\n") == line_count:
             assert not isinstance(outcome, int) or outcome == lineno
 
     @given(st.binary(max_size=200))

@@ -1,15 +1,12 @@
 import pytest
 from hypothesis import given
 
-from togglesim import (
+from togglesim.bits import Trace, Word, hamming_distance, word_from_text
+from togglesim.transition_counter import (
+    TOTAL_SATURATION,
     BitTransitionCounter,
-    Trace,
-    Word,
-    hamming_distance,
     run_trace,
-    word_from_text,
 )
-from togglesim.transition_counter import TOTAL_SATURATION
 from strategies import traces
 
 
