@@ -8,10 +8,8 @@ transfers. It is 1.0 when every line flips on every transfer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, pairwise
-from operator import xor
 
-from .bits import Trace
+from .bits import Trace, transfer_counts, transfer_xors
 
 
 @dataclass(frozen=True)
@@ -64,7 +62,7 @@ def analyze_trace(trace: Trace, include_per_cycle: bool = False) -> ActivityRepo
     width = trace.width
     values = trace.values
     planes: list[int] = []
-    for carry in map(xor, values, islice(values, 1, None)):
+    for carry in transfer_xors(values):
         k = 0
         while carry:
             if k == len(planes):
@@ -80,7 +78,7 @@ def analyze_trace(trace: Trace, include_per_cycle: bool = False) -> ActivityRepo
     total = sum(toggles)
     per_cycle = None
     if include_per_cycle:
-        per_cycle = tuple((prev ^ cur).bit_count() for prev, cur in pairwise(values))
+        per_cycle = tuple(transfer_counts(values))
     return ActivityReport(
         width=width,
         transfers=trace.transfers,

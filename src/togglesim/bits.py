@@ -8,13 +8,17 @@ or indexing it yields :class:`Word` objects. The number of word-to-word
 transfers is one less than the number of words.
 
 The transition count between two consecutive words is their Hamming
-distance, i.e. the popcount of their XOR.
+distance, i.e. the popcount of their XOR. :func:`transfer_xors` and
+:func:`transfer_counts` give that per transfer over a sequence of int values;
+the probe and the analyzer both count from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import islice
+from operator import xor
+from typing import Iterable, Iterator, Sequence
 
 MAX_WIDTH = 1024  # sanity bound; typical buses here are 4..16 lines
 
@@ -111,6 +115,16 @@ def hamming_distance(a: Word, b: Word) -> int:
     if a.width != b.width:
         raise ValueError(f"width mismatch: {a.width} vs {b.width}")
     return (a.value ^ b.value).bit_count()
+
+
+def transfer_xors(values: Sequence[int]) -> Iterator[int]:
+    """The lines that flip on each word-to-word transfer: each value XOR the next."""
+    return map(xor, values, islice(values, 1, None))
+
+
+def transfer_counts(values: Sequence[int]) -> Iterator[int]:
+    """How many lines flip on each word-to-word transfer."""
+    return map(int.bit_count, transfer_xors(values))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -145,9 +146,9 @@ def cmd_power(args: argparse.Namespace) -> int:
             frequency=args.freq,
             voltage_exponent=args.vdd_exponent,
         )
+        powers = [("dynamic power", dynamic_power(params))]
     except ValueError as exc:
         raise UsageError(str(exc))
-    powers = [("dynamic power: ", dynamic_power(params))]
     if args.isat is not None or args.vdiode is not None:
         if args.isat is None or args.vdiode is None:
             raise UsageError("static power needs both --isat and --vdiode")
@@ -158,12 +159,15 @@ def cmd_power(args: argparse.Namespace) -> int:
                 temperature=args.temp,
                 supply_voltage=args.vdd,
             )
-            powers.append(("static power:  ", static_power(sp)))
+            powers.append(("static power", static_power(sp)))
         except ValueError as exc:
             raise UsageError(str(exc))
-    for label, watts in powers:
+    for name, watts in powers:
+        if not math.isfinite(watts * 1e6):
+            raise UsageError(f"{name} of {watts:.6g} W overflows the float range in uW")
+    for name, watts in powers:
         watts += 0.0  # IEEE -0.0 + 0.0 is 0.0: a -0 tau or vdiode prints 0, not -0
-        print(f"{label}{watts:.6g} W ({watts * 1e6:.6g} uW)")
+        print(f"{name + ':':15}{watts:.6g} W ({watts * 1e6:.6g} uW)")
     return EXIT_OK
 
 

@@ -7,6 +7,9 @@ n = 2.
 
 Static power is the subthreshold leakage current times the supply voltage,
 leakage following the diode law i_s * (exp(qV / kT) - 1).
+
+A power or current too large for a float raises ValueError; none is
+returned as inf.
 """
 
 from __future__ import annotations
@@ -72,9 +75,20 @@ class StaticPowerParams:
         _check_positive("supply_voltage", self.supply_voltage)
 
 
+def _check_result(name: str, value: float) -> float:
+    """Return a computed magnitude if it is finite; an overflow raises ValueError."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} overflows the float range")
+    return value
+
+
 def dynamic_power(p: DynamicPowerParams) -> float:
     """Average switching power in watts: tau * C * V^n * f."""
-    return p.tau * p.load_capacitance * p.supply_voltage**p.voltage_exponent * p.frequency
+    try:
+        watts = p.tau * p.load_capacitance * p.supply_voltage**p.voltage_exponent * p.frequency
+    except OverflowError:  # float ** int raises where float * float gives inf
+        watts = math.inf
+    return _check_result("dynamic power", watts)
 
 
 def leakage_current(saturation_current: float, voltage: float, temperature: float) -> float:
@@ -87,7 +101,7 @@ def leakage_current(saturation_current: float, voltage: float, temperature: floa
         raise ValueError(
             f"qV/kT = {exponent:.1f} exceeds {_MAX_EXPONENT:.0f}; result would overflow"
         )
-    return saturation_current * math.expm1(exponent)
+    return _check_result("leakage current", saturation_current * math.expm1(exponent))
 
 
 def static_power(p: StaticPowerParams) -> float:
@@ -96,9 +110,10 @@ def static_power(p: StaticPowerParams) -> float:
     For a circuit of n devices, sum the per-device leakages first and scale
     a single call, or sum per-device static_power results.
     """
-    return (
+    return _check_result(
+        "static power",
         leakage_current(p.saturation_current, p.diode_voltage, p.temperature)
-        * p.supply_voltage
+        * p.supply_voltage,
     )
 
 

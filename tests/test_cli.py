@@ -358,6 +358,31 @@ class TestPower:
         assert "finite" in stderr
 
 
+    @pytest.mark.parametrize(
+        "argv,quantity",
+        [
+            (["--cap", "1e200", "--vdd", "1e200", "--freq", "1e10"], "dynamic power"),
+            (
+                ["--cap", "1e200", "--vdd", "1e300", "--freq", "1e10", "--vdd-exponent", "2"],
+                "dynamic power",
+            ),
+            (["--cap", "1e100", "--vdd", "1e100", "--freq", "1e105"], "dynamic power of 1e+305 W"),
+            (
+                ["--cap", "1e-12", "--vdd", "1e300", "--freq", "1e6",
+                 "--isat", "1e300", "--vdiode", "0.5"],
+                "leakage current",
+            ),
+        ],
+        ids=["watts", "vdd-power", "microwatts", "static"],
+    )
+    def test_overflow_exits_2(self, capsys, argv, quantity):
+        code, stdout, stderr = run_cli(capsys, "power", "--tau", "1", *argv)
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith(f"togglesim: error: {quantity} ")
+        assert "overflows the float range" in stderr
+
+
 class TestTables:
     def test_counter_cells_present(self, capsys):
         code, stdout, _ = run_cli(capsys, "tables")

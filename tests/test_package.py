@@ -1,8 +1,10 @@
 """The package's shape: each name has one import path, importing a module
 loads only what it uses, and the public records are immutable values."""
 
+import copy
 import json
 import os
+import pickle
 import subprocess
 import sys
 
@@ -42,6 +44,12 @@ class TestImports:
         assert "togglesim.transition_counter" not in loaded["togglesim"]
         assert not loaded["csv"]
 
+    def test_probe_loads_only_bits(self):
+        loaded = fresh_import("import togglesim.transition_counter")
+        assert loaded["togglesim"] == [
+            "togglesim", "togglesim.bits", "togglesim.transition_counter"
+        ]
+
     def test_root_re_exports_nothing(self):
         assert not hasattr(togglesim, "Trace")
 
@@ -73,6 +81,30 @@ RECORDS = {
     ),
 }
 
+# What repr shows of each record's first value.
+REPRS = {
+    "Word": "Word(12, '101010111100')",
+    "Trace": "Trace(width=4, values=(1, 2, 3))",
+    "CycleRecord": (
+        "CycleRecord(cycle=3, reset=False, datain=Word(4, '0101'), "
+        "dataout=Word(4, '0110'), one_transition=2, total_transition=7)"
+    ),
+    "ActivityReport": (
+        "ActivityReport(width=2, transfers=3, total_transitions=4, "
+        "tau=0.6666666666666666, per_bit_toggles=(2, 2), per_cycle=(1, 3))"
+    ),
+    "GeneratorConfig": (
+        "GeneratorConfig(kind='lfsr_internal', width=4, seed=Word(4, '0001'), "
+        "taps=frozenset({3, 4}), boundary=None)"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_repr(name):
+    make, _, _ = RECORDS[name]
+    assert repr(make()) == REPRS[name]
+
 
 @pytest.mark.parametrize("make,field,other", RECORDS.values(), ids=RECORDS)
 class TestValueSemantics:
@@ -88,3 +120,24 @@ class TestValueSemantics:
         assert a == b
         assert hash(a) == hash(b)
         assert a != other
+
+    def test_pickle_and_copy_round_trip(self, make, field, other):
+        record = make()
+        clones = [pickle.loads(pickle.dumps(record, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for clone in [*clones, copy.copy(record), copy.deepcopy(record)]:
+            assert type(clone) is type(record)
+            assert clone == record
+            assert getattr(clone, field) == getattr(record, field)
+
+
+def test_cycle_record_differs_from_its_stored_tuple():
+    record = CycleRecord(3, False, Word(4, 5), Word(4, 6), 2, 7)
+    stored = tuple(record)
+    assert record != stored and stored != record
+    assert not record == stored and not stored == record
+
+
+def test_cycle_record_rejects_mixed_widths():
+    with pytest.raises(ValueError, match="width mismatch"):
+        CycleRecord(0, False, Word(4, 5), Word(8, 5), 0, 0)

@@ -96,6 +96,14 @@ class TestDynamicPower:
         with pytest.raises(ValueError):
             DynamicPowerParams(**base)
 
+    @pytest.mark.parametrize(
+        "vdd,exponent", [(1e200, 1), (1e300, 2)], ids=["product", "vdd-power"]
+    )
+    def test_overflow_raises(self, vdd, exponent):
+        p = DynamicPowerParams(1.0, 1e200, vdd, 1e10, voltage_exponent=exponent)
+        with pytest.raises(ValueError, match="dynamic power overflows"):
+            dynamic_power(p)
+
 
 class TestLeakageCurrent:
     def test_zero_voltage(self):
@@ -197,6 +205,16 @@ class TestStaticPower:
         base.update(kwargs)
         with pytest.raises(ValueError):
             StaticPowerParams(**base)
+
+    @pytest.mark.parametrize(
+        "diode_voltage,quantity",
+        [(0.5, "leakage current"), (0.01, "static power")],
+        ids=["leakage", "product"],
+    )
+    def test_overflow_raises(self, diode_voltage, quantity):
+        p = StaticPowerParams(1e300, diode_voltage, 300.0, 1e300)
+        with pytest.raises(ValueError, match=f"{quantity} overflows"):
+            static_power(p)
 
     def test_negative_diode_voltage_allowed(self):
         p = StaticPowerParams(1e-12, -40 * thermal_voltage(300.0), 300.0, 1.0)

@@ -1,13 +1,15 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from togglesim import transition_counter
 from togglesim.bits import Trace, Word, hamming_distance, word_from_text
 from togglesim.transition_counter import (
     TOTAL_SATURATION,
     BitTransitionCounter,
     run_trace,
 )
-from strategies import traces
+from strategies import traces, wide_trace
 
 
 def pairwise_total(trace: Trace) -> int:
@@ -16,6 +18,15 @@ def pairwise_total(trace: Trace) -> int:
     for i in range(len(trace) - 1):
         total += hamming_distance(trace[i], trace[i + 1])
     return total
+
+
+def stepped(trace: Trace, reset_on_cycle0: bool) -> list:
+    # differential oracle for run_trace: the single-cycle model, one step per word
+    counter = BitTransitionCounter(trace.width)
+    return [
+        counter.step(Word(trace.width, value), reset=(i == 0 and reset_on_cycle0))
+        for i, value in enumerate(trace.values)
+    ]
 
 
 def fig3_trace() -> Trace:
@@ -133,3 +144,42 @@ class TestRunTrace:
     def test_cycle_numbers_are_sequential(self, trace):
         records = run_trace(trace)
         assert [r.cycle for r in records] == list(range(len(trace)))
+
+    def test_record_repr(self):
+        records = run_trace(Trace(4, (0b0001, 0b0010)))
+        assert repr(records[1]) == (
+            "CycleRecord(cycle=1, reset=False, datain=Word(4, '0010'), "
+            "dataout=Word(4, '0001'), one_transition=2, total_transition=2)"
+        )
+
+    def test_builds_no_word(self, monkeypatch):
+        trace = wide_trace(16)
+
+        def refuse(word):
+            raise AssertionError("run_trace built a Word")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Word, "__post_init__", refuse)
+            records = run_trace(trace)
+        assert [r.datain for r in records] == list(trace)
+        assert [r.dataout for r in records[1:]] == list(trace)[:-1]
+
+
+class TestRunTraceMatchesStep:
+    @given(traces(min_len=1, max_len=40, max_width=1024), st.booleans())
+    @example(wide_trace(1024), True)
+    @example(wide_trace(1024), False)
+    @example(Trace(1, (1,)), False)
+    def test_records_equal(self, trace, reset):
+        assert run_trace(trace, reset_on_cycle0=reset) == stepped(trace, reset)
+
+    @given(
+        traces(min_len=1, max_len=20, max_width=8),
+        st.booleans(),
+        st.integers(0, 40),
+    )
+    @example(Trace(4, (0, 15, 0, 15)), True, 5)
+    def test_records_equal_when_the_total_saturates(self, trace, reset, saturation):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(transition_counter, "TOTAL_SATURATION", saturation)
+            assert run_trace(trace, reset_on_cycle0=reset) == stepped(trace, reset)
