@@ -11,13 +11,16 @@ The transition count between two consecutive words is their Hamming
 distance, i.e. the popcount of their XOR. :func:`transfer_xors` and
 :func:`transfer_counts` give that per transfer over a sequence of int values;
 the probe and the analyzer both count from them.
+
+:class:`Record` is the base of every immutable value class in the package,
+:class:`Word` and :class:`Trace` included: named ``__slots__`` fields set
+once in ``__init__``, with equality, hash, repr and pickling by field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
-from operator import xor
+from operator import attrgetter, xor
 from typing import Iterable, Iterator, Sequence
 
 MAX_WIDTH = 1024  # sanity bound; typical buses here are 4..16 lines
@@ -31,19 +34,65 @@ def check_width(width: int) -> None:
         raise ValueError(f"width must be an integer in 1..{MAX_WIDTH}, got {width!r}")
 
 
-@dataclass(frozen=True)
-class Word:
+class Record:
+    """An immutable value: a subclass names its two or more fields in
+    ``__slots__`` and sets them in ``__init__`` through ``object.__setattr__``.
+
+    Records of the same class with equal fields compare and hash equal, like
+    the tuple of their fields; a record equals nothing else. The repr is
+    ``Name(field=value, ...)``, ``__match_args__`` is the field names, and
+    pickle and copy rebuild a record through its constructor.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = cls.__slots__
+        cls._values = attrgetter(*cls.__slots__)  # a tuple: every record has 2+ fields
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
+
+    def __repr__(self) -> str:
+        fields = map("{}={!r}".format, self.__slots__, self._values(self))
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+
+class Word(Record):
     """A value of exactly `width` bits; no hidden higher bits are stored."""
 
-    width: int
-    value: int
+    __slots__ = ("width", "value")
 
-    def __post_init__(self) -> None:
-        check_width(self.width)
-        if not 0 <= self.value < (1 << self.width):
-            raise ValueError(
-                f"value 0x{self.value:X} does not fit in {self.width} bits"
-            )
+    def __init__(self, width: int, value: int) -> None:
+        check_width(width)
+        if not 0 <= value < (1 << width):
+            raise ValueError(f"value 0x{value:X} does not fit in {width} bits")
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "value", value)
+
+    # Record's equality and hash, spelt out: the generic attrgetter forms take
+    # about 2.5x as long, and words are compared and hashed in bulk.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.width, self.value) == (other.width, other.value)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.width, self.value))
 
     def bit(self, index: int) -> int:
         """Bit at `index`, 0 = LSB."""
@@ -127,21 +176,21 @@ def transfer_counts(values: Sequence[int]) -> Iterator[int]:
     return map(int.bit_count, transfer_xors(values))
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(Record):
     """Same-width int values over consecutive clock cycles, cycle 0 first."""
 
-    width: int
-    values: tuple[int, ...]
+    __slots__ = ("width", "values")
 
-    def __post_init__(self) -> None:
-        check_width(self.width)
-        object.__setattr__(self, "values", tuple(self.values))
-        if not self.values:
+    def __init__(self, width: int, values: tuple[int, ...]) -> None:
+        check_width(width)
+        values = tuple(values)
+        if not values:
             raise ValueError("empty trace: need at least one word")
-        low, high = min(self.values), max(self.values)
-        if low < 0 or high >> self.width:
-            raise ValueError(f"values {low}..{high} do not all fit in {self.width} bits")
+        low, high = min(values), max(values)
+        if low < 0 or high >> width:
+            raise ValueError(f"values {low}..{high} do not all fit in {width} bits")
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def from_words(cls, words: Iterable[Word]) -> "Trace":

@@ -1,6 +1,9 @@
 """Command-line front end: generate stimulus, analyze traces, estimate power.
 
 Exit codes: 0 success, 2 usage error, 3 data/parse error.
+
+`tables` and `power` are imported inside their commands, so that `gen` and
+`analyze`, run once per probed trace, start without them.
 """
 
 from __future__ import annotations
@@ -21,13 +24,6 @@ from .generators import (
     KINDS,
     generate,
     kind_parameter,
-)
-from .power import DynamicPowerParams, StaticPowerParams, check_tau, dynamic_power, static_power
-from .tables import (
-    counter_rows,
-    generator_rows,
-    render_counter_table,
-    render_generator_table,
 )
 from .trace_io import (
     REPORT_FORMATS,
@@ -124,6 +120,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_power(args: argparse.Namespace) -> int:
+    from .power import (
+        DynamicPowerParams, StaticPowerParams, check_tau, dynamic_power, static_power
+    )
+
     if (args.tau is None) == (args.from_report is None):
         raise UsageError("exactly one of --tau or --from-report is required")
     if args.from_report is not None:
@@ -180,6 +180,8 @@ def _painter(stream):
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
+    from .tables import counter_rows, generator_rows, render_counter_table, render_generator_table
+
     paint = _painter(sys.stdout)
     taps = _parse_taps(args.taps) if args.taps is not None else DEFAULT_TAPS_16
     try:

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .bits import MAX_WIDTH, Trace, Word
+from .bits import MAX_WIDTH, Record, Trace, Word
 
 
 def binary_to_gray(n: int) -> int:
@@ -31,12 +29,14 @@ def gray_decode(g: Word) -> Word:
     return Word(g.width, gray_to_binary(g.value))
 
 
-@dataclass(frozen=True)
-class BusLineState:
+class BusLineState(Record):
     """What is physically on the wires: data lines plus the invert line."""
 
-    word: Word
-    invert: bool
+    __slots__ = ("word", "invert")
+
+    def __init__(self, word: Word, invert: bool) -> None:
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "invert", invert)
 
 
 def _inverts(lines: int, raw: int, width: int) -> bool:

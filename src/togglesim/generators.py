@@ -29,10 +29,9 @@ a plain `int -> int` recurrence. `GeneratorConfig`, `generate`, the public
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
-from .bits import Trace, Word, check_width
+from .bits import Record, Trace, Word, check_width
 from .encoders import binary_to_gray, gray_to_binary
 
 Step = Callable[[int], int]
@@ -156,46 +155,43 @@ def counter_step(state: Word, kind: str) -> Word:
     return Word(state.width, _GENERATORS[kind][1](state.width, None)(state.value))
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(Record):
     """Everything that determines a stimulus stream.
 
     `taps` applies to LFSR kinds only and must include position `width`;
     `boundary` applies to CA kinds only and defaults to null.
     """
 
-    kind: str
-    width: int
-    seed: Word
-    taps: frozenset[int] | None = None
-    boundary: str | None = None
+    __slots__ = ("kind", "width", "seed", "taps", "boundary")
 
-    def __post_init__(self) -> None:
-        if self.kind not in _GENERATORS:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        check_width(self.width)
-        if self.seed.width != self.width:
-            raise ValueError(
-                f"seed width {self.seed.width} does not match generator width {self.width}"
-            )
-        param = kind_parameter(self.kind)
+    def __init__(self, kind: str, width: int, seed: Word,
+                 taps: frozenset[int] | None = None, boundary: str | None = None) -> None:
+        if kind not in _GENERATORS:
+            raise ValueError(f"unknown generator kind {kind!r}")
+        check_width(width)
+        if seed.width != width:
+            raise ValueError(f"seed width {seed.width} does not match generator width {width}")
+        param = kind_parameter(kind)
         if param == "taps":
-            if self.taps is None:
-                raise ValueError(f"{self.kind} requires feedback taps")
-            taps = _validated_taps(self.taps, self.width)
-            if self.width not in taps:
-                raise ValueError(f"taps must include the register width {self.width}")
-            object.__setattr__(self, "taps", taps)
-            if self.seed.value == 0:
+            if taps is None:
+                raise ValueError(f"{kind} requires feedback taps")
+            taps = _validated_taps(taps, width)
+            if width not in taps:
+                raise ValueError(f"taps must include the register width {width}")
+            if seed.value == 0:
                 raise ValueError("all-zero LFSR seed locks up; use a non-zero seed")
-        elif self.taps is not None:
+        elif taps is not None:
             raise ValueError("taps apply to LFSR kinds only")
         if param == "boundary":
-            boundary = self.boundary if self.boundary is not None else "null"
+            boundary = boundary if boundary is not None else "null"
             _check_boundary(boundary)
-            object.__setattr__(self, "boundary", boundary)
-        elif self.boundary is not None:
+        elif boundary is not None:
             raise ValueError("boundary applies to CA kinds only")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "taps", taps)
+        object.__setattr__(self, "boundary", boundary)
 
 
 def generate(config: GeneratorConfig, cycles: int) -> Trace:

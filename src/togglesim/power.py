@@ -15,7 +15,8 @@ returned as inf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .bits import Record
 
 ELEMENTARY_CHARGE = 1.602176634e-19  # C
 BOLTZMANN = 1.380649e-23  # J/K
@@ -42,37 +43,43 @@ def check_tau(tau: float) -> float:
     return tau
 
 
-@dataclass(frozen=True)
-class DynamicPowerParams:
-    tau: float
-    load_capacitance: float  # F
-    supply_voltage: float  # V
-    frequency: float  # Hz
-    voltage_exponent: int = 1
+class DynamicPowerParams(Record):
+    """Inputs of dynamic_power: load_capacitance in F, supply_voltage in V and
+    frequency in Hz."""
 
-    def __post_init__(self) -> None:
-        check_tau(self.tau)
-        _check_positive("load_capacitance", self.load_capacitance)
-        _check_positive("supply_voltage", self.supply_voltage)
-        _check_positive("frequency", self.frequency)
-        if self.voltage_exponent not in (1, 2):
-            raise ValueError(
-                f"voltage_exponent must be 1 or 2, got {self.voltage_exponent}"
-            )
+    __slots__ = ("tau", "load_capacitance", "supply_voltage", "frequency", "voltage_exponent")
+
+    def __init__(self, tau: float, load_capacitance: float, supply_voltage: float,
+                 frequency: float, voltage_exponent: int = 1) -> None:
+        check_tau(tau)
+        _check_positive("load_capacitance", load_capacitance)
+        _check_positive("supply_voltage", supply_voltage)
+        _check_positive("frequency", frequency)
+        if voltage_exponent not in (1, 2):
+            raise ValueError(f"voltage_exponent must be 1 or 2, got {voltage_exponent}")
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "load_capacitance", load_capacitance)
+        object.__setattr__(self, "supply_voltage", supply_voltage)
+        object.__setattr__(self, "frequency", frequency)
+        object.__setattr__(self, "voltage_exponent", voltage_exponent)
 
 
-@dataclass(frozen=True)
-class StaticPowerParams:
-    saturation_current: float  # A
-    diode_voltage: float  # V; may be zero or negative
-    temperature: float  # K
-    supply_voltage: float  # V
+class StaticPowerParams(Record):
+    """Inputs of static_power: saturation_current in A, diode_voltage in V (may
+    be zero or negative), temperature in K and supply_voltage in V."""
 
-    def __post_init__(self) -> None:
-        _check_positive("saturation_current", self.saturation_current)
-        _check_finite("diode_voltage", self.diode_voltage)
-        _check_positive("temperature", self.temperature)
-        _check_positive("supply_voltage", self.supply_voltage)
+    __slots__ = ("saturation_current", "diode_voltage", "temperature", "supply_voltage")
+
+    def __init__(self, saturation_current: float, diode_voltage: float,
+                 temperature: float, supply_voltage: float) -> None:
+        _check_positive("saturation_current", saturation_current)
+        _check_finite("diode_voltage", diode_voltage)
+        _check_positive("temperature", temperature)
+        _check_positive("supply_voltage", supply_voltage)
+        object.__setattr__(self, "saturation_current", saturation_current)
+        object.__setattr__(self, "diode_voltage", diode_voltage)
+        object.__setattr__(self, "temperature", temperature)
+        object.__setattr__(self, "supply_voltage", supply_voltage)
 
 
 def _check_result(name: str, value: float) -> float:

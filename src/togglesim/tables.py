@@ -16,10 +16,8 @@ cells, round-half-up only 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .activity import analyze_trace, rounded_display
-from .bits import Word, word_from_text
+from .bits import Record, Word, word_from_text
 from .generators import DEFAULT_TAPS_16, GeneratorConfig, generate, kind_parameter
 
 CYCLE_COLUMNS = (8, 16, 32)
@@ -53,13 +51,19 @@ def cents_display(cents: int) -> str:
     return f"{cents // 100}.{cents % 100:02d}"
 
 
-@dataclass(frozen=True)
-class CounterRow:
-    label: str
-    transitions: int
-    activity_display: str
-    reference_transitions: int
-    reference_activity: str
+class CounterRow(Record):
+    __slots__ = (
+        "label", "transitions", "activity_display", "reference_transitions",
+        "reference_activity",
+    )
+
+    def __init__(self, label: str, transitions: int, activity_display: str,
+                 reference_transitions: int, reference_activity: str) -> None:
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "transitions", transitions)
+        object.__setattr__(self, "activity_display", activity_display)
+        object.__setattr__(self, "reference_transitions", reference_transitions)
+        object.__setattr__(self, "reference_activity", reference_activity)
 
     @property
     def matches(self) -> bool:
@@ -69,13 +73,19 @@ class CounterRow:
         )
 
 
-@dataclass(frozen=True)
-class GeneratorCell:
-    cycles: int
-    transitions: int
-    activity_display: str
-    reference_transitions: int
-    reference_activity: str
+class GeneratorCell(Record):
+    __slots__ = (
+        "cycles", "transitions", "activity_display", "reference_transitions",
+        "reference_activity",
+    )
+
+    def __init__(self, cycles: int, transitions: int, activity_display: str,
+                 reference_transitions: int, reference_activity: str) -> None:
+        object.__setattr__(self, "cycles", cycles)
+        object.__setattr__(self, "transitions", transitions)
+        object.__setattr__(self, "activity_display", activity_display)
+        object.__setattr__(self, "reference_transitions", reference_transitions)
+        object.__setattr__(self, "reference_activity", reference_activity)
 
     @property
     def count_matches(self) -> bool:
@@ -90,10 +100,12 @@ class GeneratorCell:
         return cents_display(cents) == self.reference_activity
 
 
-@dataclass(frozen=True)
-class GeneratorRow:
-    label: str
-    cells: tuple[GeneratorCell, ...]
+class GeneratorRow(Record):
+    __slots__ = ("label", "cells")
+
+    def __init__(self, label: str, cells: tuple[GeneratorCell, ...]) -> None:
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "cells", cells)
 
 
 def counter_rows() -> list[CounterRow]:

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from itertools import islice, repeat
 from typing import IO
 
 from .activity import ActivityReport, rounded_display
-from .bits import Trace, check_width, value_from_text
+from .bits import Record, Trace, check_width, value_from_text
 
 REPORT_FORMATS = ("json", "csv", "table")
 
@@ -40,15 +39,15 @@ class TraceFormatError(ValueError):
     """Malformed trace text; the message names the offending line."""
 
 
-@dataclass(frozen=True)
-class TraceFileHeader:
-    width: int
-    radix: int  # 2 or 16
+class TraceFileHeader(Record):
+    __slots__ = ("width", "radix")
 
-    def __post_init__(self) -> None:
-        check_width(self.width)
-        if self.radix not in _NAME_BY_RADIX:
-            raise ValueError(f"radix must be 2 or 16, got {self.radix}")
+    def __init__(self, width: int, radix: int) -> None:
+        check_width(width)
+        if radix not in _NAME_BY_RADIX:
+            raise ValueError(f"radix must be 2 or 16, got {radix}")
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "radix", radix)
 
     def render(self) -> str:
         return f"width={self.width} radix={_NAME_BY_RADIX[self.radix]}"

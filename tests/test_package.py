@@ -2,6 +2,7 @@
 loads only what it uses, and the public records are immutable values."""
 
 import copy
+import inspect
 import json
 import os
 import pickle
@@ -11,9 +12,13 @@ import sys
 import pytest
 
 import togglesim
-from togglesim.activity import ActivityReport
+from togglesim.activity import ActivityReport, ReductionSummary
 from togglesim.bits import Trace, Word
+from togglesim.encoders import BusLineState
 from togglesim.generators import GeneratorConfig
+from togglesim.power import DynamicPowerParams, StaticPowerParams
+from togglesim.tables import CounterRow, GeneratorCell, GeneratorRow
+from togglesim.trace_io import TraceFileHeader
 from togglesim.transition_counter import CycleRecord
 
 SRC = os.path.dirname(os.path.dirname(togglesim.__file__))
@@ -24,7 +29,8 @@ def fresh_import(statement: str) -> dict:
     code = (
         f"import json, sys\n{statement}\n"
         "print(json.dumps({'togglesim': sorted(m for m in sys.modules"
-        " if m.split('.')[0] == 'togglesim'), 'csv': 'csv' in sys.modules}))"
+        " if m.split('.')[0] == 'togglesim'), 'csv': 'csv' in sys.modules,"
+        " 'dataclasses': 'dataclasses' in sys.modules}))"
     )
     env = {**os.environ, "PYTHONPATH": SRC}
     result = subprocess.run(
@@ -37,12 +43,20 @@ class TestImports:
     def test_bits_loads_only_bits(self):
         loaded = fresh_import("import togglesim.bits")
         assert loaded["togglesim"] == ["togglesim", "togglesim.bits"]
+        assert not loaded["dataclasses"]
 
     def test_cli_loads_neither_the_probe_nor_csv(self):
         loaded = fresh_import("import togglesim.cli")
         assert "togglesim.cli" in loaded["togglesim"]
         assert "togglesim.transition_counter" not in loaded["togglesim"]
         assert not loaded["csv"]
+
+    def test_cli_parser_loads_no_tables_power_or_dataclasses(self):
+        # what every gen and analyze process runs before its command
+        loaded = fresh_import("import togglesim.cli; togglesim.cli.build_parser()")
+        assert "togglesim.tables" not in loaded["togglesim"]
+        assert "togglesim.power" not in loaded["togglesim"]
+        assert not loaded["dataclasses"]
 
     def test_probe_loads_only_bits(self):
         loaded = fresh_import("import togglesim.transition_counter")
@@ -74,10 +88,44 @@ RECORDS = {
         "tau",
         ActivityReport(2, 3, 4, 4 / 6, (2, 2)),
     ),
+    "ReductionSummary": (
+        lambda: ReductionSummary(0.5, 0.25, 0.25, 0.5, 4),
+        "transitions_delta",
+        ReductionSummary(0.5, 0.25, 0.25, 0.5, 5),
+    ),
+    "BusLineState": (
+        lambda: BusLineState(Word(4, 5), True), "invert", BusLineState(Word(4, 5), False)
+    ),
+    "TraceFileHeader": (lambda: TraceFileHeader(8, 16), "radix", TraceFileHeader(8, 2)),
     "GeneratorConfig": (
         lambda: GeneratorConfig("lfsr_internal", 4, Word(4, 1), frozenset([4, 3])),
         "seed",
         GeneratorConfig("lfsr_internal", 4, Word(4, 2), frozenset([4, 3])),
+    ),
+    "DynamicPowerParams": (
+        lambda: DynamicPowerParams(0.5, 1e-12, 1.2, 1e8, 2),
+        "frequency",
+        DynamicPowerParams(0.5, 1e-12, 1.2, 2e8, 2),
+    ),
+    "StaticPowerParams": (
+        lambda: StaticPowerParams(1e-12, -0.1, 300.0, 1.2),
+        "temperature",
+        StaticPowerParams(1e-12, -0.1, 310.0, 1.2),
+    ),
+    "CounterRow": (
+        lambda: CounterRow("Gray Counter (4-bit)", 15, "0.25", 15, "0.25"),
+        "transitions",
+        CounterRow("Gray Counter (4-bit)", 16, "0.25", 15, "0.25"),
+    ),
+    "GeneratorCell": (
+        lambda: GeneratorCell(8, 66, "0.51", 66, "0.51"),
+        "reference_activity",
+        GeneratorCell(8, 66, "0.51", 66, "0.52"),
+    ),
+    "GeneratorRow": (
+        lambda: GeneratorRow("CA-90", tuple([GeneratorCell(8, 66, "0.51", 66, "0.51")])),
+        "cells",
+        GeneratorRow("CA-90", ()),
     ),
 }
 
@@ -93,9 +141,56 @@ REPRS = {
         "ActivityReport(width=2, transfers=3, total_transitions=4, "
         "tau=0.6666666666666666, per_bit_toggles=(2, 2), per_cycle=(1, 3))"
     ),
+    "ReductionSummary": (
+        "ReductionSummary(tau_before=0.5, tau_after=0.25, tau_delta=0.25, "
+        "relative_reduction=0.5, transitions_delta=4)"
+    ),
+    "BusLineState": "BusLineState(word=Word(4, '0101'), invert=True)",
+    "TraceFileHeader": "TraceFileHeader(width=8, radix=16)",
     "GeneratorConfig": (
         "GeneratorConfig(kind='lfsr_internal', width=4, seed=Word(4, '0001'), "
         "taps=frozenset({3, 4}), boundary=None)"
+    ),
+    "DynamicPowerParams": (
+        "DynamicPowerParams(tau=0.5, load_capacitance=1e-12, supply_voltage=1.2, "
+        "frequency=100000000.0, voltage_exponent=2)"
+    ),
+    "StaticPowerParams": (
+        "StaticPowerParams(saturation_current=1e-12, diode_voltage=-0.1, "
+        "temperature=300.0, supply_voltage=1.2)"
+    ),
+    "CounterRow": (
+        "CounterRow(label='Gray Counter (4-bit)', transitions=15, activity_display='0.25', "
+        "reference_transitions=15, reference_activity='0.25')"
+    ),
+    "GeneratorCell": (
+        "GeneratorCell(cycles=8, transitions=66, activity_display='0.51', "
+        "reference_transitions=66, reference_activity='0.51')"
+    ),
+    "GeneratorRow": (
+        "GeneratorRow(label='CA-90', cells=(GeneratorCell(cycles=8, transitions=66, "
+        "activity_display='0.51', reference_transitions=66, reference_activity='0.51'),))"
+    ),
+}
+
+# Each record with defaulted fields, built by keyword with the defaults
+# omitted, and the same record with every field given positionally.
+KEYWORD_DEFAULTS = {
+    "ActivityReport": (
+        lambda: ActivityReport(
+            width=2, transfers=3, total_transitions=4, tau=4 / 6, per_bit_toggles=(2, 2)
+        ),
+        ActivityReport(2, 3, 4, 4 / 6, (2, 2), None),
+    ),
+    "GeneratorConfig": (
+        lambda: GeneratorConfig(kind="binary", width=4, seed=Word(4, 0)),
+        GeneratorConfig("binary", 4, Word(4, 0), None, None),
+    ),
+    "DynamicPowerParams": (
+        lambda: DynamicPowerParams(
+            tau=0.5, load_capacitance=1e-12, supply_voltage=1.2, frequency=1e8
+        ),
+        DynamicPowerParams(0.5, 1e-12, 1.2, 1e8, 1),
     ),
 }
 
@@ -106,12 +201,31 @@ def test_repr(name):
     assert repr(make()) == REPRS[name]
 
 
+@pytest.mark.parametrize("make,positional", KEYWORD_DEFAULTS.values(), ids=KEYWORD_DEFAULTS)
+def test_keyword_construction_fills_defaults(make, positional):
+    assert make() == positional
+
+
+def test_match_statement_binds_fields_by_position():
+    match Word(4, 5):
+        case Word(width, value):
+            assert (width, value) == (4, 5)
+        case _:
+            pytest.fail("Word did not match its own class pattern")
+
+
 @pytest.mark.parametrize("make,field,other", RECORDS.values(), ids=RECORDS)
 class TestValueSemantics:
     def test_assignment_raises(self, make, field, other):
         record = make()
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(other, field))
+        assert record == make()
+
+    def test_deletion_raises(self, make, field, other):
+        record = make()
+        with pytest.raises(AttributeError):
+            delattr(record, field)
         assert record == make()
 
     def test_equal_fields_compare_and_hash_equal(self, make, field, other):
@@ -121,6 +235,19 @@ class TestValueSemantics:
         assert hash(a) == hash(b)
         assert a != other
 
+    def test_match_args_are_the_constructor_parameters(self, make, field, other):
+        record = make()
+        names = type(record).__match_args__
+        assert names == tuple(inspect.signature(type(record)).parameters)
+        assert type(record)(*(getattr(record, name) for name in names)) == record
+
+    def test_never_equals_but_hashes_like_the_tuple_of_its_fields(self, make, field, other):
+        record = make()
+        fields = tuple(getattr(record, name) for name in type(record).__match_args__)
+        assert record != fields and fields != record
+        assert not record == fields and not fields == record
+        assert hash(record) == hash(fields)
+
     def test_pickle_and_copy_round_trip(self, make, field, other):
         record = make()
         clones = [pickle.loads(pickle.dumps(record, protocol))
@@ -129,6 +256,13 @@ class TestValueSemantics:
             assert type(clone) is type(record)
             assert clone == record
             assert getattr(clone, field) == getattr(record, field)
+
+
+def test_records_of_different_classes_differ_with_equal_fields():
+    cell = GeneratorCell(8, 66, "0.51", 66, "0.51")
+    row = CounterRow(8, 66, "0.51", 66, "0.51")
+    assert cell != row and row != cell
+    assert TraceFileHeader(8, 16) != Word(8, 16) and Word(8, 16) != TraceFileHeader(8, 16)
 
 
 def test_cycle_record_differs_from_its_stored_tuple():

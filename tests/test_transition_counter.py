@@ -155,11 +155,11 @@ class TestRunTrace:
     def test_builds_no_word(self, monkeypatch):
         trace = wide_trace(16)
 
-        def refuse(word):
+        def refuse(word, width, value):
             raise AssertionError("run_trace built a Word")
 
         with monkeypatch.context() as patch:
-            patch.setattr(Word, "__post_init__", refuse)
+            patch.setattr(Word, "__init__", refuse)
             records = run_trace(trace)
         assert [r.datain for r in records] == list(trace)
         assert [r.dataout for r in records[1:]] == list(trace)[:-1]
