@@ -7,7 +7,14 @@ transfers. It is 1.0 when every line flips on every transfer.
 
 from __future__ import annotations
 
-from .bits import Record, Trace, transfer_counts, transfer_xors
+from itertools import repeat
+
+from .bits import Record, Trace, transfer_counts
+
+# Transfers folded per packed chunk: big enough that the per-chunk Python
+# steps are negligible, small enough that a chunk's transient ints and bytes
+# stay under 1 MiB for buses up to 64 lines (about 2.7 MiB at 1024).
+CHUNK_TRANSFERS = 4096
 
 
 class ActivityReport(Record):
@@ -61,39 +68,47 @@ def switching_activity(total_transitions: int, width: int, transfers: int) -> fl
 def analyze_trace(trace: Trace, include_per_cycle: bool = False) -> ActivityReport:
     """Count transitions over consecutive word pairs of a trace.
 
-    Per-line toggle counts are kept bit-sliced: bit i of ``planes[k]`` is
-    bit k of line i's running count. Each transfer's XOR is added to every
-    line at once by a ripple carry through the planes, so the cost per
-    transfer is a few big-int operations however many lines flip.
+    The values are folded in chunks of CHUNK_TRANSFERS transfers; neighbouring
+    chunks share one word, so each transfer is counted once. A chunk's words
+    are packed little-endian into one int of `size` = ceil(width/8) bytes per
+    word, and XOR with itself shifted down one word puts each transfer's
+    flipped lines in the slot of its first word. Byte lane j of those slots,
+    taken as one int, holds lines 8j..8j+7 of every transfer; line 8j+k's
+    toggles in the chunk are the popcount of that lane masked to bit k of
+    every byte. The work per chunk is a few whole-chunk big-int operations
+    per line, and the transient memory is bounded by the chunk, not the trace.
     """
     if len(trace) < 2:
         raise ValueError("trace too short: need at least 2 words to observe a transfer")
     width = trace.width
     values = trace.values
-    planes: list[int] = []
-    for carry in transfer_xors(values):
-        k = 0
-        while carry:
-            if k == len(planes):
-                planes.append(0)
-            plane = planes[k]
-            planes[k] = plane ^ carry
-            carry &= plane
-            k += 1
-    toggles = tuple(
-        sum(((plane >> bit) & 1) << k for k, plane in enumerate(planes))
-        for bit in range(width)
-    )
+    transfers = trace.transfers
+    chunk = CHUNK_TRANSFERS
+    size = (width + 7) // 8
+    ones = int.from_bytes(b"\x01" * min(chunk, transfers), "little")
+    masks = [ones << k for k in range(8)]
+    toggles = [0] * width
+    for start in range(0, transfers, chunk):
+        words = values[start : start + chunk + 1]
+        packed = int.from_bytes(
+            b"".join(map(int.to_bytes, words, repeat(size), repeat("little"))), "little"
+        )
+        stop = size * (len(words) - 1)  # the last slot holds a word, not a transfer
+        diffs = (packed ^ (packed >> (8 * size))).to_bytes(stop + size, "little")
+        for j in range(size):
+            lane = int.from_bytes(diffs[j:stop:size], "little")
+            for line in range(8 * j, min(8 * j + 8, width)):
+                toggles[line] += (lane & masks[line % 8]).bit_count()
     total = sum(toggles)
     per_cycle = None
     if include_per_cycle:
         per_cycle = tuple(transfer_counts(values))
     return ActivityReport(
         width=width,
-        transfers=trace.transfers,
+        transfers=transfers,
         total_transitions=total,
-        tau=switching_activity(total, width, trace.transfers),
-        per_bit_toggles=toggles,
+        tau=switching_activity(total, width, transfers),
+        per_bit_toggles=tuple(toggles),
         per_cycle=per_cycle,
     )
 

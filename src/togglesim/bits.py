@@ -8,9 +8,9 @@ or indexing it yields :class:`Word` objects. The number of word-to-word
 transfers is one less than the number of words.
 
 The transition count between two consecutive words is their Hamming
-distance, i.e. the popcount of their XOR. :func:`transfer_xors` and
-:func:`transfer_counts` give that per transfer over a sequence of int values;
-the probe and the analyzer both count from them.
+distance, i.e. the popcount of their XOR. :func:`transfer_counts` gives
+that per transfer over a sequence of int values; the probe's per-cycle
+counts and the analyzer's ``per_cycle`` both come from it.
 
 :class:`Record` is the base of every immutable value class in the package,
 :class:`Word` and :class:`Trace` included: named ``__slots__`` fields set
@@ -19,9 +19,9 @@ once in ``__init__``, with equality, hash, repr and pickling by field.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import islice
 from operator import attrgetter, xor
-from typing import Iterable, Iterator, Sequence
 
 MAX_WIDTH = 1024  # sanity bound; typical buses here are 4..16 lines
 
@@ -166,14 +166,9 @@ def hamming_distance(a: Word, b: Word) -> int:
     return (a.value ^ b.value).bit_count()
 
 
-def transfer_xors(values: Sequence[int]) -> Iterator[int]:
-    """The lines that flip on each word-to-word transfer: each value XOR the next."""
-    return map(xor, values, islice(values, 1, None))
-
-
 def transfer_counts(values: Sequence[int]) -> Iterator[int]:
     """How many lines flip on each word-to-word transfer."""
-    return map(int.bit_count, transfer_xors(values))
+    return map(int.bit_count, map(xor, values, islice(values, 1, None)))
 
 
 class Trace(Record):

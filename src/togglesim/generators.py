@@ -29,7 +29,7 @@ a plain `int -> int` recurrence. `GeneratorConfig`, `generate`, the public
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from .bits import Record, Trace, Word, check_width
 from .encoders import binary_to_gray, gray_to_binary
@@ -112,7 +112,7 @@ def _gray(width: int, _: None) -> Step:
 
 # kind -> (the one GeneratorConfig field it accepts, builder taking the
 # width and that field's value and returning the validated step)
-_GENERATORS: dict[str, tuple[str | None, Callable[[int, Any], Step]]] = {
+_GENERATORS: dict[str, tuple[str | None, Callable[..., Step]]] = {
     "lfsr_internal": ("taps", _galois),
     "lfsr_external": ("taps", _fibonacci),
     "ca90": ("boundary", lambda width, boundary: _ca(width, 90, boundary)),

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import json
 import re
+from io import IOBase
 from itertools import islice, repeat
-from typing import IO
 
 from .activity import ActivityReport, rounded_display
 from .bits import Record, Trace, check_width, value_from_text
@@ -110,7 +110,7 @@ def parse_trace(text: str) -> Trace:
     return Trace(width, tuple(values))
 
 
-def read_trace(stream: IO) -> Trace:
+def read_trace(stream: IOBase) -> Trace:
     """Parse a trace from a readable text or byte stream."""
     data = stream.read()
     if isinstance(data, bytes):

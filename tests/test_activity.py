@@ -1,8 +1,13 @@
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from togglesim import activity
 from togglesim.activity import (
+    CHUNK_TRANSFERS,
     analyze_trace,
     compare_reports,
     rounded_display,
@@ -196,3 +201,75 @@ class TestAgainstReference:
         report = analyze_trace(trace, include_per_cycle=True)
         assert report.per_bit_toggles == (transfers,) * width
         assert report == reference.analyze_trace(tuple(trace), True)
+
+
+# Widths on each side of a byte-lane edge, and the largest allowed.
+LANE_EDGE_WIDTHS = [1, 7, 8, 9, 63, 64, 65, 1023, 1024]
+
+
+@st.composite
+def lane_edge_traces(draw):
+    width = draw(st.sampled_from(LANE_EDGE_WIDTHS))
+    values = draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=16))
+    return Trace(width, tuple(values))
+
+
+def sparse_trace(width: int, length: int) -> Trace:
+    """A fixed trace where each transfer flips 1 to 4 random lines, so the
+    Word-based reference, whose cost follows flips, stays quick at any width."""
+    rng = random.Random(width * 100_003 + length)
+    value = rng.getrandbits(width)
+    values = [value]
+    for _ in range(length - 1):
+        for line in rng.sample(range(width), min(width, rng.randint(1, 4))):
+            value ^= 1 << line
+        values.append(value)
+    return Trace(width, tuple(values))
+
+
+class TestChunkedFold:
+    """Chunks share one word, so each transfer is counted once at any chunk
+    size, and every byte lane's lines are counted apart."""
+
+    @given(lane_edge_traces(), st.integers(1, 5), st.booleans())
+    @example(Trace(9, (0, 511, 0)), 1, True)
+    @example(Trace(1, (0, 1)), 1, False)
+    def test_any_chunk_size_matches_reference(self, trace, chunk, per_cycle):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(activity, "CHUNK_TRANSFERS", chunk)
+            assert outcome(analyze_trace, trace, per_cycle) == outcome(
+                reference.analyze_trace, tuple(trace), per_cycle
+            )
+
+    @pytest.mark.parametrize("width", LANE_EDGE_WIDTHS)
+    @pytest.mark.parametrize(
+        "transfers",
+        [CHUNK_TRANSFERS + d for d in (-1, 0, 1)]
+        + [2 * CHUNK_TRANSFERS + d for d in (-1, 0, 1)],
+    )
+    def test_real_chunk_edges_match_reference(self, transfers, width):
+        trace = sparse_trace(width, transfers + 1)
+        words = tuple(trace)
+        for per_cycle in (False, True):
+            assert analyze_trace(trace, per_cycle) == reference.analyze_trace(
+                words, per_cycle
+            )
+
+
+def analyze_peak_bytes(length: int) -> int:
+    """tracemalloc's peak while analyzing a random 16-bit trace of `length` words."""
+    rng = random.Random(length)
+    trace = Trace(16, tuple(rng.getrandbits(16) for _ in range(length)))
+    tracemalloc.start()
+    try:
+        analyze_trace(trace)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_transient_memory_is_bounded_by_the_chunk():
+    # a fold that packed the whole trace at once would grow tenfold here
+    small, large = analyze_peak_bytes(20_000), analyze_peak_bytes(200_000)
+    assert large < 1 << 20
+    assert large <= small + (64 << 10)

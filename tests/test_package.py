@@ -25,16 +25,21 @@ SRC = os.path.dirname(os.path.dirname(togglesim.__file__))
 
 
 def fresh_import(statement: str) -> dict:
-    """Run `statement` in a new interpreter and report what it loaded."""
+    """Run `statement` in a new interpreter and report what it loaded.
+
+    The interpreter runs with -S: `site` and the `.pth` files it reads may
+    import modules, typing among them, before the statement runs."""
     code = (
         f"import json, sys\n{statement}\n"
         "print(json.dumps({'togglesim': sorted(m for m in sys.modules"
         " if m.split('.')[0] == 'togglesim'), 'csv': 'csv' in sys.modules,"
-        " 'dataclasses': 'dataclasses' in sys.modules}))"
+        " 'dataclasses': 'dataclasses' in sys.modules,"
+        " 'typing': 'typing' in sys.modules}))"
     )
     env = {**os.environ, "PYTHONPATH": SRC}
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True,
+        check=True,
     )
     return json.loads(result.stdout)
 
@@ -57,6 +62,11 @@ class TestImports:
         assert "togglesim.tables" not in loaded["togglesim"]
         assert "togglesim.power" not in loaded["togglesim"]
         assert not loaded["dataclasses"]
+
+    def test_cli_parser_loads_no_typing(self):
+        # under `from __future__ import annotations` no run-time name needs it
+        loaded = fresh_import("import togglesim.cli; togglesim.cli.build_parser()")
+        assert not loaded["typing"]
 
     def test_probe_loads_only_bits(self):
         loaded = fresh_import("import togglesim.transition_counter")
