@@ -3,18 +3,21 @@
 The activity factor of a trace is the observed bit transitions divided by
 the total transferable bits, width times the number of word-to-word
 transfers. It is 1.0 when every line flips on every transfer.
+
+Transitions are counted by one fold, `analyze_chunks`, over a trace's values
+arriving as chunks of ints: from a trace reader, an encoder or slices of a
+held `Trace` (`analyze_trace`). It keeps the per-line counts and the last
+word of the previous chunk, so its memory does not grow with the trace
+unless per-transfer counts are asked for.
 """
 
 from __future__ import annotations
 
+import sys
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import repeat
 
-from .bits import Record, Trace, transfer_counts
-
-# Transfers folded per packed chunk: big enough that the per-chunk Python
-# steps are negligible, small enough that a chunk's transient ints and bytes
-# stay under 1 MiB for buses up to 64 lines (about 2.7 MiB at 1024).
-CHUNK_TRANSFERS = 4096
+from .bits import Record, Trace, chunk_words, chunked, transfer_counts
 
 
 class ActivityReport(Record):
@@ -65,52 +68,85 @@ def switching_activity(total_transitions: int, width: int, transfers: int) -> fl
     return total_transitions / (width * transfers)
 
 
-def analyze_trace(trace: Trace, include_per_cycle: bool = False) -> ActivityReport:
-    """Count transitions over consecutive word pairs of a trace.
+def _packs(chunks: Iterable[Sequence[int]], size: int) -> Iterator[list[int]]:
+    """The values of `chunks` regrouped into lists of `size` or more, the
+    last of 2 or more, each list starting with the last value of the list
+    before it: every pair of neighbouring values is in exactly one list."""
+    pack = []
+    for chunk in chunks:
+        pack += chunk
+        if len(pack) >= size:
+            yield pack
+            pack = pack[-1:]
+    if len(pack) > 1:
+        yield pack
 
-    The values are folded in chunks of CHUNK_TRANSFERS transfers; neighbouring
-    chunks share one word, so each transfer is counted once. A chunk's words
-    are packed little-endian into one int of `size` = ceil(width/8) bytes per
-    word, and XOR with itself shifted down one word puts each transfer's
-    flipped lines in the slot of its first word. Byte lane j of those slots,
-    taken as one int, holds lines 8j..8j+7 of every transfer; line 8j+k's
-    toggles in the chunk are the popcount of that lane masked to bit k of
-    every byte. The work per chunk is a few whole-chunk big-int operations
-    per line, and the transient memory is bounded by the chunk, not the trace.
+
+def analyze_chunks(width: int, chunks: Iterable[Sequence[int]],
+                   include_per_cycle: bool = False) -> ActivityReport:
+    """Count transitions over consecutive word pairs of a trace whose
+    `width`-bit values arrive in `chunks`, in order.
+
+    The values are regrouped into packs of about chunk_words(width) words,
+    neighbouring packs sharing one word, so every transfer is counted once
+    and the work per pack does not depend on how the values were chunked.
+    A pack's words are laid out little-endian in one int, `stride` bytes per
+    word (at least ceil(width/8)), and XOR with itself shifted down one word
+    puts each transfer's flipped lines in the slot of its first word. Byte
+    lane j of those slots, taken as one int, holds lines 8j..8j+7 of every
+    transfer; line 8j+k's toggles in the pack are the popcount of that lane
+    masked to bit k of every byte. The work per pack is a few whole-pack
+    big-int operations per line, and the transient memory is bounded by the
+    pack, not the trace.
     """
-    if len(trace) < 2:
-        raise ValueError("trace too short: need at least 2 words to observe a transfer")
-    width = trace.width
-    values = trace.values
-    transfers = trace.transfers
-    chunk = CHUNK_TRANSFERS
+    from array import array  # here, not at the top: `gen` starts without it
+
     size = (width + 7) // 8
-    ones = int.from_bytes(b"\x01" * min(chunk, transfers), "little")
-    masks = [ones << k for k in range(8)]
+    # Up to 64 lines, a word is packed as one machine integer of `stride`
+    # bytes, with no object per word; wider words take `size` bytes each.
+    code = next((c for c in "BHILQ" if array(c).itemsize >= size), None)
+    stride = array(code).itemsize if code else size
     toggles = [0] * width
-    for start in range(0, transfers, chunk):
-        words = values[start : start + chunk + 1]
-        packed = int.from_bytes(
-            b"".join(map(int.to_bytes, words, repeat(size), repeat("little"))), "little"
-        )
-        stop = size * (len(words) - 1)  # the last slot holds a word, not a transfer
-        diffs = (packed ^ (packed >> (8 * size))).to_bytes(stop + size, "little")
+    per_cycle = [] if include_per_cycle else None
+    transfers = 0
+    for words in _packs(chunks, max(2, chunk_words(width))):
+        if per_cycle is not None:
+            per_cycle += transfer_counts(words)
+        n = len(words) - 1
+        transfers += n
+        if code:
+            items = array(code, words)
+            if sys.byteorder == "big":
+                items.byteswap()
+            packed = int.from_bytes(items, "little")
+        else:
+            packed = int.from_bytes(
+                b"".join(map(int.to_bytes, words, repeat(size), repeat("little"))), "little"
+            )
+        stop = stride * n  # the last slot holds a word, not a transfer
+        diffs = (packed ^ (packed >> (8 * stride))).to_bytes(stop + stride, "little")
+        ones = int.from_bytes(b"\x01" * n, "little")
+        masks = [ones << k for k in range(min(8, width))]
         for j in range(size):
-            lane = int.from_bytes(diffs[j:stop:size], "little")
+            lane = int.from_bytes(diffs[j:stop:stride], "little")
             for line in range(8 * j, min(8 * j + 8, width)):
                 toggles[line] += (lane & masks[line % 8]).bit_count()
+    if transfers < 1:
+        raise ValueError("trace too short: need at least 2 words to observe a transfer")
     total = sum(toggles)
-    per_cycle = None
-    if include_per_cycle:
-        per_cycle = tuple(transfer_counts(values))
     return ActivityReport(
         width=width,
         transfers=transfers,
         total_transitions=total,
         tau=switching_activity(total, width, transfers),
         per_bit_toggles=tuple(toggles),
-        per_cycle=per_cycle,
+        per_cycle=None if per_cycle is None else tuple(per_cycle),
     )
+
+
+def analyze_trace(trace: Trace, include_per_cycle: bool = False) -> ActivityReport:
+    """analyze_chunks over slices of the trace's values, one pack each."""
+    return analyze_chunks(trace.width, chunked(trace.values, trace.width), include_per_cycle)
 
 
 def compare_reports(a: ActivityReport, b: ActivityReport) -> ReductionSummary:

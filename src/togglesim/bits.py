@@ -20,12 +20,30 @@ once in ``__init__``, with equality, hash, repr and pickling by field.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import islice
+from itertools import chain, islice
 from operator import attrgetter, xor
 
 MAX_WIDTH = 1024  # sanity bound; typical buses here are 4..16 lines
 
+# The byte budget of every chunked stage: the trace reader's block, and the
+# values per generated, sliced or toggle-counted chunk (chunk_words). The
+# per-chunk Python steps stay negligible next to the per-word work, and no
+# stage's transient memory grows with the trace: under 1 MiB for the reader
+# and the fold at any width, about 1.5 MiB for a generated chunk as text.
+CHUNK_BYTES = 1 << 14
+
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
+
+def chunk_words(width: int) -> int:
+    """Values per chunk of a `width`-bit trace: CHUNK_BYTES // ceil(width / 8)."""
+    return CHUNK_BYTES // ((width + 7) // 8)
+
+
+def chunked(values: Sequence[int], width: int) -> Iterator[Sequence[int]]:
+    """`values` in consecutive slices of chunk_words(width) values."""
+    step = chunk_words(width)
+    return (values[start : start + step] for start in range(0, len(values), step))
 
 
 def check_width(width: int) -> None:
@@ -197,6 +215,11 @@ class Trace(Record):
             if w.width != width:
                 raise ValueError(f"word {i} has width {w.width}, trace declares {width}")
         return cls(width, tuple(w.value for w in ws))
+
+    @classmethod
+    def from_chunks(cls, width: int, chunks: Iterable[Iterable[int]]) -> "Trace":
+        """The trace of the values in `chunks`, in order."""
+        return cls(width, tuple(chain.from_iterable(chunks)))
 
     @property
     def transfers(self) -> int:

@@ -14,23 +14,22 @@ import math
 import os
 import sys
 
-from .activity import analyze_trace
+from .activity import ActivityReport, analyze_chunks
 from .bits import Word, check_width, word_from_text
-from .encoders import bus_invert_encode_trace, gray_encode_trace
+from .encoders import bus_invert_encode_chunks, gray_encode_chunks
 from .generators import (
     BOUNDARIES,
     DEFAULT_TAPS_16,
     GeneratorConfig,
     KINDS,
-    generate,
+    generate_chunks,
     kind_parameter,
 )
 from .trace_io import (
     REPORT_FORMATS,
     TraceFormatError,
-    load_trace,
-    read_trace,
-    render_trace,
+    read_chunks,
+    render_chunks,
     write_report,
 )
 
@@ -91,30 +90,38 @@ def cmd_gen(args: argparse.Namespace) -> int:
     config = _build_config(args)
     if args.cycles < 0:
         raise UsageError(f"--cycles must be >= 0, got {args.cycles}")
-    trace = generate(config, args.cycles)
-    text = render_trace(trace, 2 if args.radix == "bin" else 16)
+    chunks = generate_chunks(config, args.cycles)
+    texts = render_chunks(config.width, chunks, 2 if args.radix == "bin" else 16)
+    words = args.cycles + 1
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {len(trace)} words to {args.output}")
+            fh.writelines(texts)
+        print(f"wrote {words} words to {args.output}")
     else:
-        sys.stdout.write(text)
-        print(f"{len(trace)} words", file=sys.stderr)
+        sys.stdout.writelines(texts)
+        print(f"{words} words", file=sys.stderr)
     return EXIT_OK
+
+
+def _analyze_stream(stream, args: argparse.Namespace) -> ActivityReport:
+    """Reader, then the encoder `args` names, then the toggle fold, one
+    chunk of the trace at a time."""
+    width, chunks = read_chunks(stream)
+    if args.encode == "gray":
+        chunks = gray_encode_chunks(chunks)
+    elif args.encode == "businvert":
+        chunks, width = bus_invert_encode_chunks(width, chunks), width + 1
+    return analyze_chunks(width, chunks, include_per_cycle=args.per_cycle)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     if args.per_cycle and args.format == "csv":
         raise UsageError("--per-cycle has no csv form; use --format table or json")
     if args.trace == "-":
-        trace = read_trace(sys.stdin.buffer)
+        report = _analyze_stream(sys.stdin.buffer, args)
     else:
-        trace = load_trace(args.trace)
-    if args.encode == "gray":
-        trace = gray_encode_trace(trace)
-    elif args.encode == "businvert":
-        trace = bus_invert_encode_trace(trace)
-    report = analyze_trace(trace, include_per_cycle=args.per_cycle)
+        with open(args.trace, "rb") as fh:
+            report = _analyze_stream(fh, args)
     sys.stdout.write(write_report(report, args.format))
     return EXIT_OK
 

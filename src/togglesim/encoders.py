@@ -1,8 +1,15 @@
-"""Low-transition bus encodings: gray mapping and invert-line signaling."""
+"""Low-transition bus encodings: gray mapping and invert-line signaling.
+
+Both trace encodings are sequential maps over a trace's values: the
+`*_chunks` functions map chunks of ints to chunks of ints as they arrive,
+and the `*_trace` functions wrap them for a whole `Trace`.
+"""
 
 from __future__ import annotations
 
-from .bits import MAX_WIDTH, Record, Trace, Word
+from collections.abc import Iterable, Iterator, Sequence
+
+from .bits import MAX_WIDTH, Record, Trace, Word, chunked
 
 
 def binary_to_gray(n: int) -> int:
@@ -60,31 +67,54 @@ def bus_invert_decode(line: BusLineState) -> Word:
     return line.word.complement() if line.invert else line.word
 
 
+def gray_encode_chunks(chunks: Iterable[Iterable[int]]) -> Iterator[list[int]]:
+    """Gray-map every value of every chunk (an address-bus style recoding)."""
+    for chunk in chunks:
+        yield list(map(binary_to_gray, chunk))
+
+
 def gray_encode_trace(trace: Trace) -> Trace:
     """Gray-map every word of a trace (an address-bus style recoding)."""
-    return Trace(trace.width, tuple(map(binary_to_gray, trace.values)))
+    return Trace.from_chunks(trace.width, gray_encode_chunks(chunked(trace.values, trace.width)))
 
 
-def bus_invert_encode_trace(trace: Trace) -> Trace:
-    """Re-encode a raw trace as it would appear on invert-signaled lines.
+def bus_invert_encode_chunks(width: int,
+                             chunks: Iterable[Sequence[int]]) -> Iterator[list[int]]:
+    """Re-encode the `width`-bit values of a raw trace, arriving in chunks,
+    as they would appear on invert-signaled lines (Stan and Burleson,
+    "Bus-Invert Coding for Low-Power I/O", IEEE TVLSI 1995).
 
-    Output words are one bit wider, the invert line being the extra MSB.
-    The first word is transmitted unmodified with the invert line low.
+    Output values are one bit wider, the invert line being the extra MSB, and
+    each output chunk encodes one input chunk. The first word is transmitted
+    unmodified with the invert line low. A width with no room for the invert
+    line raises ValueError once every chunk has been read, so an error the
+    source of the chunks raises is reported first.
     """
-    width = trace.width
     if width >= MAX_WIDTH:
+        for _ in chunks:
+            pass
         raise ValueError(
             f"bus-invert needs one extra line above the {width} data lines, "
             f"but bus width is capped at MAX_WIDTH={MAX_WIDTH}"
         )
     full = (1 << width) - 1
-    lines = trace.values[0]  # what the data lines currently carry
-    encoded = [lines]
-    for raw in trace.values[1:]:
-        invert = _inverts(lines, raw, width)
-        lines = raw ^ full if invert else raw
-        encoded.append((invert << width) | lines)
-    return Trace(width + 1, tuple(encoded))
+    lines = None  # what the data lines currently carry
+    for chunk in chunks:
+        if lines is None and chunk:
+            lines = chunk[0]  # the first word then flips no line and is sent as it is
+        encoded = []
+        for raw in chunk:
+            invert = _inverts(lines, raw, width)
+            lines = raw ^ full if invert else raw
+            encoded.append((invert << width) | lines)
+        yield encoded
+
+
+def bus_invert_encode_trace(trace: Trace) -> Trace:
+    """Re-encode a raw trace as it would appear on invert-signaled lines;
+    see bus_invert_encode_chunks."""
+    encoded = bus_invert_encode_chunks(trace.width, chunked(trace.values, trace.width))
+    return Trace.from_chunks(trace.width + 1, encoded)
 
 
 def bus_invert_decode_trace(encoded: Trace) -> Trace:

@@ -23,15 +23,16 @@ Shift and tap conventions, fixed so sequences are reproducible:
 `_GENERATORS` is the single place a kind is defined: it names the one
 `GeneratorConfig` field the kind accepts (`taps`, `boundary` or none) and a
 builder that validates that parameter once and returns the kind's step as
-a plain `int -> int` recurrence. `GeneratorConfig`, `generate`, the public
-`*_step` functions and the CLI all go through it.
+a plain `int -> int` recurrence. `GeneratorConfig`, `generate_chunks` (and
+its whole-`Trace` wrapper `generate`), the public `*_step` functions and the
+CLI all go through it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
-from .bits import Record, Trace, Word, check_width
+from .bits import Record, Trace, Word, check_width, chunk_words
 from .encoders import binary_to_gray, gray_to_binary
 
 Step = Callable[[int], int]
@@ -194,15 +195,26 @@ class GeneratorConfig(Record):
         object.__setattr__(self, "boundary", boundary)
 
 
-def generate(config: GeneratorConfig, cycles: int) -> Trace:
-    """Seed plus `cycles` generated words: a trace with `cycles` transfers."""
+def generate_chunks(config: GeneratorConfig, cycles: int) -> Iterator[list[int]]:
+    """Seed plus `cycles` generated values, in lists of chunk_words(width)
+    values (the seed heads the first)."""
     if cycles < 0:
         raise ValueError(f"cycles must be >= 0, got {cycles}")
     param, build = _GENERATORS[config.kind]
     step = build(config.width, getattr(config, param) if param else None)
+    per_chunk = chunk_words(config.width)
     value = config.seed.value
-    values = [value]
-    for _ in range(cycles):
-        value = step(value)
-        values.append(value)
-    return Trace(config.width, tuple(values))
+    chunk = [value]
+    for start in range(0, cycles, per_chunk):
+        for _ in range(min(per_chunk, cycles - start)):
+            value = step(value)
+            chunk.append(value)
+        yield chunk
+        chunk = []
+    if chunk:
+        yield chunk  # no cycles: the seed alone
+
+
+def generate(config: GeneratorConfig, cycles: int) -> Trace:
+    """Seed plus `cycles` generated words: a trace with `cycles` transfers."""
+    return Trace.from_chunks(config.width, generate_chunks(config, cycles))

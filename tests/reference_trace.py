@@ -3,9 +3,11 @@
 These are the straightforward implementations the library's int-backed
 trace layer replaced, copied unchanged apart from taking and returning
 tuples of Words where they took and returned a Trace (the width is that of
-the first word). `word_from_text` and `bus_invert_encode` come along
-because the copied bodies call them and the library has rewritten them;
-`bus_invert_decode`, which it has not, is imported.
+the first word), and `read_trace` taking the bytes a stream holds: it
+decodes and parses the whole text at once, where the library streams it.
+`word_from_text` and `bus_invert_encode` come along because the copied
+bodies call them and the library has rewritten them; `bus_invert_decode`,
+which it has not, is imported.
 """
 
 from __future__ import annotations
@@ -81,6 +83,20 @@ def parse_trace(text: str) -> tuple[Word, ...]:
     if not words:
         raise TraceFormatError("empty trace: no words after the header")
     return tuple(words)
+
+
+def read_trace(data: bytes) -> tuple[Word, ...]:
+    """Parse a trace file's bytes, decoded as a whole before parsing."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # number lines as parse_trace does; the text before exc.start is valid
+        lineno = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise TraceFormatError(
+            f"line {lineno}: byte 0x{data[exc.start]:02X} is not UTF-8 text "
+            f"({exc.reason})"
+        ) from exc
+    return parse_trace(text)
 
 
 def render_trace(words: tuple[Word, ...], radix: int = 2) -> str:

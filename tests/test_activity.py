@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from togglesim import activity
+from togglesim import bits
 from togglesim.activity import (
-    CHUNK_TRANSFERS,
+    analyze_chunks,
     analyze_trace,
     compare_reports,
     rounded_display,
@@ -227,6 +227,10 @@ def sparse_trace(width: int, length: int) -> Trace:
     return Trace(width, tuple(values))
 
 
+# Words per slice in the chunk-edge tests, whatever the width.
+EDGE_CHUNK = 4096
+
+
 class TestChunkedFold:
     """Chunks share one word, so each transfer is counted once at any chunk
     size, and every byte lane's lines are counted apart."""
@@ -236,7 +240,8 @@ class TestChunkedFold:
     @example(Trace(1, (0, 1)), 1, False)
     def test_any_chunk_size_matches_reference(self, trace, chunk, per_cycle):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(activity, "CHUNK_TRANSFERS", chunk)
+            # `chunk` words per slice and per pack
+            patch.setattr(bits, "CHUNK_BYTES", chunk * ((trace.width + 7) // 8))
             assert outcome(analyze_trace, trace, per_cycle) == outcome(
                 reference.analyze_trace, tuple(trace), per_cycle
             )
@@ -244,22 +249,31 @@ class TestChunkedFold:
     @pytest.mark.parametrize("width", LANE_EDGE_WIDTHS)
     @pytest.mark.parametrize(
         "transfers",
-        [CHUNK_TRANSFERS + d for d in (-1, 0, 1)]
-        + [2 * CHUNK_TRANSFERS + d for d in (-1, 0, 1)],
+        [EDGE_CHUNK + d for d in (-1, 0, 1)] + [2 * EDGE_CHUNK + d for d in (-1, 0, 1)],
     )
     def test_real_chunk_edges_match_reference(self, transfers, width):
         trace = sparse_trace(width, transfers + 1)
         words = tuple(trace)
-        for per_cycle in (False, True):
-            assert analyze_trace(trace, per_cycle) == reference.analyze_trace(
-                words, per_cycle
-            )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bits, "CHUNK_BYTES", EDGE_CHUNK * ((width + 7) // 8))
+            for per_cycle in (False, True):
+                assert analyze_trace(trace, per_cycle) == reference.analyze_trace(
+                    words, per_cycle
+                )
+
+    @pytest.mark.parametrize("width", LANE_EDGE_WIDTHS)
+    def test_budget_chunk_edges_match_one_chunk(self, width):
+        # the unpatched budget: slices of CHUNK_BYTES // ceil(width / 8) words
+        per_chunk = bits.chunk_words(width)
+        for transfers in (per_chunk - 1, per_chunk, per_chunk + 1, 2 * per_chunk + 1):
+            trace = sparse_trace(width, transfers + 1)
+            assert analyze_trace(trace, True) == analyze_chunks(width, [trace.values], True)
 
 
-def analyze_peak_bytes(length: int) -> int:
-    """tracemalloc's peak while analyzing a random 16-bit trace of `length` words."""
+def analyze_peak_bytes(length: int, width: int = 16) -> int:
+    """tracemalloc's peak while analyzing a random trace of `length` words."""
     rng = random.Random(length)
-    trace = Trace(16, tuple(rng.getrandbits(16) for _ in range(length)))
+    trace = Trace(width, tuple(rng.getrandbits(width) for _ in range(length)))
     tracemalloc.start()
     try:
         analyze_trace(trace)
@@ -273,3 +287,11 @@ def test_transient_memory_is_bounded_by_the_chunk():
     small, large = analyze_peak_bytes(20_000), analyze_peak_bytes(200_000)
     assert large < 1 << 20
     assert large <= small + (64 << 10)
+
+
+def test_transient_memory_is_bounded_at_every_width():
+    # chunks hold a byte budget, not a number of transfers, so a wide bus
+    # packs fewer words per chunk
+    peaks = {width: analyze_peak_bytes(20_000, width) for width in (1, 16, 1024)}
+    assert max(peaks.values()) < 1 << 20
+    assert peaks[1024] <= peaks[16] + (128 << 10)

@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import tracemalloc
 
 import pytest
 
@@ -219,6 +221,91 @@ class TestAnalyze:
         code, _, stderr = run_cli(capsys, "analyze", str(short))
         assert code == 3
         assert "too short" in stderr
+
+
+def wide_words(count):
+    """`count` distinct 1024-bit words in hex."""
+    return [format(i * 2654435761 % (1 << 1024), "0256X") for i in range(count)]
+
+
+class TestErrorPrecedence:
+    """With the trace read a chunk at a time, errors keep their order: a bad
+    word anywhere, then the bus-invert width, then a trace too short."""
+
+    TOO_WIDE = (
+        "togglesim: error: bus-invert needs one extra line above the 1024 data lines, "
+        "but bus width is capped at MAX_WIDTH=1024\n"
+    )
+    TOO_SHORT = "togglesim: error: trace too short: need at least 2 words to observe a transfer\n"
+    NO_WORDS = "togglesim: error: empty trace: no words after the header\n"
+
+    def check(self, capsys, tmp_path, text, encode, stderr):
+        path = tmp_path / "t.trace"
+        path.write_text(text)
+        assert run_cli(capsys, "analyze", str(path), *encode) == (3, "", stderr)
+
+    def test_bad_word_beats_the_bus_invert_width(self, capsys, tmp_path):
+        words = wide_words(6000)
+        words[4999] = "G" + words[4999][1:]
+        text = "\n".join(["width=1024 radix=hex", *words, ""])
+        stderr = f"togglesim: error: line 5001: invalid hex digit 'G' in {words[4999]!r}\n"
+        self.check(capsys, tmp_path, text, ["--encode", "businvert"], stderr)
+
+    def test_bus_invert_width_after_a_clean_read(self, capsys, tmp_path):
+        text = "\n".join(["width=1024 radix=hex", *wide_words(6000), ""])
+        self.check(capsys, tmp_path, text, ["--encode", "businvert"], self.TOO_WIDE)
+
+    @pytest.mark.parametrize(
+        "text,encode,stderr",
+        [
+            ("width=4 radix=bin\n0000\n", [], TOO_SHORT),
+            ("width=4 radix=bin\n0000\n", ["--encode", "businvert"], TOO_SHORT),
+            ("width=1024 radix=hex\n0\n", ["--encode", "businvert"], TOO_WIDE),
+            ("width=4 radix=bin\n# no words\n", [], NO_WORDS),
+            ("width=1024 radix=hex\n", ["--encode", "businvert"], NO_WORDS),
+        ],
+        ids=["one-word", "one-word-businvert", "one-word-too-wide", "header-only",
+             "header-only-too-wide"],
+    )
+    def test_short_traces(self, capsys, tmp_path, text, encode, stderr):
+        self.check(capsys, tmp_path, text, encode, stderr)
+
+
+GEN_LFSR16 = ["gen", "--kind", "lfsr_internal", "--width", "16", "--seed", "ACE1"]
+
+
+def peak_bytes(argv):
+    """tracemalloc's peak over one in-process CLI run, which must succeed."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestFlatMemory:
+    """gen and analyze hold a chunk of the trace at a time, so ten times the
+    words take no more memory."""
+
+    def test_gen_to_a_discarding_sink(self, monkeypatch):
+        with open(os.devnull, "w", encoding="utf-8") as sink:
+            monkeypatch.setattr("sys.stdout", sink)
+            monkeypatch.setattr("sys.stderr", sink)
+            small, large = (
+                peak_bytes([*GEN_LFSR16, "--cycles", str(words - 1)])
+                for words in (20_000, 200_000)
+            )
+        assert large <= small + (64 << 10)
+
+    def test_analyze_a_file(self, capsys, tmp_path):
+        paths = []
+        for words in (20_000, 200_000):
+            paths.append(tmp_path / f"{words}.trace")
+            main([*GEN_LFSR16, "--cycles", str(words - 1), "-o", str(paths[-1])])
+        small, large = (peak_bytes(["analyze", str(path)]) for path in paths)
+        capsys.readouterr()
+        assert large <= small + (64 << 10)
 
 
 class TestPower:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from togglesim import trace_io
 from togglesim.activity import analyze_trace
 from togglesim.bits import Trace, Word
 from togglesim.trace_io import (
@@ -352,3 +353,89 @@ class TestAgainstReference:
     @example(wide_trace(1024), 16)
     def test_render_trace(self, trace, radix):
         assert render_trace(trace, radix) == reference.render_trace(tuple(trace), radix)
+
+
+LINE_BREAKS = ["\n", "\r", "\r\n", "\x1c", "\u2028", "\x85"]
+MULTIBYTE_COMMENTS = ["# é", "#€€", "# \U0001f600 ß", "  #١ # next"]
+
+
+@st.composite
+def line_break_texts(draw):
+    """A valid trace text whose lines end in any mix of the breaks
+    str.splitlines knows, with comments holding multibyte characters."""
+    lines = []
+    for line in draw(trace_text_lines()):
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(MULTIBYTE_COMMENTS)))
+        lines.append(line)
+    return "".join(line + draw(st.sampled_from(LINE_BREAKS)) for line in lines)
+
+
+@st.composite
+def bad_word_then_bad_byte(draw):
+    """A trace file with one bad word, then a byte that is not UTF-8 on the
+    same line or a later one."""
+    lines = draw(trace_text_lines())
+    index = draw(st.integers(0, len(lines) - 1))
+    lines[index] += draw(st.sampled_from(["g", "2", "00000000000000000"]))
+    data = ("\n".join(lines) + "\n").encode()
+    at = draw(st.integers(len("\n".join(lines[: index + 1]).encode()), len(data)))
+    bad = draw(st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xf0\x9f\x98"]))
+    return data[:at] + bad + data[at:]
+
+
+def blocks_outcome(data, block):
+    """read_trace's words or error on a text (str) or file (bytes) read in
+    blocks of `block` characters or bytes."""
+    stream = io.BytesIO(data) if isinstance(data, bytes) else io.StringIO(data)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trace_io, "CHUNK_BYTES", block)
+        return outcome(lambda: tuple(read_trace(stream)))
+
+
+def whole_text_outcome(data):
+    if isinstance(data, bytes):
+        return outcome(reference.read_trace, data)
+    return outcome(reference.parse_trace, data)
+
+
+class TestBlockEdges:
+    """read_trace in blocks of 1..7 bytes gives the words, or the exact
+    error, of the reference's whole-text parse: lines, "\\r\\n" pairs and
+    multibyte characters split by a block edge read as one."""
+
+    def check(self, text_or_bytes, block):
+        cases = [text_or_bytes]
+        if isinstance(text_or_bytes, str):
+            cases.append(text_or_bytes.encode())
+        for data in cases:
+            assert blocks_outcome(data, block) == whole_text_outcome(data)
+
+    @given(
+        st.one_of(
+            decorated_trace_texts(),
+            line_break_texts(),
+            mutated_trace_texts().map(lambda case: case[0]),
+            st.text(max_size=200),
+        ),
+        st.integers(1, 7),
+    )
+    @example("width=4 radix=bin\r\n0000\r\n0001\r\n", 1)
+    @example("width=4 radix=bin\r\n0000\r\n0001\r", 2)
+    @example("# €\nwidth=4 radix=bin\x1c0000 0001\x85", 3)
+    @example("width=4 radix=bin\n0000\n0001\n0002\n", 4)
+    def test_text(self, text, block):
+        self.check(text, block)
+
+    @given(st.one_of(st.binary(max_size=200), mutated_trace_bytes()), st.integers(1, 7))
+    @example(b"width=4 radix=bin\n0000\n00\xe2\x82", 1)
+    @example(b"width=4 radix=bin\r\n0000\r\n0001\r\n\xff\r\n", 5)
+    def test_bytes(self, data, block):
+        self.check(data, block)
+
+    @given(bad_word_then_bad_byte(), st.integers(1, 7))
+    @example(b"width=4 radix=bin\n0000\n0002\n0001\n\xc3\n", 2)
+    def test_decode_error_beats_an_earlier_bad_word(self, data, block):
+        result = blocks_outcome(data, block)
+        assert result == whole_text_outcome(data)
+        assert result[0] is TraceFormatError and "is not UTF-8 text" in result[1]
