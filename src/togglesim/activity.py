@@ -30,12 +30,7 @@ class ActivityReport(Record):
     def __init__(self, width: int, transfers: int, total_transitions: int, tau: float,
                  per_bit_toggles: tuple[int, ...],
                  per_cycle: tuple[int, ...] | None = None) -> None:
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "transfers", transfers)
-        object.__setattr__(self, "total_transitions", total_transitions)
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "per_bit_toggles", per_bit_toggles)
-        object.__setattr__(self, "per_cycle", per_cycle)
+        super().__init__(width, transfers, total_transitions, tau, per_bit_toggles, per_cycle)
 
 
 class ReductionSummary(Record):
@@ -47,11 +42,7 @@ class ReductionSummary(Record):
 
     def __init__(self, tau_before: float, tau_after: float, tau_delta: float,
                  relative_reduction: float, transitions_delta: int) -> None:
-        object.__setattr__(self, "tau_before", tau_before)
-        object.__setattr__(self, "tau_after", tau_after)
-        object.__setattr__(self, "tau_delta", tau_delta)
-        object.__setattr__(self, "relative_reduction", relative_reduction)
-        object.__setattr__(self, "transitions_delta", transitions_delta)
+        super().__init__(tau_before, tau_after, tau_delta, relative_reduction, transitions_delta)
 
 
 def switching_activity(total_transitions: int, width: int, transfers: int) -> float:

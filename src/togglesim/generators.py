@@ -188,11 +188,7 @@ class GeneratorConfig(Record):
             _check_boundary(boundary)
         elif boundary is not None:
             raise ValueError("boundary applies to CA kinds only")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "taps", taps)
-        object.__setattr__(self, "boundary", boundary)
+        super().__init__(kind, width, seed, taps, boundary)
 
 
 def generate_chunks(config: GeneratorConfig, cycles: int) -> Iterator[list[int]]:

@@ -57,11 +57,7 @@ class DynamicPowerParams(Record):
         _check_positive("frequency", frequency)
         if voltage_exponent not in (1, 2):
             raise ValueError(f"voltage_exponent must be 1 or 2, got {voltage_exponent}")
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "load_capacitance", load_capacitance)
-        object.__setattr__(self, "supply_voltage", supply_voltage)
-        object.__setattr__(self, "frequency", frequency)
-        object.__setattr__(self, "voltage_exponent", voltage_exponent)
+        super().__init__(tau, load_capacitance, supply_voltage, frequency, voltage_exponent)
 
 
 class StaticPowerParams(Record):
@@ -76,10 +72,7 @@ class StaticPowerParams(Record):
         _check_finite("diode_voltage", diode_voltage)
         _check_positive("temperature", temperature)
         _check_positive("supply_voltage", supply_voltage)
-        object.__setattr__(self, "saturation_current", saturation_current)
-        object.__setattr__(self, "diode_voltage", diode_voltage)
-        object.__setattr__(self, "temperature", temperature)
-        object.__setattr__(self, "supply_voltage", supply_voltage)
+        super().__init__(saturation_current, diode_voltage, temperature, supply_voltage)
 
 
 def _check_result(name: str, value: float) -> float:

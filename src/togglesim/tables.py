@@ -59,11 +59,9 @@ class CounterRow(Record):
 
     def __init__(self, label: str, transitions: int, activity_display: str,
                  reference_transitions: int, reference_activity: str) -> None:
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "transitions", transitions)
-        object.__setattr__(self, "activity_display", activity_display)
-        object.__setattr__(self, "reference_transitions", reference_transitions)
-        object.__setattr__(self, "reference_activity", reference_activity)
+        super().__init__(
+            label, transitions, activity_display, reference_transitions, reference_activity
+        )
 
     @property
     def matches(self) -> bool:
@@ -81,11 +79,9 @@ class GeneratorCell(Record):
 
     def __init__(self, cycles: int, transitions: int, activity_display: str,
                  reference_transitions: int, reference_activity: str) -> None:
-        object.__setattr__(self, "cycles", cycles)
-        object.__setattr__(self, "transitions", transitions)
-        object.__setattr__(self, "activity_display", activity_display)
-        object.__setattr__(self, "reference_transitions", reference_transitions)
-        object.__setattr__(self, "reference_activity", reference_activity)
+        super().__init__(
+            cycles, transitions, activity_display, reference_transitions, reference_activity
+        )
 
     @property
     def count_matches(self) -> bool:
@@ -104,8 +100,7 @@ class GeneratorRow(Record):
     __slots__ = ("label", "cells")
 
     def __init__(self, label: str, cells: tuple[GeneratorCell, ...]) -> None:
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "cells", cells)
+        super().__init__(label, cells)
 
 
 def counter_rows() -> list[CounterRow]:

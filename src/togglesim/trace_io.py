@@ -55,8 +55,7 @@ class TraceFileHeader(Record):
         check_width(width)
         if radix not in _NAME_BY_RADIX:
             raise ValueError(f"radix must be 2 or 16, got {radix}")
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "radix", radix)
+        super().__init__(width, radix)
 
     def render(self) -> str:
         return f"width={self.width} radix={_NAME_BY_RADIX[self.radix]}"

@@ -5,9 +5,10 @@ trace layer replaced, copied unchanged apart from taking and returning
 tuples of Words where they took and returned a Trace (the width is that of
 the first word), and `read_trace` taking the bytes a stream holds: it
 decodes and parses the whole text at once, where the library streams it.
-`word_from_text` and `bus_invert_encode` come along because the copied
-bodies call them and the library has rewritten them; `bus_invert_decode`,
-which it has not, is imported.
+`word_from_text` comes along because the copied bodies call it and the
+library has rewritten it. The single-word bus-invert step (`BusLineState`,
+`bus_invert_encode` and `bus_invert_decode`) lives only here: the library
+encodes chunks of ints.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from itertools import pairwise
 
 from reference_generators import gray_encode
 from togglesim.activity import ActivityReport, switching_activity
-from togglesim.bits import MAX_WIDTH, Word, check_width, hamming_distance
-from togglesim.encoders import BusLineState, bus_invert_decode
+from togglesim.bits import MAX_WIDTH, Record, Word, check_width, hamming_distance
 from togglesim.trace_io import TraceFileHeader, TraceFormatError
 
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
@@ -115,6 +115,16 @@ def gray_encode_trace(words: tuple[Word, ...]) -> tuple[Word, ...]:
     return tuple(gray_encode(w) for w in words)
 
 
+class BusLineState(Record):
+    """What is physically on the wires: data lines plus the invert line."""
+
+    __slots__ = ("word", "invert")
+
+    def __init__(self, word: Word, invert: bool) -> None:
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "invert", invert)
+
+
 def bus_invert_encode(prev: BusLineState, next_raw: Word) -> BusLineState:
     """Choose the next line state for `next_raw` given the current lines.
 
@@ -127,6 +137,11 @@ def bus_invert_encode(prev: BusLineState, next_raw: Word) -> BusLineState:
     if 2 * hamming_distance(prev.word, next_raw) > next_raw.width:
         return BusLineState(next_raw.complement(), True)
     return BusLineState(next_raw, False)
+
+
+def bus_invert_decode(line: BusLineState) -> Word:
+    """Recover the raw word from the line state."""
+    return line.word.complement() if line.invert else line.word
 
 
 def _with_invert_line(state: BusLineState) -> Word:

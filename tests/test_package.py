@@ -2,10 +2,12 @@
 loads only what it uses, and the public records are immutable values."""
 
 import copy
+import importlib
 import inspect
 import json
 import os
 import pickle
+import pkgutil
 import subprocess
 import sys
 
@@ -13,8 +15,7 @@ import pytest
 
 import togglesim
 from togglesim.activity import ActivityReport, ReductionSummary
-from togglesim.bits import Trace, Word
-from togglesim.encoders import BusLineState
+from togglesim.bits import Record, Trace, Word
 from togglesim.generators import GeneratorConfig
 from togglesim.power import DynamicPowerParams, StaticPowerParams
 from togglesim.tables import CounterRow, GeneratorCell, GeneratorRow
@@ -103,9 +104,6 @@ RECORDS = {
         "transitions_delta",
         ReductionSummary(0.5, 0.25, 0.25, 0.5, 5),
     ),
-    "BusLineState": (
-        lambda: BusLineState(Word(4, 5), True), "invert", BusLineState(Word(4, 5), False)
-    ),
     "TraceFileHeader": (lambda: TraceFileHeader(8, 16), "radix", TraceFileHeader(8, 2)),
     "GeneratorConfig": (
         lambda: GeneratorConfig("lfsr_internal", 4, Word(4, 1), frozenset([4, 3])),
@@ -155,7 +153,6 @@ REPRS = {
         "ReductionSummary(tau_before=0.5, tau_after=0.25, tau_delta=0.25, "
         "relative_reduction=0.5, transitions_delta=4)"
     ),
-    "BusLineState": "BusLineState(word=Word(4, '0101'), invert=True)",
     "TraceFileHeader": "TraceFileHeader(width=8, radix=16)",
     "GeneratorConfig": (
         "GeneratorConfig(kind='lfsr_internal', width=4, seed=Word(4, '0001'), "
@@ -203,6 +200,19 @@ KEYWORD_DEFAULTS = {
         DynamicPowerParams(0.5, 1e-12, 1.2, 1e8, 1),
     ),
 }
+
+
+def test_every_record_class_has_value_semantics_tests():
+    for module in pkgutil.iter_modules(togglesim.__path__):
+        importlib.import_module(f"togglesim.{module.name}")
+    pending, records = [Record], set()
+    while pending:
+        for cls in pending.pop().__subclasses__():
+            pending.append(cls)
+            if cls.__module__.startswith("togglesim."):
+                records.add(cls.__name__)
+    assert "Word" in records
+    assert records - set(RECORDS) == set()
 
 
 @pytest.mark.parametrize("name", RECORDS)
