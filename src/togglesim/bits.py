@@ -178,11 +178,6 @@ def word_from_text(text: str, radix: int, width: int) -> Word:
     return Word(width, value_from_text(text, radix, width))
 
 
-def popcount(a: Word) -> int:
-    """Number of set bits."""
-    return a.value.bit_count()
-
-
 def hamming_distance(a: Word, b: Word) -> int:
     """Number of bit positions where two same-width words differ."""
     if a.width != b.width:

@@ -22,15 +22,16 @@ Shift and tap conventions, fixed so sequences are reproducible:
 
 `_GENERATORS` is the single place a kind is defined: it names the one
 `GeneratorConfig` field the kind accepts (`taps`, `boundary` or none) and a
-builder that validates that parameter once and returns the kind's step as
-a plain `int -> int` recurrence. `GeneratorConfig`, `generate_chunks` (and
-its whole-`Trace` wrapper `generate`), the public `*_step` functions and the
-CLI all go through it.
+builder that returns the kind's step as a plain `int -> int` recurrence.
+`GeneratorConfig` validates every parameter once, so the builders trust it.
+`generate_chunks` (and its whole-`Trace` wrapper `generate`) is the one way
+to run a generator; the CLI, the reference tables and the benchmark all go
+through it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterator
 
 from .bits import Record, Trace, Word, check_width, chunk_words
 from .encoders import binary_to_gray, gray_to_binary
@@ -44,55 +45,26 @@ DEFAULT_TAPS_16 = frozenset({16, 14, 13, 11})
 BOUNDARIES = ("null", "cyclic")
 
 
-def _validated_taps(taps: Iterable[int], width: int) -> frozenset[int]:
-    positions = frozenset(int(t) for t in taps)
-    if not positions:
-        raise ValueError("at least one feedback tap is required")
-    for t in sorted(positions):
-        if not 1 <= t <= width:
-            raise ValueError(f"invalid tap position {t} for width {width}")
-    return positions
-
-
-def _check_boundary(boundary: str) -> None:
-    if boundary not in BOUNDARIES:
-        raise ValueError(f"boundary must be 'null' or 'cyclic', got {boundary!r}")
-
-
-def _fibonacci(width: int, taps: Iterable[int]) -> Step:
+def _fibonacci(width: int, taps: frozenset[int]) -> Step:
     mask = 0
-    for t in _validated_taps(taps, width):
+    for t in taps:
         mask |= 1 << (t - 1)
     top = width - 1
     return lambda v: (v >> 1) | (((v & mask).bit_count() & 1) << top)
 
 
-def _galois(width: int, taps: Iterable[int]) -> Step:
+def _galois(width: int, taps: frozenset[int]) -> Step:
     mask = 1 << (width - 1)
-    for t in _validated_taps(taps, width):
+    for t in taps:
         if t != width:
             mask |= 1 << (t - 1)
     return lambda v: (v >> 1) ^ mask if v & 1 else v >> 1
 
 
-def _ca(width: int, rule: int | Sequence[int], boundary: str) -> Step:
-    _check_boundary(boundary)
+def _ca(width: int, self_mask: int, boundary: str) -> Step:
+    # Both rules XOR the two neighbors; rule-150 cells (self_mask set) also
+    # XOR themselves in.
     full = (1 << width) - 1
-    # Both rules XOR the two neighbors; rule-150 cells also XOR themselves in.
-    if isinstance(rule, int):
-        if rule not in (90, 150):
-            raise ValueError(f"rule must be 90 or 150, got {rule}")
-        self_mask = full if rule == 150 else 0
-    else:
-        rules = tuple(rule)
-        if len(rules) != width:
-            raise ValueError(f"need one rule per cell: got {len(rules)} for width {width}")
-        self_mask = 0
-        for i, r in enumerate(rules):
-            if r not in (90, 150):
-                raise ValueError(f"rule must be 90 or 150, got {r} at cell {i}")
-            if r == 150:
-                self_mask |= 1 << i
     if boundary == "null":
         return lambda v: (v >> 1) ^ ((v << 1) & full) ^ (v & self_mask)
     top = width - 1
@@ -112,12 +84,12 @@ def _gray(width: int, _: None) -> Step:
 
 
 # kind -> (the one GeneratorConfig field it accepts, builder taking the
-# width and that field's value and returning the validated step)
+# width and that field's already validated value and returning the step)
 _GENERATORS: dict[str, tuple[str | None, Callable[..., Step]]] = {
     "lfsr_internal": ("taps", _galois),
     "lfsr_external": ("taps", _fibonacci),
-    "ca90": ("boundary", lambda width, boundary: _ca(width, 90, boundary)),
-    "ca150": ("boundary", lambda width, boundary: _ca(width, 150, boundary)),
+    "ca90": ("boundary", lambda width, boundary: _ca(width, 0, boundary)),
+    "ca150": ("boundary", lambda width, boundary: _ca(width, (1 << width) - 1, boundary)),
     "binary": (None, _binary),
     "gray": (None, _gray),
 }
@@ -127,33 +99,6 @@ KINDS = tuple(_GENERATORS)
 def kind_parameter(kind: str) -> str | None:
     """The GeneratorConfig field `kind` accepts: "taps", "boundary" or None."""
     return _GENERATORS[kind][0]
-
-
-def lfsr_external_step(state: Word, taps: Iterable[int]) -> Word:
-    """Fibonacci form: tapped bits XOR together and feed the vacated MSB."""
-    return Word(state.width, _fibonacci(state.width, taps)(state.value))
-
-
-def lfsr_internal_step(state: Word, taps: Iterable[int]) -> Word:
-    """Galois form: the exiting LSB re-enters at the MSB and XORs into each tapped stage."""
-    return Word(state.width, _galois(state.width, taps)(state.value))
-
-
-def ca_step(state: Word, rule: int | Sequence[int], boundary: str = "null") -> Word:
-    """One synchronous update of a one-dimensional CA register.
-
-    rule 90 sets each cell to left XOR right, rule 150 to left XOR self XOR
-    right. A per-cell sequence of 90/150 (index i ruling cell/bit i) is also
-    accepted for hybrid registers.
-    """
-    return Word(state.width, _ca(state.width, rule, boundary)(state.value))
-
-
-def counter_step(state: Word, kind: str) -> Word:
-    """Advance a binary or gray address counter by one, wrapping at 2^width."""
-    if kind not in ("binary", "gray"):
-        raise ValueError(f"counter kind must be 'binary' or 'gray', got {kind!r}")
-    return Word(state.width, _GENERATORS[kind][1](state.width, None)(state.value))
 
 
 class GeneratorConfig(Record):
@@ -176,7 +121,12 @@ class GeneratorConfig(Record):
         if param == "taps":
             if taps is None:
                 raise ValueError(f"{kind} requires feedback taps")
-            taps = _validated_taps(taps, width)
+            taps = frozenset(int(t) for t in taps)
+            if not taps:
+                raise ValueError("at least one feedback tap is required")
+            for t in sorted(taps):
+                if not 1 <= t <= width:
+                    raise ValueError(f"invalid tap position {t} for width {width}")
             if width not in taps:
                 raise ValueError(f"taps must include the register width {width}")
             if seed.value == 0:
@@ -185,7 +135,8 @@ class GeneratorConfig(Record):
             raise ValueError("taps apply to LFSR kinds only")
         if param == "boundary":
             boundary = boundary if boundary is not None else "null"
-            _check_boundary(boundary)
+            if boundary not in BOUNDARIES:
+                raise ValueError(f"boundary must be 'null' or 'cyclic', got {boundary!r}")
         elif boundary is not None:
             raise ValueError("boundary applies to CA kinds only")
         super().__init__(kind, width, seed, taps, boundary)

@@ -14,15 +14,7 @@ from togglesim.activity import (
     switching_activity,
 )
 from togglesim.bits import Trace, Word, hamming_distance, word_from_text
-from togglesim.generators import (
-    DEFAULT_TAPS_16,
-    GeneratorConfig,
-    ca_step,
-    counter_step,
-    generate,
-    lfsr_external_step,
-    lfsr_internal_step,
-)
+from togglesim.generators import DEFAULT_TAPS_16, GeneratorConfig, generate
 from togglesim.power import (
     DynamicPowerParams,
     dynamic_power,
@@ -138,14 +130,12 @@ def test_criterion_07_oracle_equivalence_on_random_traces():
 def test_criterion_08_generator_properties():
     rng = random.Random(99)
     for width in range(1, 17):
-        starts = (
-            range(1 << width)
-            if width <= 10
-            else [rng.getrandbits(width) for _ in range(50)]
-        )
-        for value in starts:
-            state = Word(width, value)
-            assert hamming_distance(state, counter_step(state, "gray")) == 1
+        # the full cycle from 0 visits every state, so every state's step is checked
+        trace = generate(GeneratorConfig("gray", width, Word(width, 0)), 1 << width)
+        assert len(set(trace.values)) == 1 << width
+        assert trace.values[-1] == 0
+        for a, b in zip(trace.values, trace.values[1:]):
+            assert hamming_distance(Word(width, a), Word(width, b)) == 1
 
     for width in range(2, 11):
         trace = counter_trace("binary", width)
@@ -155,18 +145,15 @@ def test_criterion_08_generator_properties():
     # taps {4,3} are maximal for the Galois form; the shift-toward-LSB
     # Fibonacci form is injective only with position 1 tapped, so its
     # maximal 4-bit set is {4,1}
-    for step_fn, taps in ((lfsr_internal_step, {4, 3}), (lfsr_external_step, {4, 1})):
+    for kind, taps in (("lfsr_internal", {4, 3}), ("lfsr_external", {4, 1})):
         for seed_value in range(1, 16):
-            state = Word(4, seed_value)
-            period = 0
-            current = state
-            while True:
-                current = step_fn(current, taps)
-                period += 1
-                if current == state:
-                    break
-                assert period <= 16, (step_fn.__name__, seed_value)
-            assert period == 15, (step_fn.__name__, seed_value)
+            values = generate(GeneratorConfig(kind, 4, Word(4, seed_value), taps), 15).values
+            assert seed_value not in values[1:15], (kind, seed_value)
+            assert values[15] == seed_value, (kind, seed_value)
+
+    def ca_next(state, rule, boundary):
+        config = GeneratorConfig(f"ca{rule}", state.width, state, boundary=boundary)
+        return generate(config, 1)[1]
 
     for _ in range(500):
         width = rng.randint(1, 32)
@@ -174,9 +161,9 @@ def test_criterion_08_generator_properties():
         b = Word(width, rng.getrandbits(width))
         for rule in (90, 150):
             for boundary in ("null", "cyclic"):
-                assert ca_step(a ^ b, rule, boundary) == ca_step(
+                assert ca_next(a ^ b, rule, boundary) == ca_next(
                     a, rule, boundary
-                ) ^ ca_step(b, rule, boundary)
+                ) ^ ca_next(b, rule, boundary)
     _passed(
         8,
         "gray single-flip, binary full-period totals, LFSR period 15 "

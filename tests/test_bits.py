@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from togglesim.bits import Trace, Word, hamming_distance, popcount, word_from_text
+from togglesim.bits import Trace, Word, hamming_distance, word_from_text
 from strategies import word_pairs, word_triples, words
 
 
@@ -119,7 +119,7 @@ class TestHamming:
     def test_matches_loop_oracle(self, pair):
         a, b = pair
         assert hamming_distance(a, b) == hamming_by_loop(a, b)
-        assert hamming_distance(a, b) == popcount(a ^ b)
+        assert hamming_distance(a, b) == (a.value ^ b.value).bit_count()
 
     @given(word_pairs())
     def test_symmetry_and_bounds(self, pair):
@@ -133,18 +133,6 @@ class TestHamming:
     def test_triangle_inequality(self, triple):
         a, b, c = triple
         assert hamming_distance(a, c) <= hamming_distance(a, b) + hamming_distance(b, c)
-
-
-class TestPopcount:
-    def test_zero(self):
-        assert popcount(Word(16, 0)) == 0
-
-    @pytest.mark.parametrize("width", [1, 4, 16, 64])
-    def test_all_ones(self, width):
-        assert popcount(Word(width, (1 << width) - 1)) == width
-
-    def test_direct_count(self):
-        assert popcount(word_from_text("0000001100000011", 2, 16)) == 4
 
 
 class TestTrace:

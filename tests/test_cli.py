@@ -1,11 +1,15 @@
 import io
 import json
 import os
+import random
 import tracemalloc
 
 import pytest
 
+from togglesim.bits import Word
 from togglesim.cli import main
+from togglesim.generators import KINDS, GeneratorConfig, kind_parameter
+import reference_generators as reference
 
 
 def run_cli(capsys, *argv):
@@ -95,6 +99,20 @@ class TestGen:
         assert stdout == ""
         assert message in stderr
 
+    @pytest.mark.parametrize(
+        "taps,message",
+        [("17", "invalid tap position 17 for width 16"),
+         ("1,2", "taps must include the register width 16")],
+    )
+    def test_bad_taps_is_usage_error(self, capsys, taps, message):
+        code, stdout, stderr = run_cli(
+            capsys, "gen", "--kind", "lfsr_internal", "--width", "16",
+            "--cycles", "3", "--taps", taps,
+        )
+        assert code == 2
+        assert stdout == ""
+        assert message in stderr
+
     def test_ca_boundary_defaults_to_null(self, capsys):
         argv = ("gen", "--kind", "ca150", "--width", "8", "--seed", "01", "--cycles", "9")
         code, default, _ = run_cli(capsys, *argv)
@@ -106,6 +124,40 @@ class TestGen:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+
+# every kind and CA boundary, at widths that 4 does and does not divide, on
+# both sides of 64 bits
+GEN_CASES = [
+    (kind, width, boundary)
+    for kind in KINDS
+    for boundary in (("null", "cyclic") if kind_parameter(kind) == "boundary" else (None,))
+    for width in (1, 5, 16, 65, 256)
+]
+
+
+@pytest.mark.parametrize("radix", ["bin", "hex"])
+@pytest.mark.parametrize("kind,width,boundary", GEN_CASES)
+def test_gen_stdout_equals_reference_walk(capsys, kind, width, boundary, radix):
+    rng = random.Random(f"{kind}-{width}")
+    seed = rng.getrandbits(width) or 1
+    taps = None
+    argv = ["gen", "--kind", kind, "--width", str(width), "--seed", format(seed, "X"),
+            "--seed-radix", "hex", "--cycles", "40", "--radix", radix]
+    if kind_parameter(kind) == "taps":
+        taps = {width, 1} | {rng.randint(1, width) for _ in range(3)}
+        argv += ["--taps", ",".join(map(str, sorted(taps)))]
+    if boundary is not None:
+        argv += ["--boundary", boundary]
+    config = GeneratorConfig(kind, width, Word(width, seed), taps, boundary)
+    render = Word.to_binary if radix == "bin" else Word.to_hex
+    expected = "".join(
+        [f"width={width} radix={radix}\n", *(render(w) + "\n" for w in reference.walk(config, 40))]
+    )
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 0
+    assert stdout == expected
+    assert stderr == "41 words\n"
 
 
 class TestAnalyze:

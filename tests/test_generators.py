@@ -1,23 +1,16 @@
-import random
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from togglesim.activity import analyze_trace
-from togglesim.bits import Trace, Word, hamming_distance, word_from_text
-from togglesim.generators import (
-    KINDS,
-    GeneratorConfig,
-    ca_step,
-    counter_step,
-    generate,
-    kind_parameter,
-    lfsr_external_step,
-    lfsr_internal_step,
-)
+from togglesim.bits import Word, hamming_distance, word_from_text
+from togglesim.generators import KINDS, GeneratorConfig, generate, kind_parameter
 import reference_generators as reference
 from strategies import words
+
+
+def step(kind: str, state: Word, **param) -> Word:
+    """One generated step of `kind` from `state`."""
+    return generate(GeneratorConfig(kind, state.width, state, **param), 1)[1]
 
 
 def ca_by_cells(state: Word, rule: int, boundary: str) -> Word:
@@ -38,75 +31,56 @@ def ca_by_cells(state: Word, rule: int, boundary: str) -> Word:
     return Word(width, out)
 
 
-def first_repeat_period(step_fn, seed: Word) -> int | None:
+def first_repeat_period(kind: str, seed: Word, taps) -> int | None:
     # brute-force oracle: steps until the seed recurs; None if it never does
-    state = step_fn(seed)
-    count = 1
-    while state != seed:
-        if count > 1 << seed.width:
-            return None
-        state = step_fn(state)
-        count += 1
-    return count
+    values = generate(GeneratorConfig(kind, seed.width, seed, taps), 1 << seed.width).values
+    return next((n for n in range(1, len(values)) if values[n] == seed.value), None)
 
 
 class TestExternalLfsr:
     def test_hand_stepped_example(self):
-        out = lfsr_external_step(word_from_text("1000", 2, 4), {4, 3})
+        out = step("lfsr_external", word_from_text("1000", 2, 4), taps={4, 3})
         assert out.to_binary() == "1100"
-
-    def test_all_zero_is_fixed_point(self):
-        assert lfsr_external_step(Word(4, 0), {4, 3}) == Word(4, 0)
 
     @pytest.mark.parametrize("seed_value", range(1, 16))
     def test_maximal_taps_give_period_15(self, seed_value):
         # this shift-toward-LSB form is injective only with position 1
         # tapped; {4,1} realizes x^4 + x^3 + 1
         seed = Word(4, seed_value)
-        assert first_repeat_period(lambda w: lfsr_external_step(w, {4, 1}), seed) == 15
+        assert first_repeat_period("lfsr_external", seed, {4, 1}) == 15
 
     def test_untapped_lsb_collapses_to_short_cycle(self):
         # with {4,3} bit 0 never feeds back: the map is not injective, so
         # the orbit from 1000 falls into a 3-cycle and never returns
-        state = word_from_text("1000", 2, 4)
-        seen = [state]
-        for _ in range(16):
-            state = lfsr_external_step(state, {4, 3})
-            seen.append(state)
+        config = GeneratorConfig("lfsr_external", 4, word_from_text("1000", 2, 4), {4, 3})
+        seen = list(generate(config, 16))
         assert seen[0] not in seen[1:]
         assert seen[5] == seen[2]
-        assert first_repeat_period(lambda w: lfsr_external_step(w, {4, 3}), seen[0]) is None
+        assert first_repeat_period("lfsr_external", seen[0], {4, 3}) is None
 
     def test_invalid_tap(self):
-        with pytest.raises(ValueError, match="invalid tap"):
-            lfsr_external_step(Word(4, 1), {5})
-        with pytest.raises(ValueError):
-            lfsr_external_step(Word(4, 1), set())
+        with pytest.raises(ValueError, match="^invalid tap position 5 for width 4$"):
+            GeneratorConfig("lfsr_external", 4, Word(4, 1), {5})
+        with pytest.raises(ValueError, match="^at least one feedback tap is required$"):
+            GeneratorConfig("lfsr_external", 4, Word(4, 1), set())
 
 
 class TestInternalLfsr:
-    def test_all_zero_is_fixed_point(self):
-        assert lfsr_internal_step(Word(4, 0), {4, 3}) == Word(4, 0)
-
     def test_hand_stepped_example(self):
         # LSB exits: re-enters at the MSB and XORs into the tap-3 stage
-        out = lfsr_internal_step(word_from_text("0001", 2, 4), {4, 3})
+        out = step("lfsr_internal", word_from_text("0001", 2, 4), taps={4, 3})
         assert out.bit(3) == 1
         assert out.to_binary() == "1100"
 
     def test_orbit_visits_all_nonzero_states(self):
-        state = Word(4, 1)
-        seen = set()
-        for _ in range(15):
-            seen.add(state.value)
-            state = lfsr_internal_step(state, {4, 3})
-        assert seen == set(range(1, 16))
-        assert state == Word(4, 1)
+        values = generate(GeneratorConfig("lfsr_internal", 4, Word(4, 1), {4, 3}), 15).values
+        assert set(values[:15]) == set(range(1, 16))
+        assert values[15] == 1
 
     @pytest.mark.parametrize("seed_value", range(1, 16))
     def test_period_15_from_any_seed(self, seed_value):
         seed = Word(4, seed_value)
-        assert first_repeat_period(lambda w: lfsr_internal_step(w, {4, 3}), seed) == 15
+        assert first_repeat_period("lfsr_internal", seed, {4, 3}) == 15
 
 
 class TestMaximalLengthByBruteForce:
@@ -123,20 +97,12 @@ class TestMaximalLengthByBruteForce:
         middle = range(2, width)
         for bits in range(1 << len(middle)):
             taps = {width, 1} | {t for i, t in enumerate(middle) if bits >> i & 1}
-            period = first_repeat_period(
-                lambda w: lfsr_external_step(w, taps), Word(width, 1)
-            )
-            if period == full:
+            if first_repeat_period("lfsr_external", Word(width, 1), taps) == full:
                 found = taps
                 break
         assert found is not None
         for seed_value in range(1, full + 1):
-            assert (
-                first_repeat_period(
-                    lambda w: lfsr_external_step(w, found), Word(width, seed_value)
-                )
-                == full
-            )
+            assert first_repeat_period("lfsr_external", Word(width, seed_value), found) == full
 
     @pytest.mark.parametrize("width", range(2, 9))
     def test_internal(self, width):
@@ -145,39 +111,31 @@ class TestMaximalLengthByBruteForce:
         lower = range(1, width)
         for bits in range(1 << len(lower)):
             taps = {width} | {t for i, t in enumerate(lower) if bits >> i & 1}
-            period = first_repeat_period(
-                lambda w: lfsr_internal_step(w, taps), Word(width, 1)
-            )
-            if period == full:
+            if first_repeat_period("lfsr_internal", Word(width, 1), taps) == full:
                 found = taps
                 break
         assert found is not None
         for seed_value in range(1, full + 1):
-            assert (
-                first_repeat_period(
-                    lambda w: lfsr_internal_step(w, found), Word(width, seed_value)
-                )
-                == full
-            )
+            assert first_repeat_period("lfsr_internal", Word(width, seed_value), found) == full
 
 
 class TestCa:
     def test_rule90_example(self):
-        out = ca_step(word_from_text("00100", 2, 5), 90, "null")
+        out = step("ca90", word_from_text("00100", 2, 5), boundary="null")
         assert out.to_binary() == "01010"
 
     def test_rule150_example(self):
-        out = ca_step(word_from_text("00100", 2, 5), 150, "null")
+        out = step("ca150", word_from_text("00100", 2, 5), boundary="null")
         assert out.to_binary() == "01110"
 
     @pytest.mark.parametrize("rule", [90, 150])
     @pytest.mark.parametrize("boundary", ["null", "cyclic"])
     def test_zero_is_fixed_point(self, rule, boundary):
-        assert ca_step(Word(8, 0), rule, boundary) == Word(8, 0)
+        assert step(f"ca{rule}", Word(8, 0), boundary=boundary) == Word(8, 0)
 
     @given(words(max_width=32), st.sampled_from([90, 150]), st.sampled_from(["null", "cyclic"]))
     def test_matches_cell_oracle(self, state, rule, boundary):
-        assert ca_step(state, rule, boundary) == ca_by_cells(state, rule, boundary)
+        assert step(f"ca{rule}", state, boundary=boundary) == ca_by_cells(state, rule, boundary)
 
     @given(
         st.integers(1, 24),
@@ -189,57 +147,43 @@ class TestCa:
         top = (1 << width) - 1
         a = Word(width, data.draw(st.integers(0, top)))
         b = Word(width, data.draw(st.integers(0, top)))
-        assert ca_step(a ^ b, rule, boundary) == ca_step(a, rule, boundary) ^ ca_step(
-            b, rule, boundary
-        )
-
-    def test_per_cell_rule_vector(self):
-        state = word_from_text("00100", 2, 5)
-        hybrid = ca_step(state, (90, 90, 150, 90, 90), "null")
-        # cell 2 follows rule 150, the rest rule 90
-        expect90 = ca_by_cells(state, 90, "null")
-        expect150 = ca_by_cells(state, 150, "null")
-        expected = (expect90.value & ~0b00100) | (expect150.value & 0b00100)
-        assert hybrid == Word(5, expected)
+        kind = f"ca{rule}"
+        assert step(kind, a ^ b, boundary=boundary) == step(
+            kind, a, boundary=boundary
+        ) ^ step(kind, b, boundary=boundary)
 
     def test_bad_rule_and_boundary(self):
-        with pytest.raises(ValueError):
-            ca_step(Word(4, 1), 30, "null")
-        with pytest.raises(ValueError):
-            ca_step(Word(4, 1), 90, "wrap")
-        with pytest.raises(ValueError):
-            ca_step(Word(4, 1), (90, 150), "null")  # wrong vector length
+        # the rule is the kind's name, so an unsupported rule is an unknown kind
+        with pytest.raises(ValueError, match="^unknown generator kind 'ca30'$"):
+            GeneratorConfig("ca30", 4, Word(4, 1))
+        with pytest.raises(ValueError, match="^boundary must be 'null' or 'cyclic', got 'wrap'$"):
+            GeneratorConfig("ca90", 4, Word(4, 1), boundary="wrap")
 
 
 class TestCounters:
     def test_binary_carry_chain(self):
-        assert counter_step(word_from_text("0111", 2, 4), "binary").to_binary() == "1000"
+        assert step("binary", word_from_text("0111", 2, 4)).to_binary() == "1000"
 
     def test_binary_wraparound(self):
-        assert counter_step(Word(4, 0b1111), "binary") == Word(4, 0)
+        assert step("binary", Word(4, 0b1111)) == Word(4, 0)
 
     def test_gray_single_flip_example(self):
-        out = counter_step(word_from_text("0001", 2, 4), "gray")
+        out = step("gray", word_from_text("0001", 2, 4))
         assert out.to_binary() == "0011"
 
     def test_gray_matches_xor_shift_table(self):
         # gray sequence from the n ^ (n >> 1) table
         table = [n ^ (n >> 1) for n in range(16)]
-        state = Word(4, table[0])
-        for expected in table[1:]:
-            state = counter_step(state, "gray")
-            assert state.value == expected
+        assert generate(GeneratorConfig("gray", 4, Word(4, table[0])), 15).values == tuple(table)
 
     @pytest.mark.parametrize("width", range(1, 17))
     def test_gray_flips_exactly_one_bit(self, width):
-        rng = random.Random(width)
-        if width <= 10:
-            starts = range(1 << width)
-        else:
-            starts = [rng.getrandbits(width) for _ in range(64)]
-        for value in starts:
-            state = Word(width, value)
-            assert hamming_distance(state, counter_step(state, "gray")) == 1
+        # the full cycle from 0 passes through every state, wrap included
+        trace = generate(GeneratorConfig("gray", width, Word(width, 0)), 1 << width)
+        assert len(set(trace.values)) == 1 << width
+        assert trace.values[-1] == 0
+        for a, b in zip(trace.values, trace.values[1:]):
+            assert hamming_distance(Word(width, a), Word(width, b)) == 1
 
     @pytest.mark.parametrize("width", range(2, 11))
     def test_binary_full_period_total(self, width):
@@ -251,14 +195,15 @@ class TestCounters:
         assert total == 2 ** (width + 1) - width - 2
 
     def test_bad_kind(self):
-        with pytest.raises(ValueError):
-            counter_step(Word(4, 0), "decade")
+        with pytest.raises(ValueError, match="^unknown generator kind 'decade'$"):
+            GeneratorConfig("decade", 4, Word(4, 0))
 
 
 class TestConfig:
     def test_all_zero_lfsr_seed_rejected(self):
-        with pytest.raises(ValueError, match="all-zero LFSR seed"):
-            GeneratorConfig(kind="lfsr_external", width=4, seed=Word(4, 0), taps={4, 3})
+        for kind in ("lfsr_external", "lfsr_internal"):
+            with pytest.raises(ValueError, match="all-zero LFSR seed"):
+                GeneratorConfig(kind=kind, width=4, seed=Word(4, 0), taps={4, 3})
 
     def test_taps_must_include_width(self):
         with pytest.raises(ValueError, match="include the register width"):
@@ -351,27 +296,3 @@ class TestAgainstReference:
     @given(configs(), st.integers(0, 40))
     def test_generate_equals_reference_walk(self, config, cycles):
         assert list(generate(config, cycles)) == reference.walk(config, cycles)
-
-    @given(words(max_width=64), st.data())
-    def test_lfsr_steps(self, state, data):
-        taps = data.draw(st.sets(st.integers(1, state.width), min_size=1, max_size=6))
-        assert lfsr_external_step(state, taps) == reference.lfsr_external_step(state, taps)
-        assert lfsr_internal_step(state, taps) == reference.lfsr_internal_step(state, taps)
-
-    @given(
-        st.one_of(words(max_width=64), words(min_width=1024, max_width=1024)),
-        st.sampled_from(["null", "cyclic"]),
-        st.data(),
-    )
-    def test_ca_steps(self, state, boundary, data):
-        for rule in (90, 150):
-            assert ca_step(state, rule, boundary) == reference.ca_step(state, rule, boundary)
-        hybrid = data.draw(
-            st.lists(st.sampled_from([90, 150]), min_size=state.width, max_size=state.width)
-        )
-        assert ca_step(state, hybrid, boundary) == reference.ca_step(state, hybrid, boundary)
-
-    @given(st.one_of(words(max_width=64), words(min_width=256, max_width=256)))
-    def test_counter_steps(self, state):
-        for kind in ("binary", "gray"):
-            assert counter_step(state, kind) == reference.counter_step(state, kind)
