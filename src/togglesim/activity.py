@@ -4,20 +4,19 @@ The activity factor of a trace is the observed bit transitions divided by
 the total transferable bits, width times the number of word-to-word
 transfers. It is 1.0 when every line flips on every transfer.
 
-Transitions are counted by one fold, `analyze_chunks`, over a trace's values
-arriving as chunks of ints: from a trace reader, an encoder or slices of a
-held `Trace` (`analyze_trace`). It keeps the per-line counts and the last
-word of the previous chunk, so its memory does not grow with the trace
-unless per-transfer counts are asked for.
+Transitions are counted by one fold, `analyze_chunks`, over a trace's words
+arriving as packed byte chunks (see `bits`): from a trace reader, an
+encoder or slices of a held `Trace` (`analyze_trace`). It folds the chunk
+bytes as they come, keeping the per-line counts and the last word of the
+previous pack, so its memory does not grow with the trace unless
+per-transfer counts are asked for.
 """
 
 from __future__ import annotations
 
-import sys
-from collections.abc import Iterable, Iterator, Sequence
-from itertools import repeat
+from collections.abc import Iterable, Iterator
 
-from .bits import Record, Trace, chunk_words, chunked, transfer_counts
+from .bits import Record, Trace, chunk_words, chunked, unpack
 
 
 class ActivityReport(Record):
@@ -59,67 +58,53 @@ def switching_activity(total_transitions: int, width: int, transfers: int) -> fl
     return total_transitions / (width * transfers)
 
 
-def _packs(chunks: Iterable[Sequence[int]], size: int) -> Iterator[list[int]]:
-    """The values of `chunks` regrouped into lists of `size` or more, the
-    last of 2 or more, each list starting with the last value of the list
-    before it: every pair of neighbouring values is in exactly one list."""
-    pack = []
+def _packs(chunks: Iterable[bytes], size: int, words: int) -> Iterator[bytearray]:
+    """The words of `chunks`, `size` bytes each, regrouped into packs of
+    `words` or more, the last of 2 or more, each pack starting with the last
+    word of the pack before it: every pair of neighbouring words is in
+    exactly one pack."""
+    pack = bytearray()
     for chunk in chunks:
         pack += chunk
-        if len(pack) >= size:
+        if len(pack) >= words * size:
             yield pack
-            pack = pack[-1:]
-    if len(pack) > 1:
+            pack = pack[-size:]
+    if len(pack) > size:
         yield pack
 
 
-def analyze_chunks(width: int, chunks: Iterable[Sequence[int]],
+def analyze_chunks(width: int, chunks: Iterable[bytes],
                    include_per_cycle: bool = False) -> ActivityReport:
     """Count transitions over consecutive word pairs of a trace whose
-    `width`-bit values arrive in `chunks`, in order.
+    `width`-bit words arrive in `chunks` (see `bits`), in order.
 
-    The values are regrouped into packs of about chunk_words(width) words,
+    The words are regrouped into packs of about chunk_words(width) words,
     neighbouring packs sharing one word, so every transfer is counted once
-    and the work per pack does not depend on how the values were chunked.
-    A pack's words are laid out little-endian in one int, `stride` bytes per
-    word (at least ceil(width/8)), and XOR with itself shifted down one word
-    puts each transfer's flipped lines in the slot of its first word. Byte
-    lane j of those slots, taken as one int, holds lines 8j..8j+7 of every
-    transfer; line 8j+k's toggles in the pack are the popcount of that lane
-    masked to bit k of every byte. The work per pack is a few whole-pack
-    big-int operations per line, and the transient memory is bounded by the
-    pack, not the trace.
+    and the work per pack does not depend on how the words were chunked.
+    A pack read as one big-endian int, XORed with itself shifted down one
+    word, holds each transfer's flipped lines in the slot of its second
+    word. Byte lane j of those slots, taken as one int, holds lines
+    8j..8j+7 of every transfer; line 8j+k's toggles in the pack are the
+    popcount of that lane masked to bit k of every byte. The work per pack
+    is a few whole-pack big-int operations per line, and the transient
+    memory is bounded by the pack, not the trace.
     """
-    from array import array  # here, not at the top: `gen` starts without it
-
     size = (width + 7) // 8
-    # Up to 64 lines, a word is packed as one machine integer of `stride`
-    # bytes, with no object per word; wider words take `size` bytes each.
-    code = next((c for c in "BHILQ" if array(c).itemsize >= size), None)
-    stride = array(code).itemsize if code else size
     toggles = [0] * width
     per_cycle = [] if include_per_cycle else None
     transfers = 0
-    for words in _packs(chunks, max(2, chunk_words(width))):
-        if per_cycle is not None:
-            per_cycle += transfer_counts(words)
-        n = len(words) - 1
+    for pack in _packs(chunks, size, max(2, chunk_words(width))):
+        n = len(pack) // size - 1
         transfers += n
-        if code:
-            items = array(code, words)
-            if sys.byteorder == "big":
-                items.byteswap()
-            packed = int.from_bytes(items, "little")
-        else:
-            packed = int.from_bytes(
-                b"".join(map(int.to_bytes, words, repeat(size), repeat("little"))), "little"
-            )
-        stop = stride * n  # the last slot holds a word, not a transfer
-        diffs = (packed ^ (packed >> (8 * stride))).to_bytes(stop + stride, "little")
+        packed = int.from_bytes(pack, "big")
+        # the first slot holds a word, not a transfer
+        diffs = (packed ^ (packed >> (8 * size))).to_bytes(len(pack), "big")[size:]
+        if per_cycle is not None:
+            per_cycle += map(int.bit_count, unpack(width, diffs))
         ones = int.from_bytes(b"\x01" * n, "little")
         masks = [ones << k for k in range(min(8, width))]
         for j in range(size):
-            lane = int.from_bytes(diffs[j:stop:stride], "little")
+            lane = int.from_bytes(diffs[size - 1 - j :: size], "little")
             for line in range(8 * j, min(8 * j + 8, width)):
                 toggles[line] += (lane & masks[line % 8]).bit_count()
     if transfers < 1:
@@ -136,7 +121,7 @@ def analyze_chunks(width: int, chunks: Iterable[Sequence[int]],
 
 
 def analyze_trace(trace: Trace, include_per_cycle: bool = False) -> ActivityReport:
-    """analyze_chunks over slices of the trace's values, one pack each."""
+    """analyze_chunks over chunks of the trace's values, one pack each."""
     return analyze_chunks(trace.width, chunked(trace.values, trace.width), include_per_cycle)
 
 

@@ -8,9 +8,15 @@ or indexing it yields :class:`Word` objects. The number of word-to-word
 transfers is one less than the number of words.
 
 The transition count between two consecutive words is their Hamming
-distance, i.e. the popcount of their XOR. :func:`transfer_counts` gives
-that per transfer over a sequence of int values; the probe's per-cycle
-counts and the analyzer's ``per_cycle`` both come from it.
+distance, i.e. the popcount of their XOR.
+
+Every chunked stage (generator, renderer, reader, encoders and the toggle
+fold) passes a trace on in *chunks*: ``bytes`` holding one or more words of
+``ceil(width / 8)`` bytes each, big-endian, in trace order, the bits above
+`width` zero. It is what ``bytes.fromhex`` makes of a block of hex words, so
+a stage works on a chunk in a few C-level calls, not one Python call per
+word. :func:`pack` and :func:`unpack` convert at the edges of the stages
+that need ints.
 
 :class:`Record` is the base of every immutable value class in the package,
 :class:`Word` and :class:`Trace` included: named ``__slots__`` fields bound
@@ -19,9 +25,10 @@ once by ``Record.__init__``, with equality, hash, repr and pickling by field.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain, islice
-from operator import attrgetter, xor
+from itertools import chain, repeat
+from operator import attrgetter
 
 MAX_WIDTH = 1024  # sanity bound; typical buses here are 4..16 lines
 
@@ -40,10 +47,53 @@ def chunk_words(width: int) -> int:
     return CHUNK_BYTES // ((width + 7) // 8)
 
 
-def chunked(values: Sequence[int], width: int) -> Iterator[Sequence[int]]:
-    """`values` in consecutive slices of chunk_words(width) values."""
+def chunked(values: Sequence[int], width: int) -> Iterator[bytes]:
+    """`values` as chunks of chunk_words(width) words (the last may be shorter)."""
     step = chunk_words(width)
-    return (values[start : start + step] for start in range(0, len(values), step))
+    return (pack(width, values[start : start + step]) for start in range(0, len(values), step))
+
+
+def _restride(data: bytes, old: int, new: int) -> bytes:
+    """Big-endian words of `old` bytes each as words of `new` bytes, zero
+    bytes added or dropped at the top of each word."""
+    if old == new:
+        return data
+    out = bytearray(len(data) // old * new)
+    for j in range(1, min(old, new) + 1):
+        out[new - j :: new] = data[old - j :: old]
+    return out
+
+
+def _machine_words(size: int):
+    """An empty array of the narrowest unsigned machine integer of at least
+    `size` bytes, or None past 8 bytes."""
+    from array import array  # here, not at the top: the CLI starts without it
+
+    return next((array(c) for c in "BHILQ" if array(c).itemsize >= size), None)
+
+
+def pack(width: int, values: Iterable[int]) -> bytes:
+    """A chunk of `width`-bit words from their values (see the module docstring)."""
+    size = (width + 7) // 8
+    items = _machine_words(size)
+    if items is None:
+        return b"".join(map(int.to_bytes, values, repeat(size), repeat("big")))
+    items.extend(values)
+    if sys.byteorder == "little":
+        items.byteswap()
+    return bytes(_restride(items.tobytes(), items.itemsize, size))
+
+
+def unpack(width: int, chunk: bytes) -> list[int]:
+    """The values of the `width`-bit words in `chunk`; the inverse of pack."""
+    size = (width + 7) // 8
+    items = _machine_words(size)
+    if items is None:
+        return [int.from_bytes(chunk[i : i + size], "big") for i in range(0, len(chunk), size)]
+    items.frombytes(_restride(chunk, size, items.itemsize))
+    if sys.byteorder == "little":
+        items.byteswap()
+    return items.tolist()
 
 
 def check_width(width: int) -> None:
@@ -185,11 +235,6 @@ def hamming_distance(a: Word, b: Word) -> int:
     return (a.value ^ b.value).bit_count()
 
 
-def transfer_counts(values: Sequence[int]) -> Iterator[int]:
-    """How many lines flip on each word-to-word transfer."""
-    return map(int.bit_count, map(xor, values, islice(values, 1, None)))
-
-
 class Trace(Record):
     """Same-width int values over consecutive clock cycles, cycle 0 first."""
 
@@ -217,9 +262,9 @@ class Trace(Record):
         return cls(width, tuple(w.value for w in ws))
 
     @classmethod
-    def from_chunks(cls, width: int, chunks: Iterable[Iterable[int]]) -> "Trace":
-        """The trace of the values in `chunks`, in order."""
-        return cls(width, tuple(chain.from_iterable(chunks)))
+    def from_chunks(cls, width: int, chunks: Iterable[bytes]) -> "Trace":
+        """The trace of the words in `chunks`, in order."""
+        return cls(width, tuple(chain.from_iterable(map(unpack, repeat(width), chunks))))
 
     @property
     def transfers(self) -> int:

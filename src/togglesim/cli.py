@@ -2,14 +2,14 @@
 
 Exit codes: 0 success, 2 usage error, 3 data/parse error.
 
-`tables` and `power` are imported inside their commands, so that `gen` and
-`analyze`, run once per probed trace, start without them.
+`tables` and `power` are imported inside their commands, and `json` where a
+report is written or read as JSON, so that `gen` and `analyze`, run once per
+probed trace, start without them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -108,7 +108,7 @@ def _analyze_stream(stream, args: argparse.Namespace) -> ActivityReport:
     chunk of the trace at a time."""
     width, chunks = read_chunks(stream)
     if args.encode == "gray":
-        chunks = gray_encode_chunks(chunks)
+        chunks = gray_encode_chunks(width, chunks)
     elif args.encode == "businvert":
         chunks, width = bus_invert_encode_chunks(width, chunks), width + 1
     return analyze_chunks(width, chunks, include_per_cycle=args.per_cycle)
@@ -127,6 +127,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_power(args: argparse.Namespace) -> int:
+    import json
+
     from .power import (
         DynamicPowerParams, StaticPowerParams, check_tau, dynamic_power, static_power
     )

@@ -22,7 +22,10 @@ Shift and tap conventions, fixed so sequences are reproducible:
 
 `_GENERATORS` is the single place a kind is defined: it names the one
 `GeneratorConfig` field the kind accepts (`taps`, `boundary` or none) and a
-builder that returns the kind's step as a plain `int -> int` recurrence.
+builder that returns the kind's chunk source. LFSRs and CAs are `int -> int`
+recurrences, stepped once per word and packed per chunk; the counters build
+each chunk whole, from one array per wrap segment, and the gray counter is
+the binary counter's chunk through the packed gray map.
 `GeneratorConfig` validates every parameter once, so the builders trust it.
 `generate_chunks` (and its whole-`Trace` wrapper `generate`) is the one way
 to run a generator; the CLI, the reference tables and the benchmark all go
@@ -33,10 +36,12 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 
-from .bits import Record, Trace, Word, check_width, chunk_words
-from .encoders import binary_to_gray, gray_to_binary
+from .bits import Record, Trace, Word, check_width, chunk_words, pack
+from .encoders import gray_map, gray_to_binary
 
 Step = Callable[[int], int]
+# (seed value, cycles) -> the seed and `cycles` generated words, as chunks
+Source = Callable[[int, int], Iterator[bytes]]
 
 # Stock degree-16 feedback polynomial, used for 16-bit registers when none
 # is given explicitly; maximal-length in the Galois form.
@@ -45,53 +50,78 @@ DEFAULT_TAPS_16 = frozenset({16, 14, 13, 11})
 BOUNDARIES = ("null", "cyclic")
 
 
-def _fibonacci(width: int, taps: frozenset[int]) -> Step:
+def _stepped(width: int, step: Step) -> Source:
+    """The source of a recurrence: the seed, then `step` of the word before."""
+    def chunks(value: int, cycles: int) -> Iterator[bytes]:
+        per_chunk = chunk_words(width)
+        for start in range(0, cycles + 1, per_chunk):
+            values = []
+            for _ in range(min(per_chunk, cycles + 1 - start)):
+                values.append(value)
+                value = step(value)
+            yield pack(width, values)
+
+    return chunks
+
+
+def _fibonacci(width: int, taps: frozenset[int]) -> Source:
     mask = 0
     for t in taps:
         mask |= 1 << (t - 1)
     top = width - 1
-    return lambda v: (v >> 1) | (((v & mask).bit_count() & 1) << top)
+    return _stepped(width, lambda v: (v >> 1) | (((v & mask).bit_count() & 1) << top))
 
 
-def _galois(width: int, taps: frozenset[int]) -> Step:
+def _galois(width: int, taps: frozenset[int]) -> Source:
     mask = 1 << (width - 1)
     for t in taps:
         if t != width:
             mask |= 1 << (t - 1)
-    return lambda v: (v >> 1) ^ mask if v & 1 else v >> 1
+    return _stepped(width, lambda v: (v >> 1) ^ mask if v & 1 else v >> 1)
 
 
-def _ca(width: int, self_mask: int, boundary: str) -> Step:
+def _ca(width: int, self_mask: int, boundary: str) -> Source:
     # Both rules XOR the two neighbors; rule-150 cells (self_mask set) also
     # XOR themselves in.
     full = (1 << width) - 1
     if boundary == "null":
-        return lambda v: (v >> 1) ^ ((v << 1) & full) ^ (v & self_mask)
+        return _stepped(width, lambda v: (v >> 1) ^ ((v << 1) & full) ^ (v & self_mask))
     top = width - 1
-    return lambda v: (
+    return _stepped(width, lambda v: (
         (v >> 1 | (v & 1) << top) ^ ((v << 1 | v >> top) & full) ^ (v & self_mask)
-    )
+    ))
 
 
-def _binary(width: int, _: None) -> Step:
-    full = (1 << width) - 1
-    return lambda v: (v + 1) & full
+def _counter(width: int, gray: bool) -> Source:
+    """The source of a counter that wraps from 2^width - 1 to 0, counting in
+    binary, or in gray code when `gray`: each chunk is the run of counts
+    up to the wrap, as many whole cycles as fit, and the run after them."""
+    full = 1 << width
 
+    def chunks(seed: int, cycles: int) -> Iterator[bytes]:
+        per_chunk = chunk_words(width)
+        value = gray_to_binary(seed) if gray else seed
+        for start in range(0, cycles + 1, per_chunk):
+            count = min(per_chunk, cycles + 1 - start)
+            head = range(value, min(value + count, full))
+            whole, rest = divmod(count - len(head), full)
+            cycle = pack(width, range(full)) * whole if whole else b""
+            chunk = pack(width, head) + cycle + pack(width, range(rest))
+            value = (value + count) % full
+            yield gray_map(width, chunk) if gray else chunk
 
-def _gray(width: int, _: None) -> Step:
-    full = (1 << width) - 1
-    return lambda g: binary_to_gray((gray_to_binary(g) + 1) & full)
+    return chunks
 
 
 # kind -> (the one GeneratorConfig field it accepts, builder taking the
-# width and that field's already validated value and returning the step)
-_GENERATORS: dict[str, tuple[str | None, Callable[..., Step]]] = {
+# width and that field's already validated value and returning the source)
+_GENERATORS: dict[str, tuple[str | None, Callable[..., Source]]] = {
     "lfsr_internal": ("taps", _galois),
     "lfsr_external": ("taps", _fibonacci),
     "ca90": ("boundary", lambda width, boundary: _ca(width, 0, boundary)),
     "ca150": ("boundary", lambda width, boundary: _ca(width, (1 << width) - 1, boundary)),
-    "binary": (None, _binary),
-    "gray": (None, _gray),
+    "binary": (None, lambda width, _: _counter(width, False)),
+    "gray": (None, lambda width, _: _counter(width, True)),
 }
 KINDS = tuple(_GENERATORS)
 
@@ -121,7 +151,11 @@ class GeneratorConfig(Record):
         if param == "taps":
             if taps is None:
                 raise ValueError(f"{kind} requires feedback taps")
-            taps = frozenset(int(t) for t in taps)
+            taps = tuple(taps)
+            for t in taps:
+                if isinstance(t, bool) or not isinstance(t, int):
+                    raise ValueError(f"tap positions must be int, got {t!r}")
+            taps = frozenset(taps)
             if not taps:
                 raise ValueError("at least one feedback tap is required")
             for t in sorted(taps):
@@ -142,24 +176,14 @@ class GeneratorConfig(Record):
         super().__init__(kind, width, seed, taps, boundary)
 
 
-def generate_chunks(config: GeneratorConfig, cycles: int) -> Iterator[list[int]]:
-    """Seed plus `cycles` generated values, in lists of chunk_words(width)
-    values (the seed heads the first)."""
+def generate_chunks(config: GeneratorConfig, cycles: int) -> Iterator[bytes]:
+    """Seed plus `cycles` generated words, as chunks (see `bits`) of
+    chunk_words(width) words (the last may be shorter), the seed first."""
     if cycles < 0:
         raise ValueError(f"cycles must be >= 0, got {cycles}")
     param, build = _GENERATORS[config.kind]
-    step = build(config.width, getattr(config, param) if param else None)
-    per_chunk = chunk_words(config.width)
-    value = config.seed.value
-    chunk = [value]
-    for start in range(0, cycles, per_chunk):
-        for _ in range(min(per_chunk, cycles - start)):
-            value = step(value)
-            chunk.append(value)
-        yield chunk
-        chunk = []
-    if chunk:
-        yield chunk  # no cycles: the seed alone
+    source = build(config.width, getattr(config, param) if param else None)
+    yield from source(config.seed.value, cycles)
 
 
 def generate(config: GeneratorConfig, cycles: int) -> Trace:

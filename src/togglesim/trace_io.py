@@ -12,36 +12,35 @@ Leading and trailing whitespace is stripped from every line, and lines end
 where `str.splitlines` ends them. `radix` is `bin` (MSB-first binary) or
 `hex` (case-insensitive on input, rendered uppercase and zero-padded).
 
-Both directions stream. `read_chunks` reads a stream in blocks of
-`CHUNK_BYTES`, decodes them incrementally and yields the words of each
-block as a validated list of ints, so a reader of any trace holds one block
-and its words; `render_chunks` turns chunks of ints back into text one
-chunk at a time. `parse_trace`, `read_trace`, `load_trace` and
-`render_trace` wrap them for whole `Trace`s.
+Both directions stream, one packed chunk (see `bits`) at a time, so a
+reader or writer of any trace holds one block of text and its words.
+`read_chunks` reads a stream in blocks of about `CHUNK_BYTES` bytes, each
+cut after a line break. A clean block, one full-width word per line ended
+by "\n" as `render_chunks` writes it, is parsed whole by one `int()` or
+`bytes.fromhex`; any other block is decoded and walked line by line, and an
+error names the same line as a whole-text parse would. `render_chunks`
+writes a chunk as its hex form, for binary after spreading each bit to a
+nibble. `parse_trace`, `read_trace`, `load_trace` and `render_trace` wrap
+them for whole `Trace`s.
 """
 
 from __future__ import annotations
 
-import codecs
-import json
 import re
 from collections.abc import Iterable, Iterator
-from io import IOBase, StringIO
+from functools import lru_cache
+from io import IOBase, StringIO, TextIOBase
 from itertools import chain, repeat
 
 from .activity import ActivityReport, rounded_display
-from .bits import CHUNK_BYTES, Record, Trace, check_width, value_from_text
+from .bits import CHUNK_BYTES, Record, Trace, check_width, chunked, pack, value_from_text
 
 REPORT_FORMATS = ("json", "csv", "table")
 
 _RADIX_BY_NAME = {"bin": 2, "hex": 16}
 _NAME_BY_RADIX = {2: "bin", 16: "hex"}
 _HEADER_RE = re.compile(r"^width=(\d+)\s+radix=(bin|hex)$")
-# The characters str.splitlines ends a line at ("\r\n" also ends one).
-_LINE_BREAKS = frozenset("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
-# Every character of a run of words joined by newlines. A single character
-# class, not a repeated group per word: sre keeps no backtracking stack for it.
-_WORDS_RE = {2: re.compile(r"[01\n]*"), 16: re.compile(r"[0-9a-fA-F\n]*")}
+_DIGITS = {2: b"01", 16: b"0123456789abcdefABCDEF"}
 
 
 class TraceFormatError(ValueError):
@@ -60,97 +59,130 @@ class TraceFileHeader(Record):
     def render(self) -> str:
         return f"width={self.width} radix={_NAME_BY_RADIX[self.radix]}"
 
+    @property
+    def digits(self) -> int:
+        """The digits of a word written in full."""
+        return self.width if self.radix == 2 else (self.width + 3) // 4
 
-def _line_batches(stream: IOBase) -> Iterator[tuple[int, list[str]]]:
-    """The stream's lines, cut as `str.splitlines` cuts the whole text, in
-    one batch per block read: (lines before the batch, batch). The last line
-    keeps its line break, if it has one.
 
-    The last piece of each block is carried into the next, so a line break,
-    "\\r\\n" pair or multibyte character split by a block edge reads as one.
-    A line longer than a block makes the next read as long as that line, so
-    no text is copied more than a few times. Bytes are decoded as UTF-8; a
-    byte that is not raises TraceFormatError naming its line.
+def _blocks(stream: IOBase) -> Iterator[bytes]:
+    """The stream's bytes in blocks of about CHUNK_BYTES read, each block
+    but the last ending in a line break, so that every block starts a line
+    and decodes on its own; the characters of a text stream are read as
+    their UTF-8 bytes. A line longer than a block makes the next read as
+    long as that line, so no byte is copied more than a few times. (A text
+    whose only line breaks are the rare ones str.splitlines also knows, such
+    as "\x1c" or "\u2028", is read as one block.)
     """
-    decode = codecs.getincrementaldecoder("utf-8")().decode
-    carry = ""
-    count = 0
-    while True:
-        data = stream.read(max(CHUNK_BYTES, len(carry)))
-        text = data
-        if isinstance(data, bytes):
-            try:
-                text = decode(data, not data)
-            except UnicodeDecodeError as exc:
-                # the bytes before exc.start are valid and follow `carry`
-                valid = carry + exc.object[: exc.start].decode("utf-8")
-                lineno = count + len((valid + "x").splitlines())
-                raise TraceFormatError(
-                    f"line {lineno}: byte 0x{exc.object[exc.start]:02X} is not UTF-8 "
-                    f"text ({exc.reason})"
-                ) from exc
-        if text:
-            text = carry + text
-            lines = text.splitlines()
-            # carry the last line with its line break, which may be the "\r"
-            # of a "\r\n" or may be missing
-            ends = 2 if text.endswith("\r\n") else text[-1] in _LINE_BREAKS
-            carry = text[len(text) - ends - len(lines.pop()) :]
-            if lines:
-                yield count, lines
-                count += len(lines)
-        if not data:
-            break
+    carry = b""
+    while data := stream.read(max(CHUNK_BYTES, len(carry))):
+        if isinstance(data, str):
+            data = data.encode("utf-8", "surrogatepass")
+        block = carry + data if carry else data
+        # after the last "\n", or else the last "\r" that no "\n" can follow
+        cut = block.rfind(b"\n") + 1 or block.rfind(b"\r", 0, -1) + 1
+        carry = block[cut:]
+        if cut:
+            yield block[:cut]
     if carry:
-        yield count, [carry]
+        yield carry
 
 
-def _words(lines: list[str], lineno: int, radix: int, width: int) -> list[int]:
-    """The values of the word lines among `lines`, the first being line
-    `lineno`, with blank and comment lines skipped.
+def _decode(block: bytes, count: int, errors: str) -> str:
+    """The text of `block`, whose first line is line `count` + 1; a byte
+    that is not UTF-8 raises TraceFormatError naming its line."""
+    try:
+        return block.decode("utf-8", errors)
+    except UnicodeDecodeError as exc:
+        lineno = count + len((block[: exc.start].decode("utf-8") + "x").splitlines())
+        raise TraceFormatError(
+            f"line {lineno}: byte 0x{block[exc.start]:02X} is not UTF-8 "
+            f"text ({exc.reason})"
+        ) from exc
 
-    The words are checked in bulk: the longest against the digit limit, their
-    characters by one regular-expression match, and the largest value
-    against the width (a hex word can overflow a width 4 does not divide).
-    Only when one of these checks fails are the lines walked again through
-    value_from_text, which names the first bad line.
+
+def _clean_words(block: bytes, header: TraceFileHeader) -> bytes | None:
+    """The words of `block` as a chunk if the block is clean, else None.
+
+    A clean block is one word per line, each of exactly as many digits as
+    the header's width takes and ended by "\n", and no hex word above the
+    width. It is then pure ASCII, and is parsed by one int() (binary) or
+    bytes.fromhex (hex) over the whole block. Binary words get the zero bits
+    that pad them to whole bytes as "0" digits before the newlines are
+    dropped, and a hex word of an odd number of digits gets one "0" digit.
+    """
+    width, radix, digits = header.width, header.radix, header.digits
+    n, rest = divmod(len(block), digits + 1)
+    newlines = b"\n" * n
+    if (
+        rest or not n
+        or block[digits :: digits + 1] != newlines
+        or block.translate(None, _DIGITS[radix]) != newlines
+    ):
+        return None
+    size = (width + 7) // 8
+    if radix == 2:
+        pad = 8 * size - width
+        return (int(block.replace(b"\n", b"0" * pad), 2) >> pad).to_bytes(n * size, "big")
+    text = block.decode("ascii")
+    if digits % 2:
+        text = "0" + text[:-1].replace("\n", "\n0")
+    words = bytes.fromhex(text)
+    if width % 4 and max(words[::size]) >> (width - 8 * size + 8):
+        return None  # a word above the width, which the walk names
+    return words
+
+
+def _words(lines: list[str], lineno: int, header: TraceFileHeader) -> bytes:
+    """The words of the word lines among `lines`, the first being line
+    `lineno`, as a chunk, with blank and comment lines skipped.
+
+    The words are checked in bulk: zero-filled to the header's digits, one
+    per line, valid words make a clean block (see _clean_words). Only when
+    that check fails are the lines walked again through value_from_text,
+    which names the first bad line.
     """
     words = [w for w in map(str.strip, lines) if w and w[0] != "#"]
     if not words:
-        return words
-    digits = width if radix == 2 else (width + 3) // 4
-    if max(map(len, words)) <= digits and _WORDS_RE[radix].fullmatch("\n".join(words)):
-        values = list(map(int, words, repeat(radix)))
-        if radix == 2 or not width % 4 or not max(values) >> width:
-            return values
+        return b""
+    text = "\n".join(map(str.zfill, words, repeat(header.digits))) + "\n"
+    chunk = _clean_words(text.encode("utf-8", "surrogatepass"), header)
+    if chunk is not None:
+        return chunk
     values = []
     for lineno, raw_line in enumerate(lines, start=lineno):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            values.append(value_from_text(line, radix, width))
+            values.append(value_from_text(line, header.radix, header.width))
         except ValueError as exc:
             raise TraceFormatError(f"line {lineno}: {exc}") from exc
-    return values
+    return pack(header.width, values)
 
 
-def _parse(stream: IOBase) -> Iterator[TraceFileHeader | list[int]]:
-    """The header of the trace in `stream`, then its values, one non-empty
-    list per batch of lines.
+def _parse(stream: IOBase) -> Iterator[TraceFileHeader | bytes]:
+    """The header of the trace in `stream`, then its words, one non-empty
+    chunk per block read.
 
-    A format error is raised once the rest of the stream has been decoded,
-    so a byte that is not UTF-8 anywhere in it is reported first, as it is
-    when the whole stream is decoded before parsing.
+    A block is parsed whole when it is clean (see _clean_words); any other
+    block is decoded and walked line by line by _words. A format error is
+    raised once the rest of the stream has been decoded, so a byte that is
+    not UTF-8 anywhere in it is reported first, as it is when the whole
+    stream is decoded before parsing.
     """
-    batches = _line_batches(stream)
+    errors = "surrogatepass" if isinstance(stream, TextIOBase) else "strict"
+    blocks = _blocks(stream)
+    count = 0  # the lines of the blocks taken from `blocks`
     try:
-        for count, lines in batches:
+        for block in blocks:
+            lines = _decode(block, count, errors).splitlines(keepends=True)
+            first, count = count + 1, count + len(lines)
             for index, raw_line in enumerate(lines):
                 line = raw_line.strip()
                 if not line or line.startswith("#"):
                     continue
-                lineno = count + index + 1
+                lineno = first + index
                 match = _HEADER_RE.match(line)
                 if not match:
                     raise TraceFormatError(
@@ -162,30 +194,42 @@ def _parse(stream: IOBase) -> Iterator[TraceFileHeader | list[int]]:
                 except ValueError as exc:
                     raise TraceFormatError(f"line {lineno}: {exc}") from exc
                 yield header
+                # the rest of the header's block, then the blocks after it
+                count = lineno
+                rest = "".join(lines[index + 1 :]).encode("utf-8", "surrogatepass")
                 empty = True
-                for count, lines in chain([(lineno, lines[index + 1 :])], batches):
-                    values = _words(lines, count + 1, header.radix, header.width)
-                    if values:
+                for block in chain([rest], blocks):
+                    words = _clean_words(block, header)
+                    if words is None:
+                        lines = _decode(block, count, errors).splitlines()
+                        first, count = count + 1, count + len(lines)
+                        words = _words(lines, first, header)
+                    else:
+                        count += len(block) // (header.digits + 1)  # one word per line
+                    if words:
                         empty = False
-                        yield values
+                        yield words
                 if empty:
                     raise TraceFormatError("empty trace: no words after the header")
                 return
         raise TraceFormatError("missing header 'width=<n> radix=<bin|hex>'")
-    except TraceFormatError:
-        for _ in batches:  # already done after a decode error
-            pass
+    except TraceFormatError as exc:
+        # decode the rest, so that a byte that is not UTF-8 anywhere is
+        # reported first; a decode error already names the first such byte
+        if not isinstance(exc.__cause__, UnicodeDecodeError):
+            for block in blocks:
+                count += len(_decode(block, count, errors).splitlines())
         raise
 
 
-def read_chunks(stream: IOBase) -> tuple[int, Iterator[list[int]]]:
+def read_chunks(stream: IOBase) -> tuple[int, Iterator[bytes]]:
     """Start reading a trace from a readable text or byte stream.
 
     Returns the header's width, once the header has been read, and an
-    iterator over the trace's values: one validated, non-empty list of ints
-    per block of CHUNK_BYTES read. The stream is read as the iterator is
-    advanced. A TraceFormatError names the first bad line, and comes only
-    after the rest of the stream has been decoded.
+    iterator over the trace's words: one validated, non-empty chunk (see
+    `bits`) per block of about CHUNK_BYTES read. The stream is read as the
+    iterator is advanced. A TraceFormatError names the first bad line, and
+    comes only after the rest of the stream has been decoded.
     """
     chunks = _parse(stream)
     return next(chunks).width, chunks
@@ -206,19 +250,55 @@ def load_trace(path: str) -> Trace:
         return read_trace(fh)
 
 
-def render_chunks(width: int, chunks: Iterable[Iterable[int]], radix: int = 2) -> Iterator[str]:
+def render_chunks(width: int, chunks: Iterable[bytes], radix: int = 2) -> Iterator[str]:
     """Canonical text form of a trace, one string for the header and one per
-    chunk of values; their concatenation parses back to the values."""
-    yield TraceFileHeader(width, radix).render() + "\n"
-    # the format specs of Word.to_binary and Word.to_hex
-    spec = f"0{width}b" if radix == 2 else f"0{(width + 3) // 4}X"
+    chunk (see `bits`); their concatenation parses back to the words.
+
+    Hex is the chunk's own hex form, a newline after every word. For binary,
+    each bit of the chunk is first spread to a nibble of its own, so that
+    the hex form of the spread chunk is the binary text. Either way every
+    word is rendered in whole bytes; the digits that pad a word to them are
+    leading zeros, dropped by one replace.
+    """
+    header = TraceFileHeader(width, radix)
+    yield header.render() + "\n"
+    size = (width + 7) // 8
+    pad = (8 if radix == 2 else 2) * size - header.digits
     for chunk in chunks:
-        yield "\n".join([*map(format, chunk, repeat(spec)), ""])
+        if radix == 16:
+            text = chunk.hex("\n", size).upper()
+        else:
+            text = _spread_bits(chunk).hex("\n", 4 * size)
+        if pad:
+            text = text[pad:].replace("\n" + "0" * pad, "\n")
+        yield text + "\n"
+
+
+def _spread_bits(chunk: bytes) -> bytes:
+    """`chunk` with bit i of every byte moved to bit 4i of four bytes."""
+    spread = bytearray(4 * len(chunk))
+    spread[3::4] = chunk
+    value = int.from_bytes(spread, "big")
+    for shift, mask in _spread_masks(len(chunk)):
+        value = (value | value << shift) & mask
+    return value.to_bytes(len(spread), "big")
+
+
+@lru_cache(maxsize=1)  # chunks mostly come in one length
+def _spread_masks(length: int) -> tuple[tuple[int, int], ...]:
+    """_spread_bits's three shift and mask steps for a chunk of `length` bytes:
+    each byte's high nibble to the high half of its four bytes, then each
+    bit pair to a byte of its own, then each bit to a nibble."""
+    return tuple(
+        (shift, int.from_bytes(mask * length, "big"))
+        for shift, mask in ((12, b"\x00\x0f\x00\x0f"), (6, b"\x03\x03\x03\x03"),
+                            (3, b"\x11\x11\x11\x11"))
+    )
 
 
 def render_trace(trace: Trace, radix: int = 2) -> str:
     """Canonical text form; parse_trace(render_trace(t)) == t."""
-    return "".join(render_chunks(trace.width, [trace.values], radix))
+    return "".join(render_chunks(trace.width, chunked(trace.values, trace.width), radix))
 
 
 def write_report(report: ActivityReport, format: str = "table") -> str:
@@ -227,6 +307,8 @@ def write_report(report: ActivityReport, format: str = "table") -> str:
         report.total_transitions, report.width, report.transfers, 2
     )
     if format == "json":
+        import json  # here, not at the top: only json reports need it
+
         payload = {
             "width": report.width,
             "transfers": report.transfers,

@@ -22,10 +22,10 @@ read.
 from __future__ import annotations
 
 from functools import partial
-from itertools import accumulate, chain, repeat
-from operator import itemgetter
+from itertools import accumulate, chain, islice, repeat
+from operator import itemgetter, xor
 
-from .bits import Trace, Word, check_width, transfer_counts
+from .bits import Trace, Word, check_width
 
 # Running total saturates instead of wrapping on very long runs.
 TOTAL_SATURATION = (1 << 64) - 1
@@ -134,7 +134,8 @@ def run_trace(trace: Trace, reset_on_cycle0: bool = True) -> list[CycleRecord]:
     """
     reset = bool(reset_on_cycle0)
     values = trace.values
-    ones = [0 if reset else values[0].bit_count(), *transfer_counts(values)]
+    flips = map(int.bit_count, map(xor, values, islice(values, 1, None)))
+    ones = [0 if reset else values[0].bit_count(), *flips]
     totals = list(accumulate(ones))
     if totals[-1] > TOTAL_SATURATION:  # totals never fall: the last is the largest
         totals = [min(total, TOTAL_SATURATION) for total in totals]

@@ -267,7 +267,9 @@ class TestChunkedFold:
         per_chunk = bits.chunk_words(width)
         for transfers in (per_chunk - 1, per_chunk, per_chunk + 1, 2 * per_chunk + 1):
             trace = sparse_trace(width, transfers + 1)
-            assert analyze_trace(trace, True) == analyze_chunks(width, [trace.values], True)
+            assert analyze_trace(trace, True) == analyze_chunks(
+                width, [bits.pack(width, trace.values)], True
+            )
 
 
 def analyze_peak_bytes(length: int, width: int = 16) -> int:

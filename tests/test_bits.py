@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from togglesim.bits import Trace, Word, hamming_distance, word_from_text
+from togglesim.bits import Trace, Word, hamming_distance, pack, unpack, word_from_text
 from strategies import word_pairs, word_triples, words
 
 
@@ -163,3 +163,32 @@ class TestTrace:
         assert len(t) == 3
         assert t[1] == Word(4, 1)
         assert list(t) == [Word(4, 0), Word(4, 1), Word(4, 2)]
+
+
+# Widths on each side of a machine-integer size, and the largest allowed.
+PACK_EDGE_WIDTHS = [1, 7, 8, 9, 16, 17, 24, 25, 32, 33, 56, 57, 63, 64, 65, 1023, 1024]
+
+
+@st.composite
+def packable(draw):
+    width = draw(st.one_of(st.sampled_from(PACK_EDGE_WIDTHS), st.integers(1, 1024)))
+    values = draw(st.lists(st.integers(0, (1 << width) - 1), max_size=20))
+    return width, values
+
+
+class TestChunkLayout:
+    """A chunk is each word in ceil(width / 8) big-endian bytes, in order."""
+
+    @given(packable())
+    def test_pack_lays_out_big_endian_words(self, case):
+        width, values = case
+        size = (width + 7) // 8
+        assert pack(width, values) == b"".join(v.to_bytes(size, "big") for v in values)
+
+    @given(packable())
+    def test_unpack_inverts_pack(self, case):
+        width, values = case
+        assert unpack(width, pack(width, values)) == values
+
+    def test_hex_block_is_a_chunk(self):
+        assert unpack(12, bytes.fromhex("0ABC 0FFF 0000")) == [0xABC, 0xFFF, 0]

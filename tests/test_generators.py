@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from togglesim import bits
 from togglesim.bits import Word, hamming_distance, word_from_text
 from togglesim.generators import KINDS, GeneratorConfig, generate, kind_parameter
 import reference_generators as reference
@@ -213,6 +214,18 @@ class TestConfig:
         with pytest.raises(ValueError, match="requires feedback taps"):
             GeneratorConfig(kind="lfsr_external", width=4, seed=Word(4, 1))
 
+    @pytest.mark.parametrize(
+        "taps,named",
+        [({4.9, 3.2}, r"(4\.9|3\.2)"), ("43", "'4'"), ((4, True), "True"), ((4, 3.0), r"3\.0"),
+         ({4, "3"}, "'3'")],
+        ids=["floats", "string", "bool", "integral-float", "digit-string"],
+    )
+    def test_non_int_taps_rejected(self, taps, named):
+        # int() would quietly turn {4.9, 3.2} and '43' into {3, 4}
+        for kind in ("lfsr_external", "lfsr_internal"):
+            with pytest.raises(ValueError, match=f"^tap positions must be int, got {named}$"):
+                GeneratorConfig(kind=kind, width=4, seed=Word(4, 1), taps=taps)
+
     def test_taps_forbidden_elsewhere(self):
         with pytest.raises(ValueError):
             GeneratorConfig(kind="gray", width=4, seed=Word(4, 0), taps={4})
@@ -296,3 +309,34 @@ class TestAgainstReference:
     @given(configs(), st.integers(0, 40))
     def test_generate_equals_reference_walk(self, config, cycles):
         assert list(generate(config, cycles)) == reference.walk(config, cycles)
+
+
+COUNTER_WIDTHS = [*range(1, 17), 64, 65, 256]
+
+
+class TestCounterChunks:
+    """The counters build each chunk whole; every count, wrap and chunk edge
+    matches the reference's one step at a time."""
+
+    @staticmethod
+    def check(kind, width, cycles):
+        # start three counts short of the wrap from 2^width - 1 to 0
+        count = (1 << width) - 3 if width > 1 else 1
+        seed = Word(width, count ^ (count >> 1) if kind == "gray" else count)
+        config = GeneratorConfig(kind, width, seed)
+        expected = [w.value for w in reference.walk(config, cycles)]
+        assert generate(config, cycles).values == tuple(expected)
+
+    @pytest.mark.parametrize("kind", ["binary", "gray"])
+    @pytest.mark.parametrize("width", COUNTER_WIDTHS)
+    def test_budget_chunks(self, kind, width):
+        # two chunk edges; below 13 bits a chunk also holds a whole cycle
+        self.check(kind, width, 2 * bits.chunk_words(width) + 1)
+
+    @pytest.mark.parametrize("kind", ["binary", "gray"])
+    @pytest.mark.parametrize("width", COUNTER_WIDTHS)
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5])
+    def test_small_chunks(self, kind, width, chunk):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bits, "CHUNK_BYTES", chunk * ((width + 7) // 8))
+            self.check(kind, width, 3 * chunk + 4)

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from togglesim import trace_io
+from togglesim import bits, trace_io
 from togglesim.activity import analyze_trace
-from togglesim.bits import Trace, Word
+from togglesim.bits import CHUNK_BYTES, Trace, Word, chunked
 from togglesim.trace_io import (
     TraceFileHeader,
     TraceFormatError,
     parse_trace,
     read_trace,
+    render_chunks,
     render_trace,
     write_report,
 )
@@ -439,3 +440,99 @@ class TestBlockEdges:
         result = blocks_outcome(data, block)
         assert result == whole_text_outcome(data)
         assert result[0] is TraceFormatError and "is not UTF-8 text" in result[1]
+
+
+# Widths on each side of a hex digit, a byte, a machine integer and a lane of
+# the toggle fold, and the largest allowed.
+PACKED_EDGE_WIDTHS = [1, 3, 4, 5, 7, 8, 9, 12, 13, 15, 16, 17, 63, 64, 65, 255, 256, 257,
+                      1023, 1024]
+PACKED_WIDTHS = st.one_of(st.sampled_from(PACKED_EDGE_WIDTHS), st.integers(1, 1024))
+BAD_BYTES = [b"\xff", b"\x80", b"\xc3", b"\xe2\x82"]
+
+
+@st.composite
+def mixed_trace_bytes(draw, min_bytes, max_bytes):
+    """A rendered trace file of about `min_bytes` to `max_bytes`, in either
+    radix, hex in either case, with a few lines made unclean: a comment or
+    blank line, a "\\r\\n" end, leading spaces or an over-range hex word,
+    and maybe a byte that is not UTF-8 in its second half."""
+    width = draw(PACKED_WIDTHS)
+    radix = draw(st.sampled_from([2, 16]))
+    digits = width if radix == 2 else (width + 3) // 4
+    count = draw(st.integers(max(1, min_bytes // (digits + 1)), max(1, max_bytes // (digits + 1))))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    values = tuple(rng.getrandbits(width) for _ in range(count))
+    lines = render_trace(Trace(width, values), radix).splitlines()
+    if radix == 16 and draw(st.booleans()):
+        lines[1:] = [line.lower() for line in lines[1:]]
+    ends = ["\n"] * len(lines)
+    for _ in range(draw(st.integers(0, 3))):
+        index = draw(st.integers(1, len(lines) - 1))
+        how = draw(st.sampled_from(["comment", "blank", "crlf", "indent", "overrange"]))
+        if how == "comment":
+            lines.insert(index, "# note")
+            ends.insert(index, "\n")
+        elif how == "blank":
+            lines.insert(index, draw(st.sampled_from(["", "  "])))
+            ends.insert(index, "\n")
+        elif how == "crlf":
+            ends[index] = "\r\n"
+        elif how == "indent":
+            lines[index] = "  " + lines[index]
+        elif radix == 16 and width % 4 and lines[index][:1].isalnum():
+            lines[index] = "F" + lines[index][1:]
+    data = "".join(map(str.__add__, lines, ends)).encode()
+    if draw(st.booleans()):
+        at = draw(st.integers(len(data) // 2, len(data)))
+        data = data[:at] + draw(st.sampled_from(BAD_BYTES)) + data[at:]
+    return data
+
+
+class TestPackedChunks:
+    """The packed reader and renderer against the Word-based reference: the
+    same words, or the same error text and line, at widths 1 to 1024."""
+
+    @given(traces(min_len=1, max_len=20, max_width=1024), st.sampled_from([2, 16]),
+           st.sampled_from([1, 2, 3, None]))
+    @example(Trace(1024, ((1 << 1024) - 1, 0, 5)), 2, 1)
+    def test_render(self, trace, radix, chunk):
+        words = tuple(trace)
+        with pytest.MonkeyPatch.context() as patch:
+            if chunk:  # `chunk` words per chunk, so a trace spans several
+                patch.setattr(bits, "CHUNK_BYTES", chunk * ((trace.width + 7) // 8))
+            assert render_trace(trace, radix) == reference.render_trace(words, radix)
+
+    @settings(deadline=None)
+    @given(mixed_trace_bytes(0, 400), st.integers(1, 7))
+    def test_blocks_of_a_few_bytes(self, data, block):
+        assert blocks_outcome(data, block) == whole_text_outcome(data)
+
+    @settings(max_examples=40, deadline=None)
+    @given(mixed_trace_bytes(CHUNK_BYTES, 3 * CHUNK_BYTES))
+    def test_blocks_of_the_budget(self, data):
+        assert blocks_outcome(data, CHUNK_BYTES) == whole_text_outcome(data)
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError:
+            return
+        assert outcome(lambda: tuple(parse_trace(text))) == outcome(reference.parse_trace, text)
+
+
+class TestFastPath:
+    """A trace as render_chunks writes it is parsed a block at a time in a
+    few C calls; a change that sent every block down the line walk would
+    only show as a slower benchmark, so the walk's calls are counted."""
+
+    @pytest.mark.parametrize("width", [16, 256])
+    @pytest.mark.parametrize("radix", [2, 16])
+    def test_rendered_trace_skips_the_line_walk(self, width, radix, monkeypatch):
+        digits = width if radix == 2 else width // 4
+        rng = random.Random(width + radix)
+        values = tuple(rng.getrandbits(width) for _ in range(5 * CHUNK_BYTES // (digits + 1)))
+        text = "".join(render_chunks(width, chunked(values, width), radix))
+        calls = []
+        walk = trace_io._words
+        monkeypatch.setattr(trace_io, "_words", lambda *args: calls.append(args) or walk(*args))
+        assert read_trace(io.BytesIO(text.encode())).values == values
+        assert parse_trace(text).values == values
+        assert len(calls) <= 2  # at most once per parse, for the header's block
