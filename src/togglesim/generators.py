@@ -22,10 +22,9 @@ Shift and tap conventions, fixed so sequences are reproducible:
 
 `_GENERATORS` is the single place a kind is defined: it names the one
 `GeneratorConfig` field the kind accepts (`taps`, `boundary` or none) and a
-builder that returns the kind's chunk source. LFSRs and CAs are `int -> int`
-recurrences, stepped once per word and packed per chunk; the counters build
-each chunk whole, from one array per wrap segment, and the gray counter is
-the binary counter's chunk through the packed gray map.
+builder that returns the kind's chunk source. Every kind but gray is an
+`int -> int` recurrence, stepped once per word and packed per chunk; the gray
+counter is the binary counter's chunks through the packed gray map.
 `GeneratorConfig` validates every parameter once, so the builders trust it.
 `generate_chunks` (and its whole-`Trace` wrapper `generate`) is the one way
 to run a generator; the CLI, the reference tables and the benchmark all go
@@ -92,25 +91,15 @@ def _ca(width: int, self_mask: int, boundary: str) -> Source:
     ))
 
 
-def _counter(width: int, gray: bool) -> Source:
-    """The source of a counter that wraps from 2^width - 1 to 0, counting in
-    binary, or in gray code when `gray`: each chunk is the run of counts
-    up to the wrap, as many whole cycles as fit, and the run after them."""
-    full = 1 << width
+def _binary(width: int) -> Source:
+    full = (1 << width) - 1
+    return _stepped(width, lambda v: (v + 1) & full)
 
-    def chunks(seed: int, cycles: int) -> Iterator[bytes]:
-        per_chunk = chunk_words(width)
-        value = gray_to_binary(seed) if gray else seed
-        for start in range(0, cycles + 1, per_chunk):
-            count = min(per_chunk, cycles + 1 - start)
-            head = range(value, min(value + count, full))
-            whole, rest = divmod(count - len(head), full)
-            cycle = pack(width, range(full)) * whole if whole else b""
-            chunk = pack(width, head) + cycle + pack(width, range(rest))
-            value = (value + count) % full
-            yield gray_map(width, chunk) if gray else chunk
 
-    return chunks
+def _gray(width: int) -> Source:
+    binary = _binary(width)
+    return lambda seed, cycles: (
+        gray_map(width, chunk) for chunk in binary(gray_to_binary(seed), cycles))
 
 
 # kind -> (the one GeneratorConfig field it accepts, builder taking the
@@ -120,8 +109,8 @@ _GENERATORS: dict[str, tuple[str | None, Callable[..., Source]]] = {
     "lfsr_external": ("taps", _fibonacci),
     "ca90": ("boundary", lambda width, boundary: _ca(width, 0, boundary)),
     "ca150": ("boundary", lambda width, boundary: _ca(width, (1 << width) - 1, boundary)),
-    "binary": (None, lambda width, _: _counter(width, False)),
-    "gray": (None, lambda width, _: _counter(width, True)),
+    "binary": (None, lambda width, _: _binary(width)),
+    "gray": (None, lambda width, _: _gray(width)),
 }
 KINDS = tuple(_GENERATORS)
 

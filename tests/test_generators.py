@@ -315,8 +315,8 @@ COUNTER_WIDTHS = [*range(1, 17), 64, 65, 256]
 
 
 class TestCounterChunks:
-    """The counters build each chunk whole; every count, wrap and chunk edge
-    matches the reference's one step at a time."""
+    """The gray counter is the binary counter's chunks through the gray map;
+    every count, wrap and chunk edge matches the reference's one step at a time."""
 
     @staticmethod
     def check(kind, width, cycles):
