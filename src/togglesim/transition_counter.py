@@ -13,14 +13,18 @@ against the last value applied during reset.
 
 :class:`BitTransitionCounter` is the single-cycle model: ``step`` applies one
 word and one reset level per clock edge. :func:`run_trace` gives the same
-records for a whole trace at once, counting on the trace's int values. Each
-:class:`CycleRecord` holds the width and the two values as ints and builds
-its ``datain`` and ``dataout`` :class:`~togglesim.bits.Word` when they are
-read.
+records for a whole trace at once, counting on the trace's int values. Like
+the probe, which keeps only the previous word and a running total, it holds
+counts, not records: one ``array`` of ``one_transition`` and one of
+``total_transition`` counts, 10 B per cycle beside the trace. Each
+:class:`CycleRecord` is built when it is read, and builds its ``datain`` and
+``dataout`` :class:`~togglesim.bits.Word` when those are read.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Iterator, Sequence
 from functools import partial
 from itertools import accumulate, chain, islice, repeat
 from operator import itemgetter, xor
@@ -37,10 +41,11 @@ class CycleRecord(tuple):
     An immutable value: records with equal fields compare and hash equal,
     and a record equals nothing else. It is a tuple, not a ``bits.Record``,
     stored as ``(cycle, reset, width, datain value, dataout value,
-    one_transition, total_transition)``: :func:`run_trace` then builds
-    records without a Python call per cycle, in about 0.6 us per word, where
-    a ``Record`` holding two ``Word``s took 5.6-5.9 us. ``datain`` and
-    ``dataout`` are built when read.
+    one_transition, total_transition)``. The records of :func:`run_trace`
+    are built each time they are read, so building one must stay a single
+    C-level ``tuple.__new__``: about 0.6 us per cycle, where a ``Record``
+    holding two ``Word``s took 5.6-5.9 us. ``datain`` and ``dataout`` are
+    built when read.
     """
 
     __slots__ = ()
@@ -123,31 +128,70 @@ class BitTransitionCounter:
         return CycleRecord(cycle, False, datain, dataout, one, self.total)
 
 
-def run_trace(trace: Trace, reset_on_cycle0: bool = True) -> list[CycleRecord]:
+class CycleRecords(Sequence):
+    """The records of one :func:`run_trace`, a read-only sequence.
+
+    It holds the trace's values and the two count arrays; each
+    :class:`CycleRecord` is built when it is read, by iteration or by
+    index, and is not kept.
+    """
+
+    __slots__ = ("_width", "_values", "_reset", "_ones", "_totals")
+
+    def __init__(self, width: int, values: tuple[int, ...], reset: bool,
+                 ones: array, totals: array) -> None:
+        self._width, self._values, self._reset = width, values, reset
+        self._ones, self._totals = ones, totals
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __iter__(self) -> Iterator[CycleRecord]:
+        values = self._values
+        return map(
+            partial(tuple.__new__, CycleRecord),
+            zip(
+                range(len(values)),
+                chain((self._reset,), repeat(False)),
+                repeat(self._width),
+                values,
+                chain((0,), values),  # dataout: zero on cycle 0, then the word before
+                self._ones,
+                self._totals,
+            ),
+        )
+
+    def __getitem__(self, index: int | slice) -> CycleRecord | list[CycleRecord]:
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        cycle = range(len(self._values))[index]  # an int, negatives counted from the end
+        return tuple.__new__(CycleRecord, (
+            cycle,
+            self._reset if cycle == 0 else False,
+            self._width,
+            self._values[cycle],
+            self._values[cycle - 1] if cycle else 0,
+            self._ones[cycle],
+            self._totals[cycle],
+        ))
+
+
+def run_trace(trace: Trace, reset_on_cycle0: bool = True) -> CycleRecords:
     """Feed a whole trace through a fresh counter, one word per cycle.
 
     The records equal those of ``BitTransitionCounter.step`` applied to each
     word in turn, with reset asserted on cycle 0 only if ``reset_on_cycle0``.
     With that customary reset, the final ``total_transition`` equals the sum
     of Hamming distances over consecutive word pairs; without it, cycle 0
-    counts the first word against the all-zero register.
+    counts the first word against the all-zero register. The result holds
+    the counts, 2 B (``one_transition``) and 8 B (``total_transition``) per
+    cycle, and builds each record when it is read.
     """
     reset = bool(reset_on_cycle0)
     values = trace.values
     flips = map(int.bit_count, map(xor, values, islice(values, 1, None)))
-    ones = [0 if reset else values[0].bit_count(), *flips]
-    totals = list(accumulate(ones))
+    ones = array("H", chain((0 if reset else values[0].bit_count(),), flips))  # <= 1024 lines
+    totals = array("Q", accumulate(ones))
     if totals[-1] > TOTAL_SATURATION:  # totals never fall: the last is the largest
-        totals = [min(total, TOTAL_SATURATION) for total in totals]
-    return list(map(
-        partial(tuple.__new__, CycleRecord),
-        zip(
-            range(len(values)),
-            chain((reset,), repeat(False)),
-            repeat(trace.width),
-            values,
-            chain((0,), values),  # dataout: zero on cycle 0, then the word before
-            ones,
-            totals,
-        ),
-    ))
+        totals = array("Q", map(min, totals, repeat(TOTAL_SATURATION)))
+    return CycleRecords(trace.width, values, reset, ones, totals)

@@ -125,6 +125,22 @@ class TestWriteReport:
         text = write_report(report, "table")
         assert "per-transfer counts 1 2 1" in text
 
+    @pytest.mark.parametrize("transfers", [1, 2, 4095, 4096, 4097, 8193])
+    def test_per_cycle_layout(self, transfers):
+        # the counts are rendered a slice at a time; the text must be that of
+        # one " ".join over them, and of one json.dumps(indent=2) of the payload
+        rng = random.Random(transfers)
+        trace = Trace(12, tuple(rng.getrandbits(12) for _ in range(transfers + 1)))
+        report = analyze_trace(trace, include_per_cycle=True)
+        table = write_report(report, "table")
+        assert table.endswith(
+            "\nper-transfer counts " + " ".join(str(c) for c in report.per_cycle) + "\n"
+        )
+        text = write_report(report, "json")
+        payload = json.loads(text)
+        assert payload["per_cycle"] == list(report.per_cycle)
+        assert text == json.dumps(payload, indent=2) + "\n"
+
     def test_json_zero_activity(self):
         report = analyze_trace(Trace.from_words([Word(8, 3)] * 4))
         payload = json.loads(write_report(report, "json"))
@@ -274,13 +290,17 @@ def decorated_trace_texts(draw):
 INT_ONLY_SPELLINGS = ("0_1", "+1", "-1", "0b1", "0x1", "1 0", "\uff11", "\u0661")
 
 
-def examples(*texts):
-    """Hypothesis @example for each text."""
+def examples(*cases):
+    """Hypothesis @example for each case: one argument, or a tuple of them."""
     def decorate(test):
-        for text in texts:
-            test = example(text)(test)
+        for case in cases:
+            test = example(*case)(test) if isinstance(case, tuple) else example(case)(test)
         return test
     return decorate
+
+
+# Every width to 24 in both radices: each count of pad digits a word can take.
+SMALL_WIDTH_CASES = [(wide_trace(width, 40), radix) for width in range(1, 25) for radix in (2, 16)]
 
 
 def counter_text(width, radix, count, last):
@@ -334,6 +354,7 @@ class TestAgainstReference:
     @examples(*(counter_text(16, 16, n, "0_1F") for n in (2047, 2048, 2049)))
     @examples(*(counter_text(4, 2, n, "0_01") for n in (2047, 2048, 2049)))
     @example("# fixture\n\nwidth=4 radix=bin\n0001\n\n# body\n   \n\n01x1\n0010\n")
+    @examples(*(render_trace(trace, radix) for trace, radix in SMALL_WIDTH_CASES))
     def test_parse_trace(self, text):
         assert outcome(lambda: tuple(parse_trace(text))) == outcome(
             reference.parse_trace, text
@@ -352,6 +373,7 @@ class TestAgainstReference:
     @example(wide_trace(1023), 16)
     @example(wide_trace(1024), 2)
     @example(wide_trace(1024), 16)
+    @examples(*SMALL_WIDTH_CASES)
     def test_render_trace(self, trace, radix):
         assert render_trace(trace, radix) == reference.render_trace(tuple(trace), radix)
 

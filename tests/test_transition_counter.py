@@ -1,3 +1,6 @@
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -165,13 +168,34 @@ class TestRunTrace:
         assert [r.dataout for r in records[1:]] == list(trace)[:-1]
 
 
+# Slices with every sign of start, stop and step, empty ones included.
+SLICES = [slice(None), slice(None, None, 2), slice(1, None, 3), slice(None, None, -1),
+          slice(-3, None), slice(None, -1, 2), slice(5, 2), slice(-1, 0, -2),
+          slice(2, 100), slice(-100, 1)]
+
+
+def assert_records_equal(records, expected):
+    """The records view against the list `expected`: its length, every index
+    (negatives too), stepped slices and two full iterations."""
+    assert len(records) == len(expected)
+    assert list(records) == expected
+    assert list(records) == expected  # each iteration builds the records anew
+    for i in range(-len(expected), len(expected)):
+        assert records[i] == expected[i]
+    for index in (len(expected), -len(expected) - 1):
+        with pytest.raises(IndexError):
+            records[index]
+    for cut in SLICES:
+        assert records[cut] == expected[cut]
+
+
 class TestRunTraceMatchesStep:
     @given(traces(min_len=1, max_len=40, max_width=1024), st.booleans())
     @example(wide_trace(1024), True)
     @example(wide_trace(1024), False)
     @example(Trace(1, (1,)), False)
     def test_records_equal(self, trace, reset):
-        assert run_trace(trace, reset_on_cycle0=reset) == stepped(trace, reset)
+        assert_records_equal(run_trace(trace, reset_on_cycle0=reset), stepped(trace, reset))
 
     @given(
         traces(min_len=1, max_len=20, max_width=8),
@@ -182,4 +206,23 @@ class TestRunTraceMatchesStep:
     def test_records_equal_when_the_total_saturates(self, trace, reset, saturation):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(transition_counter, "TOTAL_SATURATION", saturation)
-            assert run_trace(trace, reset_on_cycle0=reset) == stepped(trace, reset)
+            records = run_trace(trace, reset_on_cycle0=reset)
+            expected = stepped(trace, reset)
+        assert_records_equal(records, expected)
+
+
+def test_run_trace_holds_counts_not_records():
+    # the probe keeps constant state; run_trace keeps 2 + 8 B of counts per
+    # cycle beside the trace, where a held CycleRecord per cycle took 176 B
+    words = 200_000
+    rng = random.Random(32)
+    trace = Trace(32, tuple(rng.getrandbits(32) for _ in range(words)))
+    tracemalloc.start()
+    try:
+        records = run_trace(trace)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 12 * words
+    assert peak <= 12 * words
+    assert records[-1].total_transition == pairwise_total(trace)
