@@ -30,7 +30,7 @@ import re
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from io import IOBase, StringIO, TextIOBase
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 
 from .activity import ActivityReport, rounded_display
 from .bits import CHUNK_BYTES, Record, Trace, check_width, chunked, pack, value_from_text
@@ -41,7 +41,6 @@ _RADIX_BY_NAME = {"bin": 2, "hex": 16}
 _NAME_BY_RADIX = {2: "bin", 16: "hex"}
 _HEADER_RE = re.compile(r"^width=(\d+)\s+radix=(bin|hex)$")
 _DIGITS = {2: b"01", 16: b"0123456789abcdefABCDEF"}
-_DROP_PAD_MARKS = str.maketrans("", "", "f")
 
 
 class TraceFormatError(ValueError):
@@ -258,11 +257,8 @@ def render_chunks(width: int, chunks: Iterable[bytes], radix: int = 2) -> Iterat
     Hex is the chunk's own hex form, a newline after every word. For binary,
     each bit of the chunk is first spread to a nibble of its own, so that
     the hex form of the spread chunk is the binary text. Either way every
-    word is rendered in whole bytes, and the digits that pad a word to them
-    are dropped in one C call: in hex by replacing "\n0" with "\n", in
-    binary by setting the pad nibbles to 0xF before the hex form is taken
-    and deleting every "f", which is no binary digit. (Replacing "\n000"
-    would crawl through the runs of "0" in binary text.)
+    word is rendered in whole bytes; the digits that pad a word to them are
+    leading zeros, dropped by one replace.
     """
     header = TraceFileHeader(width, radix)
     yield header.render() + "\n"
@@ -271,34 +267,21 @@ def render_chunks(width: int, chunks: Iterable[bytes], radix: int = 2) -> Iterat
     for chunk in chunks:
         if radix == 16:
             text = chunk.hex("\n", size).upper()
-            if pad:  # one digit at most
-                text = text[1:].replace("\n0", "\n")
         else:
-            text = _spread_bits(chunk, size, pad).hex("\n", 4 * size)
-            if pad:
-                text = text.translate(_DROP_PAD_MARKS)
+            text = _spread_bits(chunk).hex("\n", 4 * size)
+        if pad:
+            text = text[pad:].replace("\n" + "0" * pad, "\n")
         yield text + "\n"
 
 
-def _spread_bits(chunk: bytes, size: int, pad: int) -> bytes:
-    """`chunk` with bit i of every byte moved to bit 4i of four bytes, and
-    the first `pad` nibbles of each word of `size` bytes set to 0xF."""
+def _spread_bits(chunk: bytes) -> bytes:
+    """`chunk` with bit i of every byte moved to bit 4i of four bytes."""
     spread = bytearray(4 * len(chunk))
     spread[3::4] = chunk
     value = int.from_bytes(spread, "big")
     for shift, mask in _spread_masks(len(chunk)):
         value = (value | value << shift) & mask
-    if pad:
-        value |= _pad_marks(len(chunk), size, pad)
     return value.to_bytes(len(spread), "big")
-
-
-@lru_cache(maxsize=1)  # chunks mostly come in one length
-def _pad_marks(length: int, size: int, pad: int) -> int:
-    """For a chunk of `length` bytes, the bits that set the first `pad`
-    nibbles of each word, 4 * `size` bytes, of its spread form."""
-    word = ((1 << 4 * pad) - 1) << 4 * (8 * size - pad)
-    return int.from_bytes(word.to_bytes(4 * size, "big") * (length // size), "big")
 
 
 @lru_cache(maxsize=1)  # chunks mostly come in one length
@@ -318,17 +301,16 @@ def render_trace(trace: Trace, radix: int = 2) -> str:
     return "".join(render_chunks(trace.width, chunked(trace.values, trace.width), radix))
 
 
-_COUNTS_SLICE = 4096  # counts rendered per str.join
+_JOIN_SLICE = 4096  # pieces joined per str.join
 
 
-def _counts_text(counts: tuple[int, ...], sep: str) -> str:
-    """The decimal `counts` joined by `sep`. They are rendered a slice at a
-    time, so that only one slice's worth of per-count strs is ever alive,
-    not one per count: at 10^6 counts that is most of a report's memory."""
-    return sep.join(
-        sep.join(map(str, counts[start : start + _COUNTS_SLICE]))
-        for start in range(0, len(counts), _COUNTS_SLICE)
-    )
+def _joined(pieces: Iterable[str], sep: str = "") -> str:
+    """`sep.join(pieces)`, joined a slice at a time, so that only one slice
+    of pieces is alive at once, not all of them: at 10^6 per-transfer
+    counts, one str each, those are most of a report's memory."""
+    pieces = iter(pieces)
+    slices = iter(lambda: list(islice(pieces, _JOIN_SLICE)), [])
+    return sep.join(map(sep.join, slices))
 
 
 def write_report(report: ActivityReport, format: str = "table") -> str:
@@ -348,13 +330,9 @@ def write_report(report: ActivityReport, format: str = "table") -> str:
             "per_bit_toggles": list(report.per_bit_toggles),
         }
         if report.per_cycle is not None:
-            payload["per_cycle"] = []
-        text = json.dumps(payload, indent=2)
-        if report.per_cycle:
-            # the counts, one per line, in place of the "[]" that ends the text
-            text = (text[: -len("[]\n}")] + "[\n    "
-                    + _counts_text(report.per_cycle, ",\n    ") + "\n  ]\n}")
-        return text + "\n"
+            payload["per_cycle"] = report.per_cycle  # a tuple encodes as a list
+        # json.dumps(payload, indent=2) joins these pieces, one per count, at once
+        return _joined(json.JSONEncoder(indent=2).iterencode(payload)) + "\n"
     if format == "csv":
         # no field can hold a comma, quote or newline, so none needs quoting
         rows = ["line,toggles,width,transfers,tau"]
@@ -375,6 +353,6 @@ def write_report(report: ActivityReport, format: str = "table") -> str:
             ),
         ]
         if report.per_cycle is not None:
-            lines.append("per-transfer counts " + _counts_text(report.per_cycle, " "))
+            lines.append("per-transfer counts " + _joined(map(str, report.per_cycle), " "))
         return "\n".join(lines) + "\n"
     raise ValueError(f"format must be one of {REPORT_FORMATS}, got {format!r}")

@@ -27,7 +27,7 @@ from array import array
 from collections.abc import Iterator, Sequence
 from functools import partial
 from itertools import accumulate, chain, islice, repeat
-from operator import itemgetter, xor
+from operator import eq, itemgetter, xor
 
 from .bits import Trace, Word, check_width
 
@@ -133,15 +133,25 @@ class CycleRecords(Sequence):
 
     It holds the trace's values and the two count arrays; each
     :class:`CycleRecord` is built when it is read, by iteration or by
-    index, and is not kept.
+    index, and is not kept. It equals any sequence of the same records, a
+    list of them included.
     """
 
     __slots__ = ("_width", "_values", "_reset", "_ones", "_totals")
+    __hash__ = None  # equal by value, like a list of the records
 
     def __init__(self, width: int, values: tuple[int, ...], reset: bool,
                  ones: array, totals: array) -> None:
         self._width, self._values, self._reset = width, values, reset
         self._ones, self._totals = ones, totals
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)!r})"
 
     def __len__(self) -> int:
         return len(self._values)

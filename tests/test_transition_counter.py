@@ -163,7 +163,10 @@ class TestRunTrace:
 
         with monkeypatch.context() as patch:
             patch.setattr(Word, "__init__", refuse)
-            records = run_trace(trace)
+            # the records are built when read: read them all, and one by index
+            records = list(run_trace(trace))
+            assert run_trace(trace)[1] == records[1]
+            assert run_trace(trace)[1:3] == records[1:3]
         assert [r.datain for r in records] == list(trace)
         assert [r.dataout for r in records[1:]] == list(trace)[:-1]
 
@@ -176,10 +179,13 @@ SLICES = [slice(None), slice(None, None, 2), slice(1, None, 3), slice(None, None
 
 def assert_records_equal(records, expected):
     """The records view against the list `expected`: its length, every index
-    (negatives too), stepped slices and two full iterations."""
+    (negatives too), stepped slices, two full iterations and equality."""
     assert len(records) == len(expected)
     assert list(records) == expected
     assert list(records) == expected  # each iteration builds the records anew
+    # equal by value to any sequence of the same records, in either order
+    assert records == expected and expected == records and records == tuple(expected)
+    assert records != expected[:-1] and records != expected + expected[:1]
     for i in range(-len(expected), len(expected)):
         assert records[i] == expected[i]
     for index in (len(expected), -len(expected) - 1):
