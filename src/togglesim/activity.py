@@ -91,7 +91,11 @@ def analyze_chunks(width: int, chunks: Iterable[bytes],
     """
     size = (width + 7) // 8
     toggles = [0] * width
-    per_cycle = [] if include_per_cycle else None
+    per_cycle = None
+    if include_per_cycle:
+        from array import array  # here, not at the top: the CLI starts without it
+
+        per_cycle = array("H")  # a count is at most MAX_WIDTH
     transfers = 0
     for pack in _packs(chunks, size, max(2, chunk_words(width))):
         n = len(pack) // size - 1
@@ -100,7 +104,7 @@ def analyze_chunks(width: int, chunks: Iterable[bytes],
         # the first slot holds a word, not a transfer
         diffs = (packed ^ (packed >> (8 * size))).to_bytes(len(pack), "big")[size:]
         if per_cycle is not None:
-            per_cycle += map(int.bit_count, unpack(width, diffs))
+            per_cycle.extend(map(int.bit_count, unpack(width, diffs)))
         ones = int.from_bytes(b"\x01" * n, "little")
         masks = [ones << k for k in range(min(8, width))]
         for j in range(size):

@@ -158,16 +158,6 @@ class Word(Record):
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "value", value)
 
-    # Record's equality and hash, spelt out: the generic attrgetter forms take
-    # about 2.5x as long, and words are compared and hashed in bulk.
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.width, self.value) == (other.width, other.value)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.width, self.value))
-
     def bit(self, index: int) -> int:
         """Bit at `index`, 0 = LSB."""
         if not 0 <= index < self.width:

@@ -16,8 +16,10 @@ Both directions stream, one packed chunk (see `bits`) at a time, so a
 reader or writer of any trace holds one block of text and its words.
 `read_chunks` reads a stream in blocks of about `CHUNK_BYTES` bytes, each
 cut after a line break. A clean block, one full-width word per line ended
-by "\n" as `render_chunks` writes it, is parsed whole by one `int()` or
-`bytes.fromhex`; any other block is decoded and walked line by line, and an
+by "\n" as `render_chunks` writes it or by "\r\n", is parsed whole by one
+`int()` or `bytes.fromhex`, and so is the rest of the header's block when
+it is clean. Any other block, such as one holding a comment, a blank line
+or a word short of its digits, is decoded and walked line by line, and an
 error names the same line as a whole-text parse would. `render_chunks`
 writes a chunk as its hex form, for binary after spreading each bit to a
 nibble. `parse_trace`, `read_trace`, `load_trace` and `render_trace` wrap
@@ -30,7 +32,7 @@ import re
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from io import IOBase, StringIO, TextIOBase
-from itertools import chain, islice, repeat
+from itertools import islice
 
 from .activity import ActivityReport, rounded_display
 from .bits import CHUNK_BYTES, Record, Trace, check_width, chunked, pack, value_from_text
@@ -105,12 +107,14 @@ def _clean_words(block: bytes, header: TraceFileHeader) -> bytes | None:
     """The words of `block` as a chunk if the block is clean, else None.
 
     A clean block is one word per line, each of exactly as many digits as
-    the header's width takes and ended by "\n", and no hex word above the
-    width. It is then pure ASCII, and is parsed by one int() (binary) or
-    bytes.fromhex (hex) over the whole block. Binary words get the zero bits
-    that pad them to whole bytes as "0" digits before the newlines are
-    dropped, and a hex word of an odd number of digits gets one "0" digit.
+    the header's width takes and ended by "\n" or "\r\n", and no hex word
+    above the width. It is then pure ASCII, and is parsed by one int()
+    (binary) or bytes.fromhex (hex) over the whole block. Binary words get
+    the zero bits that pad them to whole bytes as "0" digits before the
+    newlines are dropped, and a hex word of odd length gets one "0" digit.
     """
+    if b"\r" in block:
+        block = block.replace(b"\r\n", b"\n")
     width, radix, digits = header.width, header.radix, header.digits
     n, rest = divmod(len(block), digits + 1)
     newlines = b"\n" * n
@@ -133,27 +137,33 @@ def _clean_words(block: bytes, header: TraceFileHeader) -> bytes | None:
     return words
 
 
+def _significant(lines: list[str], lineno: int) -> Iterator[tuple[int, str]]:
+    """The number and stripped text of each line of `lines`, the first being
+    line `lineno`, that is neither blank nor a comment."""
+    for lineno, line in enumerate(map(str.strip, lines), start=lineno):
+        if line and line[0] != "#":
+            yield lineno, line
+
+
+def _header(line: str, lineno: int) -> TraceFileHeader:
+    """The header whose text is `line`, line `lineno` of the trace."""
+    match = _HEADER_RE.match(line)
+    if not match:
+        raise TraceFormatError(
+            f"line {lineno}: expected header 'width=<n> radix=<bin|hex>', got {line!r}"
+        )
+    try:
+        return TraceFileHeader(int(match.group(1)), _RADIX_BY_NAME[match.group(2)])
+    except ValueError as exc:
+        raise TraceFormatError(f"line {lineno}: {exc}") from exc
+
+
 def _words(lines: list[str], lineno: int, header: TraceFileHeader) -> bytes:
     """The words of the word lines among `lines`, the first being line
-    `lineno`, as a chunk, with blank and comment lines skipped.
-
-    The words are checked in bulk: zero-filled to the header's digits, one
-    per line, valid words make a clean block (see _clean_words). Only when
-    that check fails are the lines walked again through value_from_text,
-    which names the first bad line.
-    """
-    words = [w for w in map(str.strip, lines) if w and w[0] != "#"]
-    if not words:
-        return b""
-    text = "\n".join(map(str.zfill, words, repeat(header.digits))) + "\n"
-    chunk = _clean_words(text.encode("utf-8", "surrogatepass"), header)
-    if chunk is not None:
-        return chunk
+    `lineno`, as a chunk, with blank and comment lines skipped; each word
+    is parsed by value_from_text, and the first bad one is named."""
     values = []
-    for lineno, raw_line in enumerate(lines, start=lineno):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _significant(lines, lineno):
         try:
             values.append(value_from_text(line, header.radix, header.width))
         except ValueError as exc:
@@ -165,54 +175,46 @@ def _parse(stream: IOBase) -> Iterator[TraceFileHeader | bytes]:
     """The header of the trace in `stream`, then its words, one non-empty
     chunk per block read.
 
-    A block is parsed whole when it is clean (see _clean_words); any other
-    block is decoded and walked line by line by _words. A format error is
-    raised once the rest of the stream has been decoded, so a byte that is
-    not UTF-8 anywhere in it is reported first, as it is when the whole
-    stream is decoded before parsing.
+    The header is the first significant line; the rest of its block is
+    parsed as the blocks after it are. A block is parsed whole when it is
+    clean (see _clean_words); any other block is decoded and walked line by
+    line by _words. A format error is raised once the rest of the stream
+    has been decoded, so a byte that is not UTF-8 anywhere in it is reported
+    first, as it is when the whole stream is decoded before parsing.
     """
     errors = "surrogatepass" if isinstance(stream, TextIOBase) else "strict"
     blocks = _blocks(stream)
-    count = 0  # the lines of the blocks taken from `blocks`
+    count = 0  # the lines before the text still to parse
+    header = None
+    empty = True
     try:
         for block in blocks:
-            lines = _decode(block, count, errors).splitlines(keepends=True)
-            first, count = count + 1, count + len(lines)
-            for index, raw_line in enumerate(lines):
-                line = raw_line.strip()
-                if not line or line.startswith("#"):
+            if header is None:
+                lines = _decode(block, count, errors).splitlines(keepends=True)
+                first, count = count + 1, count + len(lines)
+                found = next(_significant(lines, first), None)
+                if found is None:
                     continue
-                lineno = first + index
-                match = _HEADER_RE.match(line)
-                if not match:
-                    raise TraceFormatError(
-                        f"line {lineno}: expected header 'width=<n> radix=<bin|hex>', "
-                        f"got {line!r}"
-                    )
-                try:
-                    header = TraceFileHeader(int(match.group(1)), _RADIX_BY_NAME[match.group(2)])
-                except ValueError as exc:
-                    raise TraceFormatError(f"line {lineno}: {exc}") from exc
+                lineno, line = found
+                header = _header(line, lineno)
                 yield header
-                # the rest of the header's block, then the blocks after it
+                # the rest of the header's block, parsed as any other block
                 count = lineno
-                rest = "".join(lines[index + 1 :]).encode("utf-8", "surrogatepass")
-                empty = True
-                for block in chain([rest], blocks):
-                    words = _clean_words(block, header)
-                    if words is None:
-                        lines = _decode(block, count, errors).splitlines()
-                        first, count = count + 1, count + len(lines)
-                        words = _words(lines, first, header)
-                    else:
-                        count += len(block) // (header.digits + 1)  # one word per line
-                    if words:
-                        empty = False
-                        yield words
-                if empty:
-                    raise TraceFormatError("empty trace: no words after the header")
-                return
-        raise TraceFormatError("missing header 'width=<n> radix=<bin|hex>'")
+                block = "".join(lines[lineno - first + 1 :]).encode("utf-8", "surrogatepass")
+            words = _clean_words(block, header)
+            if words is None:
+                lines = _decode(block, count, errors).splitlines()
+                first, count = count + 1, count + len(lines)
+                words = _words(lines, first, header)
+            else:
+                count += len(words) // ((header.width + 7) // 8)  # one word per line
+            if words:
+                empty = False
+                yield words
+        if header is None:
+            raise TraceFormatError("missing header 'width=<n> radix=<bin|hex>'")
+        if empty:
+            raise TraceFormatError("empty trace: no words after the header")
     except TraceFormatError as exc:
         # decode the rest, so that a byte that is not UTF-8 anywhere is
         # reported first; a decode error already names the first such byte

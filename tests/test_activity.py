@@ -272,13 +272,13 @@ class TestChunkedFold:
             )
 
 
-def analyze_peak_bytes(length: int, width: int = 16) -> int:
+def analyze_peak_bytes(length: int, width: int = 16, per_cycle: bool = False) -> int:
     """tracemalloc's peak while analyzing a random trace of `length` words."""
     rng = random.Random(length)
     trace = Trace(width, tuple(rng.getrandbits(width) for _ in range(length)))
     tracemalloc.start()
     try:
-        analyze_trace(trace)
+        analyze_trace(trace, per_cycle)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -297,3 +297,10 @@ def test_transient_memory_is_bounded_at_every_width():
     peaks = {width: analyze_peak_bytes(20_000, width) for width in (1, 16, 1024)}
     assert max(peaks.values()) < 1 << 20
     assert peaks[1024] <= peaks[16] + (128 << 10)
+
+
+def test_per_cycle_counts_are_not_copied_from_a_list():
+    # the returned tuple takes 8 B per transfer; the counts gathered for it
+    # take 2 more in an array('H'), where a list of them took 8 more
+    transfers = 200_000
+    assert analyze_peak_bytes(transfers + 1, per_cycle=True) <= 12 * transfers

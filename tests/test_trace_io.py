@@ -541,9 +541,10 @@ class TestPackedChunks:
 
 
 class TestFastPath:
-    """A trace as render_chunks writes it is parsed a block at a time in a
-    few C calls; a change that sent every block down the line walk would
-    only show as a slower benchmark, so the walk's calls are counted."""
+    """A trace as render_chunks writes it, with "\\n" or "\\r\\n" line ends, is
+    parsed a block at a time in a few C calls; a change that sent every
+    block down the line walk would only show as a slower benchmark, so the
+    walk's calls are counted."""
 
     @pytest.mark.parametrize("width", [16, 256])
     @pytest.mark.parametrize("radix", [2, 16])
@@ -551,10 +552,12 @@ class TestFastPath:
         digits = width if radix == 2 else width // 4
         rng = random.Random(width + radix)
         values = tuple(rng.getrandbits(width) for _ in range(5 * CHUNK_BYTES // (digits + 1)))
-        text = "".join(render_chunks(width, chunked(values, width), radix))
+        rendered = "".join(render_chunks(width, chunked(values, width), radix))
         calls = []
         walk = trace_io._words
         monkeypatch.setattr(trace_io, "_words", lambda *args: calls.append(args) or walk(*args))
-        assert read_trace(io.BytesIO(text.encode())).values == values
-        assert parse_trace(text).values == values
-        assert len(calls) <= 2  # at most once per parse, for the header's block
+        for end in ("\n", "\r\n"):
+            text = rendered.replace("\n", end)
+            assert read_trace(io.BytesIO(text.encode())).values == values
+            assert parse_trace(text).values == values
+            assert not calls, repr(end)  # the header's block too is parsed whole
