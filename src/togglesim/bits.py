@@ -4,8 +4,8 @@ A :class:`Word` is an immutable bit pattern of known width. Bit 0 is the
 least significant bit and the rightmost character of the binary text form,
 so a 16-bit bus "data(15)..data(0)" maps to indices 15..0. A :class:`Trace`
 is a width plus a tuple of plain int values, one per clock cycle; iterating
-or indexing it yields :class:`Word` objects. The number of word-to-word
-transfers is one less than the number of words.
+or indexing it yields :class:`Word` objects, and a slice a list of them.
+The number of word-to-word transfers is one less than the number of words.
 
 The transition count between two consecutive words is their Hamming
 distance, i.e. the popcount of their XOR.
@@ -105,6 +105,8 @@ def check_width(width: int) -> None:
 class Record:
     """An immutable value: a subclass names its two or more fields in
     ``__slots__`` and passes their values, checked, to ``Record.__init__``.
+    A subclass that stores its fields another way, as a tuple say, names
+    them in ``__match_args__`` and reads each through a property.
 
     Records of the same class with equal fields compare and hash equal, like
     the tuple of their fields; a record equals nothing else. The repr is
@@ -115,8 +117,8 @@ class Record:
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        cls.__match_args__ = cls.__slots__
-        cls._values = attrgetter(*cls.__slots__)  # a tuple: every record has 2+ fields
+        cls.__match_args__ = cls.__dict__.get("__match_args__", cls.__slots__)
+        cls._values = attrgetter(*cls.__match_args__)  # a tuple: every record has 2+ fields
 
     def __init__(self, *values: object) -> None:
         for name, value in zip(self.__slots__, values, strict=True):
@@ -140,7 +142,7 @@ class Record:
         return self.__class__, self._values(self)
 
     def __repr__(self) -> str:
-        fields = map("{}={!r}".format, self.__slots__, self._values(self))
+        fields = map("{}={!r}".format, self.__match_args__, self._values(self))
         return f"{type(self).__qualname__}({', '.join(fields)})"
 
 
@@ -265,7 +267,9 @@ class Trace(Record):
         return len(self.values)
 
     def __iter__(self) -> Iterator[Word]:
-        return (Word(self.width, v) for v in self.values)
+        return map(Word, repeat(self.width), self.values)
 
-    def __getitem__(self, index: int) -> Word:
+    def __getitem__(self, index: int | slice) -> Word | list[Word]:
+        if isinstance(index, slice):
+            return list(map(Word, repeat(self.width), self.values[index]))
         return Word(self.width, self.values[index])

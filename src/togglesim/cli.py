@@ -50,14 +50,9 @@ def _parse_taps(text: str) -> frozenset[int]:
 
 
 def _parse_seed(text: str, width: int, radix: str) -> Word:
-    if radix == "bin":
-        return word_from_text(text, 2, width)
-    if radix == "hex":
-        return word_from_text(text, 16, width)
-    # auto: binary iff the string is all 0/1 and spans the full width
-    if set(text) <= {"0", "1"} and len(text) == width:
-        return word_from_text(text, 2, width)
-    return word_from_text(text, 16, width)
+    if radix == "auto":  # binary iff the string is all 0/1 and spans the full width
+        radix = "bin" if set(text) <= {"0", "1"} and len(text) == width else "hex"
+    return word_from_text(text, 2 if radix == "bin" else 16, width)
 
 
 def _build_config(args: argparse.Namespace) -> GeneratorConfig:
@@ -267,11 +262,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"togglesim: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (TraceFormatError, OSError) as exc:
-        print(f"togglesim: error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
-        # bad data reaching a model contract, e.g. a trace with no transfers
+    except (OSError, ValueError) as exc:
+        # a TraceFormatError, or bad data reaching a model contract, e.g. a
+        # trace with no transfers
         print(f"togglesim: error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

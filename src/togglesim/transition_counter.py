@@ -29,29 +29,30 @@ from functools import partial
 from itertools import accumulate, chain, islice, repeat
 from operator import eq, itemgetter, xor
 
-from .bits import Trace, Word, check_width
+from .bits import Record, Trace, Word, check_width
 
 # Running total saturates instead of wrapping on very long runs.
 TOTAL_SATURATION = (1 << 64) - 1
 
 
-class CycleRecord(tuple):
+class CycleRecord(Record, tuple):
     """Outputs observed on one clock edge.
 
-    An immutable value: records with equal fields compare and hash equal,
-    and a record equals nothing else. It is a tuple, not a ``bits.Record``,
-    stored as ``(cycle, reset, width, datain value, dataout value,
-    one_transition, total_transition)``. The records of :func:`run_trace`
+    A :class:`~togglesim.bits.Record` stored as a tuple, ``(cycle, reset,
+    width, datain value, dataout value, one_transition, total_transition)``,
+    with its fields read through properties. The records of :func:`run_trace`
     are built each time they are read, so building one must stay a single
-    C-level ``tuple.__new__``: about 0.6 us per cycle, where a ``Record``
-    holding two ``Word``s took 5.6-5.9 us. ``datain`` and ``dataout`` are
-    built when read.
+    C-level ``tuple.__new__``: about 0.6 us per cycle, where a slotted
+    ``Record`` holding two ``Word``s took 5.6-5.9 us. ``datain`` and
+    ``dataout`` are built when read, and ``==`` compares the stored ints, so
+    that it builds no ``Word``.
     """
 
     __slots__ = ()
     __match_args__ = (
         "cycle", "reset", "datain", "dataout", "one_transition", "total_transition"
     )
+    __init__ = tuple.__init__  # the fields are bound by __new__
 
     def __new__(cls, cycle: int, reset: bool, datain: Word, dataout: Word,
                 one_transition: int, total_transition: int) -> "CycleRecord":
@@ -76,29 +77,16 @@ class CycleRecord(tuple):
     def dataout(self) -> Word:
         return Word(self[2], self[4])
 
-    def _fields(self) -> tuple:
-        return (self.cycle, self.reset, self.datain, self.dataout,
-                self.one_transition, self.total_transition)
-
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
             return tuple.__eq__(self, other)
         return False if isinstance(other, tuple) else NotImplemented
 
+    __hash__ = Record.__hash__
     # != inverts __eq__; records have no order, where tuple's would compare the layout
     __ne__ = object.__ne__
     __lt__, __le__ = object.__lt__, object.__le__
     __gt__, __ge__ = object.__gt__, object.__ge__
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __reduce__(self):
-        return self.__class__, self._fields()
-
-    def __repr__(self) -> str:
-        fields = zip(self.__match_args__, self._fields())
-        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
 
 
 class BitTransitionCounter:

@@ -164,6 +164,13 @@ class TestTrace:
         assert t[1] == Word(4, 1)
         assert list(t) == [Word(4, 0), Word(4, 1), Word(4, 2)]
 
+    @pytest.mark.parametrize("cut", [
+        slice(1, 3), slice(None), slice(-2, None), slice(None, -1), slice(None, None, 2),
+        slice(None, None, -1), slice(-1, 0, -2), slice(2, 1), slice(5, 9), slice(-9, 0),
+    ])
+    def test_slice_is_the_list_of_its_words(self, cut):
+        assert Trace(4, (1, 2, 3))[cut] == [Word(4, v) for v in (1, 2, 3)[cut]]
+
 
 # Widths on each side of a machine-integer size, and the largest allowed.
 PACK_EDGE_WIDTHS = [1, 7, 8, 9, 16, 17, 24, 25, 32, 33, 56, 57, 63, 64, 65, 1023, 1024]

@@ -13,6 +13,7 @@ from togglesim.bits import CHUNK_BYTES, Trace, Word, chunked
 from togglesim.trace_io import (
     TraceFileHeader,
     TraceFormatError,
+    load_trace,
     parse_trace,
     read_trace,
     render_chunks,
@@ -99,6 +100,14 @@ class TestRenderTrace:
         again = parse_trace(text)
         assert again == trace
         assert render_trace(again, radix) == text
+
+    @pytest.mark.parametrize("radix", [2, 16])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_load_trace_round_trips_a_file(self, tmp_path, radix, newline):
+        trace = Trace(12, (0, 0xABC, 0xFFF, 0x001, 0x800))
+        path = tmp_path / "trace.txt"
+        path.write_bytes(render_trace(trace, radix).replace("\n", newline).encode())
+        assert load_trace(str(path)) == trace
 
     def test_header_validation(self):
         with pytest.raises(ValueError):

@@ -155,6 +155,16 @@ class TestRunTrace:
             "dataout=Word(4, '0001'), one_transition=2, total_transition=2)"
         )
 
+    def test_records_repr(self):
+        records = run_trace(Trace(4, (0b0001, 0b0010)))
+        assert repr(records) == f"CycleRecords([{records[0]!r}, {records[1]!r}])"
+
+    @pytest.mark.parametrize("other", [None, 3, object(), {0: 1}])
+    def test_records_never_equal_a_non_sequence(self, other):
+        records = run_trace(Trace(4, (0b0001, 0b0010)))
+        assert records != other and other != records
+        assert not records == other and not other == records
+
     def test_builds_no_word(self, monkeypatch):
         trace = wide_trace(16)
 
