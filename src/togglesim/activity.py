@@ -9,14 +9,16 @@ arriving as packed byte chunks (see `bits`): from a trace reader, an
 encoder or slices of a held `Trace` (`analyze_trace`). It folds the chunk
 bytes as they come, keeping the per-line counts and the last word of the
 previous pack, so its memory does not grow with the trace unless
-per-transfer counts are asked for.
+per-transfer counts are asked for. Those counts, here and in the probe's
+`run_trace`, are `bits.popcounts` of the packs of `transfer_diffs`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
+from itertools import chain
 
-from .bits import Record, Trace, chunk_words, chunked, unpack
+from .bits import Record, Trace, popcounts, transfer_diffs
 
 
 class ActivityReport(Record):
@@ -58,53 +60,26 @@ def switching_activity(total_transitions: int, width: int, transfers: int) -> fl
     return total_transitions / (width * transfers)
 
 
-def _packs(chunks: Iterable[bytes], size: int, words: int) -> Iterator[bytearray]:
-    """The words of `chunks`, `size` bytes each, regrouped into packs of
-    `words` or more, the last of 2 or more, each pack starting with the last
-    word of the pack before it: every pair of neighbouring words is in
-    exactly one pack."""
-    pack = bytearray()
-    for chunk in chunks:
-        pack += chunk
-        if len(pack) >= words * size:
-            yield pack
-            pack = pack[-size:]
-    if len(pack) > size:
-        yield pack
-
-
 def analyze_chunks(width: int, chunks: Iterable[bytes],
                    include_per_cycle: bool = False) -> ActivityReport:
     """Count transitions over consecutive word pairs of a trace whose
     `width`-bit words arrive in `chunks` (see `bits`), in order.
 
-    The words are regrouped into packs of about chunk_words(width) words,
-    neighbouring packs sharing one word, so every transfer is counted once
-    and the work per pack does not depend on how the words were chunked.
-    A pack read as one big-endian int, XORed with itself shifted down one
-    word, holds each transfer's flipped lines in the slot of its second
-    word. Byte lane j of those slots, taken as one int, holds lines
-    8j..8j+7 of every transfer; line 8j+k's toggles in the pack are the
-    popcount of that lane masked to bit k of every byte. The work per pack
-    is a few whole-pack big-int operations per line, and the transient
+    The transfers come a pack at a time from transfer_diffs. Byte lane j of
+    a pack, taken as one int, holds lines 8j..8j+7 of every transfer; line
+    8j+k's toggles are the popcount of that lane masked to bit k of every
+    byte, a few whole-pack big-int operations per line. The transient
     memory is bounded by the pack, not the trace.
     """
     size = (width + 7) // 8
     toggles = [0] * width
-    per_cycle = None
-    if include_per_cycle:
-        from array import array  # here, not at the top: the CLI starts without it
-
-        per_cycle = array("H")  # a count is at most MAX_WIDTH
+    per_cycle = [] if include_per_cycle else None  # one array('H') of counts per pack
     transfers = 0
-    for pack in _packs(chunks, size, max(2, chunk_words(width))):
-        n = len(pack) // size - 1
+    for diffs in transfer_diffs(width, chunks):
+        n = len(diffs) // size
         transfers += n
-        packed = int.from_bytes(pack, "big")
-        # the first slot holds a word, not a transfer
-        diffs = (packed ^ (packed >> (8 * size))).to_bytes(len(pack), "big")[size:]
         if per_cycle is not None:
-            per_cycle.extend(map(int.bit_count, unpack(width, diffs)))
+            per_cycle.append(popcounts(width, diffs))
         ones = int.from_bytes(b"\x01" * n, "little")
         masks = [ones << k for k in range(min(8, width))]
         for j in range(size):
@@ -120,13 +95,13 @@ def analyze_chunks(width: int, chunks: Iterable[bytes],
         total_transitions=total,
         tau=switching_activity(total, width, transfers),
         per_bit_toggles=tuple(toggles),
-        per_cycle=None if per_cycle is None else tuple(per_cycle),
+        per_cycle=None if per_cycle is None else tuple(chain.from_iterable(per_cycle)),
     )
 
 
 def analyze_trace(trace: Trace, include_per_cycle: bool = False) -> ActivityReport:
-    """analyze_chunks over chunks of the trace's values, one pack each."""
-    return analyze_chunks(trace.width, chunked(trace.values, trace.width), include_per_cycle)
+    """analyze_chunks over the chunks of a held trace."""
+    return analyze_chunks(trace.width, trace.chunks(), include_per_cycle)
 
 
 def compare_reports(a: ActivityReport, b: ActivityReport) -> ReductionSummary:

@@ -3,9 +3,10 @@
 A :class:`Word` is an immutable bit pattern of known width. Bit 0 is the
 least significant bit and the rightmost character of the binary text form,
 so a 16-bit bus "data(15)..data(0)" maps to indices 15..0. A :class:`Trace`
-is a width plus a tuple of plain int values, one per clock cycle; iterating
-or indexing it yields :class:`Word` objects, and a slice a list of them.
-The number of word-to-word transfers is one less than the number of words.
+is a width plus its words, one per clock cycle, held as one chunk (below):
+``ceil(width / 8)`` bytes per word. Iterating or indexing it yields
+:class:`Word` objects, and a slice a list of them. The number of
+word-to-word transfers is one less than the number of words.
 
 The transition count between two consecutive words is their Hamming
 distance, i.e. the popcount of their XOR.
@@ -16,19 +17,20 @@ fold) passes a trace on in *chunks*: ``bytes`` holding one or more words of
 `width` zero. It is what ``bytes.fromhex`` makes of a block of hex words, so
 a stage works on a chunk in a few C-level calls, not one Python call per
 word. :func:`pack` and :func:`unpack` convert at the edges of the stages
-that need ints.
+that need ints, and :func:`popcounts` counts the set bits of every word.
 
 :class:`Record` is the base of every immutable value class in the package,
-:class:`Word` and :class:`Trace` included: named ``__slots__`` fields bound
-once by ``Record.__init__``, with equality, hash, repr and pickling by field.
+:class:`Word` and :class:`Trace` included: named fields bound once, with
+equality, hash, repr and pickling by field.
 """
 
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
+from functools import partial
 from itertools import chain, repeat
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 MAX_WIDTH = 1024  # sanity bound; typical buses here are 4..16 lines
 
@@ -39,18 +41,12 @@ MAX_WIDTH = 1024  # sanity bound; typical buses here are 4..16 lines
 # and the fold at any width, about 1.5 MiB for a generated chunk as text.
 CHUNK_BYTES = 1 << 14
 
-_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+_DIGITS = {2: frozenset("01"), 16: frozenset("0123456789abcdefABCDEF")}
 
 
 def chunk_words(width: int) -> int:
     """Values per chunk of a `width`-bit trace: CHUNK_BYTES // ceil(width / 8)."""
     return CHUNK_BYTES // ((width + 7) // 8)
-
-
-def chunked(values: Sequence[int], width: int) -> Iterator[bytes]:
-    """`values` as chunks of chunk_words(width) words (the last may be shorter)."""
-    step = chunk_words(width)
-    return (pack(width, values[start : start + step]) for start in range(0, len(values), step))
 
 
 def _restride(data: bytes, old: int, new: int) -> bytes:
@@ -64,12 +60,17 @@ def _restride(data: bytes, old: int, new: int) -> bytes:
     return out
 
 
-def _machine_words(size: int):
-    """An empty array of the narrowest unsigned machine integer of at least
-    `size` bytes, or None past 8 bytes."""
+def _machine_words(size: int, chunk: bytes = b""):
+    """The `size`-byte words of `chunk` in an array of the narrowest unsigned
+    machine integer of at least `size` bytes, or None past 8 bytes."""
     from array import array  # here, not at the top: the CLI starts without it
 
-    return next((array(c) for c in "BHILQ" if array(c).itemsize >= size), None)
+    items = next((array(c) for c in "BHILQ" if array(c).itemsize >= size), None)
+    if items is not None and chunk:
+        items.frombytes(_restride(chunk, size, items.itemsize))
+        if sys.byteorder == "little":
+            items.byteswap()
+    return items
 
 
 def pack(width: int, values: Iterable[int]) -> bytes:
@@ -87,13 +88,45 @@ def pack(width: int, values: Iterable[int]) -> bytes:
 def unpack(width: int, chunk: bytes) -> list[int]:
     """The values of the `width`-bit words in `chunk`; the inverse of pack."""
     size = (width + 7) // 8
-    items = _machine_words(size)
+    items = _machine_words(size, chunk)
     if items is None:
         return [int.from_bytes(chunk[i : i + size], "big") for i in range(0, len(chunk), size)]
-    items.frombytes(_restride(chunk, size, items.itemsize))
-    if sys.byteorder == "little":
-        items.byteswap()
     return items.tolist()
+
+
+_POPCOUNTS = bytes(map(int.bit_count, range(256)))
+
+
+def popcounts(width: int, chunk: bytes):
+    """The set bits of each `width`-bit word of `chunk`, as an array('H'):
+    one translate maps each byte to its popcount, and byte lane j (byte j of
+    every word) is read as one int. Up to 31 lanes add with no carry out of
+    a byte (31 * 8 < 256); the groups' sums, spread to 2-byte slots, add
+    with no carry out of a slot (MAX_WIDTH < 2 ** 16)."""
+    size = (width + 7) // 8
+    bits, spread, total = chunk.translate(_POPCOUNTS), bytearray(2 * len(chunk) // size), 0
+    for start in range(0, size, 31):
+        lanes = (bits[j::size] for j in range(start, min(start + 31, size)))
+        group = sum(map(int.from_bytes, lanes, repeat("big")))
+        spread[1::2] = group.to_bytes(len(spread) // 2, "big")
+        total += int.from_bytes(spread, "big")
+    return _machine_words(2, total.to_bytes(len(spread), "big"))
+
+
+def transfer_diffs(width: int, chunks: Iterable[bytes]) -> Iterator[bytes]:
+    """The flipped lines of each transfer of the trace in `chunks`, a chunk
+    per pack of chunk_words(width) words or more, each pack starting with
+    the last word of the one before. A pack read as one int, XORed with
+    itself shifted down one word, holds each transfer's flips in the slot of
+    its second word."""
+    size, words = (width + 7) // 8, bytearray()  # the pack being gathered
+    full = max(2, chunk_words(width)) * size
+    for chunk in chain(chunks, [b""]):  # an empty chunk ends a pack: the last one, say
+        words += chunk
+        if len(words) >= full or not chunk and len(words) > size:
+            packed = int.from_bytes(words, "big")
+            yield (packed ^ (packed >> (8 * size))).to_bytes(len(words), "big")[size:]
+            words = words[-size:]
 
 
 def check_width(width: int) -> None:
@@ -105,12 +138,12 @@ def check_width(width: int) -> None:
 class Record:
     """An immutable value: a subclass names its two or more fields in
     ``__slots__`` and passes their values, checked, to ``Record.__init__``.
-    A subclass that stores its fields another way, as a tuple say, names
-    them in ``__match_args__`` and reads each through a property.
+    A subclass stored as a tuple names them in ``__match_args__`` and reads
+    each through a property.
 
     Records of the same class with equal fields compare and hash equal, like
-    the tuple of their fields; a record equals nothing else. The repr is
-    ``Name(field=value, ...)``, ``__match_args__`` is the field names, and
+    the tuple of their fields; a record equals nothing else, a tuple
+    included, and has no order. The repr is ``Name(field=value, ...)``, and
     pickle and copy rebuild a record through its constructor.
     """
 
@@ -131,12 +164,18 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._values(self) == other._values(other)
-        return NotImplemented
+        if other.__class__ is not self.__class__:
+            return False if isinstance(other, tuple) else NotImplemented
+        if isinstance(self, tuple):  # stored as a tuple: compare what is stored
+            return tuple.__eq__(self, other)
+        return self._values(self) == other._values(other)
 
     def __hash__(self) -> int:
         return hash(self._values(self))
+
+    # != inverts __eq__, and records have no order: none takes tuple's
+    __ne__, __lt__, __le__ = object.__ne__, object.__lt__, object.__le__
+    __gt__, __ge__ = object.__gt__, object.__ge__
 
     def __reduce__(self):
         return self.__class__, self._values(self)
@@ -146,19 +185,25 @@ class Record:
         return f"{type(self).__qualname__}({', '.join(fields)})"
 
 
-class Word(Record):
-    """A value of exactly `width` bits; no hidden higher bits are stored."""
+class Word(Record, tuple):
+    """A value of exactly `width` bits; no hidden higher bits are stored.
 
-    __slots__ = ("width", "value")
+    A :class:`Record` stored as the tuple ``(width, value)``, both checked by
+    ``Word(width, value)``; a Trace or CycleRecord builds the Word of a word
+    it has checked with one C-level ``tuple.__new__``."""
 
-    def __init__(self, width: int, value: int) -> None:
+    __slots__ = ()
+    __match_args__ = ("width", "value")
+    __init__ = tuple.__init__  # the fields are bound by __new__
+
+    def __new__(cls, width: int, value: int) -> "Word":
         check_width(width)
         if not 0 <= value < (1 << width):
             raise ValueError(f"value 0x{value:X} does not fit in {width} bits")
-        # Bound here, not through Record.__init__, which takes a Word from 0.9-1.1 us
-        # to 1.6-1.7 us to build; iterating or indexing a Trace builds one per value.
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "value", value)
+        return tuple.__new__(cls, (width, value))
+
+    width = property(itemgetter(0))
+    value = property(itemgetter(1))
 
     def bit(self, index: int) -> int:
         """Bit at `index`, 0 = LSB."""
@@ -186,8 +231,8 @@ class Word(Record):
         return f"Word({self.width}, '{self.to_binary()}')"
 
 
-def value_from_text(text: str, radix: int, width: int) -> int:
-    """Parse an MSB-first binary or hex string into a `width`-bit value.
+def word_from_text(text: str, radix: int, width: int) -> Word:
+    """Parse an MSB-first binary or hex string into a `width`-bit Word.
 
     Binary accepts at most `width` digits, hex at most ceil(width/4); excess
     leading zeros within those limits are fine. Hex is case-insensitive.
@@ -197,27 +242,13 @@ def value_from_text(text: str, radix: int, width: int) -> int:
         raise ValueError(f"radix must be 2 or 16, got {radix}")
     if not text:
         raise ValueError("empty text")
-    if radix == 2:
-        bad = set(text) - {"0", "1"}
-        if bad:
-            raise ValueError(f"invalid binary digit {sorted(bad)[0]!r} in {text!r}")
-        if len(text) > width:
-            raise ValueError(f"{len(text)} binary digits exceed width {width}")
-        return int(text, 2)
-    bad = set(text) - _HEX_DIGITS
+    name, digits = ("binary", width) if radix == 2 else ("hex", (width + 3) // 4)
+    bad = set(text) - _DIGITS[radix]
     if bad:
-        raise ValueError(f"invalid hex digit {sorted(bad)[0]!r} in {text!r}")
-    if len(text) > (width + 3) // 4:
-        raise ValueError(f"{len(text)} hex digits exceed width {width}")
-    value = int(text, 16)
-    if value >= 1 << width:
-        raise ValueError(f"value 0x{value:X} does not fit in {width} bits")
-    return value
-
-
-def word_from_text(text: str, radix: int, width: int) -> Word:
-    """value_from_text as a Word."""
-    return Word(width, value_from_text(text, radix, width))
+        raise ValueError(f"invalid {name} digit {sorted(bad)[0]!r} in {text!r}")
+    if len(text) > digits:
+        raise ValueError(f"{len(text)} {name} digits exceed width {width}")
+    return Word(width, int(text, radix))  # which rejects a hex value above the width
 
 
 def hamming_distance(a: Word, b: Word) -> int:
@@ -228,11 +259,16 @@ def hamming_distance(a: Word, b: Word) -> int:
 
 
 class Trace(Record):
-    """Same-width int values over consecutive clock cycles, cycle 0 first."""
+    """Same-width words over consecutive clock cycles, cycle 0 first, held
+    as one chunk (see the module docstring): ceil(width / 8) bytes a word.
+    ``Trace(width, values)`` checks and packs int values; ``values`` unpacks
+    them. Iteration builds each :class:`Word` a chunk at a time.
+    """
 
-    __slots__ = ("width", "values")
+    __slots__ = ("width", "chunk")
+    __match_args__ = ("width", "values")
 
-    def __init__(self, width: int, values: tuple[int, ...]) -> None:
+    def __init__(self, width: int, values: Iterable[int]) -> None:
         check_width(width)
         values = tuple(values)
         if not values:
@@ -240,36 +276,54 @@ class Trace(Record):
         low, high = min(values), max(values)
         if low < 0 or high >> width:
             raise ValueError(f"values {low}..{high} do not all fit in {width} bits")
-        super().__init__(width, values)
-
-    @classmethod
-    def from_words(cls, words: Iterable[Word]) -> "Trace":
-        ws = tuple(words)
-        if not ws:
-            raise ValueError("empty trace: need at least one word")
-        width = ws[0].width
-        for i, w in enumerate(ws):
-            if w.width != width:
-                raise ValueError(f"word {i} has width {w.width}, trace declares {width}")
-        return cls(width, tuple(w.value for w in ws))
+        super().__init__(width, pack(width, values))
 
     @classmethod
     def from_chunks(cls, width: int, chunks: Iterable[bytes]) -> "Trace":
-        """The trace of the words in `chunks`, in order."""
-        return cls(width, tuple(chain.from_iterable(map(unpack, repeat(width), chunks))))
+        """The trace of the words in `chunks`, checked in bulk: whole words
+        only, and no bit set above `width`."""
+        chunk = b"".join(chunks)  # first, so that an error of the chunks' source comes first
+        check_width(width)
+        size = (width + 7) // 8
+        if not chunk:
+            raise ValueError("empty trace: need at least one word")
+        if len(chunk) % size:
+            raise ValueError(f"{len(chunk)} bytes are not whole {size}-byte words")
+        if width % 8 and max(chunk[::size]) >> (width % 8):
+            raise ValueError(f"a word has a bit set above its {width} bits")
+        trace = object.__new__(cls)
+        Record.__init__(trace, width, chunk)
+        return trace
+
+    @property
+    def values(self) -> tuple[int, ...]:
+        """The words' int values, unpacked at each read."""
+        return tuple(unpack(self.width, self.chunk))
 
     @property
     def transfers(self) -> int:
-        """Word-to-word transitions observed; len(values) - 1."""
-        return len(self.values) - 1
+        """Word-to-word transitions observed; len(trace) - 1."""
+        return len(self) - 1
+
+    def chunks(self) -> Iterator[bytes]:
+        """The words as chunks of chunk_words(width) words (the last may be shorter)."""
+        chunk, step = self.chunk, chunk_words(self.width) * ((self.width + 7) // 8)
+        return (chunk[start : start + step] for start in range(0, len(chunk), step))
+
+    def iter_values(self) -> Iterator[int]:
+        """The words' int values, unpacked a chunk at a time."""
+        return chain.from_iterable(map(unpack, repeat(self.width), self.chunks()))
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.chunk) // ((self.width + 7) // 8)
 
     def __iter__(self) -> Iterator[Word]:
-        return map(Word, repeat(self.width), self.values)
+        return map(partial(tuple.__new__, Word), zip(repeat(self.width), self.iter_values()))
 
     def __getitem__(self, index: int | slice) -> Word | list[Word]:
-        if isinstance(index, slice):
-            return list(map(Word, repeat(self.width), self.values[index]))
-        return Word(self.width, self.values[index])
+        cycle = range(len(self))[index]  # an int, negatives counted from the end, or a range
+        if isinstance(cycle, range):
+            return list(map(self.__getitem__, cycle))
+        size = (self.width + 7) // 8
+        value = int.from_bytes(self.chunk[cycle * size : (cycle + 1) * size], "big")
+        return tuple.__new__(Word, (self.width, value))

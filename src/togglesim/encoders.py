@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from itertools import repeat
 
-from .bits import MAX_WIDTH, Trace, chunked, pack, unpack
+from .bits import MAX_WIDTH, Trace, pack, unpack
 
 
 def gray_to_binary(g: int) -> int:
@@ -43,8 +43,7 @@ def gray_encode_chunks(width: int, chunks: Iterable[bytes]) -> Iterator[bytes]:
 
 def gray_encode_trace(trace: Trace) -> Trace:
     """Gray-map every word of a trace (an address-bus style recoding)."""
-    chunks = gray_encode_chunks(trace.width, chunked(trace.values, trace.width))
-    return Trace.from_chunks(trace.width, chunks)
+    return Trace.from_chunks(trace.width, gray_encode_chunks(trace.width, trace.chunks()))
 
 
 def bus_invert_encode_chunks(width: int, chunks: Iterable[bytes]) -> Iterator[bytes]:
@@ -86,5 +85,5 @@ def bus_invert_encode_chunks(width: int, chunks: Iterable[bytes]) -> Iterator[by
 def bus_invert_encode_trace(trace: Trace) -> Trace:
     """Re-encode a raw trace as it would appear on invert-signaled lines;
     see bus_invert_encode_chunks."""
-    encoded = bus_invert_encode_chunks(trace.width, chunked(trace.values, trace.width))
+    encoded = bus_invert_encode_chunks(trace.width, trace.chunks())
     return Trace.from_chunks(trace.width + 1, encoded)

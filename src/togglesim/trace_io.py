@@ -32,10 +32,10 @@ import re
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from io import IOBase, StringIO, TextIOBase
-from itertools import islice
+from itertools import islice, repeat
 
 from .activity import ActivityReport, rounded_display
-from .bits import CHUNK_BYTES, Record, Trace, check_width, chunked, pack, value_from_text
+from .bits import CHUNK_BYTES, Record, Trace, check_width, pack, word_from_text
 
 REPORT_FORMATS = ("json", "csv", "table")
 
@@ -160,12 +160,18 @@ def _header(line: str, lineno: int) -> TraceFileHeader:
 
 def _words(lines: list[str], lineno: int, header: TraceFileHeader) -> bytes:
     """The words of the word lines among `lines`, the first being line
-    `lineno`, as a chunk, with blank and comment lines skipped; each word
-    is parsed by value_from_text, and the first bad one is named."""
+    `lineno`, as a chunk. They are zero-filled to the header's digits and
+    parsed as one clean block (see _clean_words); failing that, each is
+    parsed by word_from_text, and the first bad one is named."""
+    words = [line for _, line in _significant(lines, lineno)]
+    text = "\n".join(map(str.rjust, words, repeat(header.digits), repeat("0"))) + "\n"
+    chunk = _clean_words(text.encode("utf-8", "surrogatepass"), header)
+    if chunk is not None:
+        return chunk
     values = []
     for lineno, line in _significant(lines, lineno):
         try:
-            values.append(value_from_text(line, header.radix, header.width))
+            values.append(word_from_text(line, header.radix, header.width).value)
         except ValueError as exc:
             raise TraceFormatError(f"line {lineno}: {exc}") from exc
     return pack(header.width, values)
@@ -300,7 +306,7 @@ def _spread_masks(length: int) -> tuple[tuple[int, int], ...]:
 
 def render_trace(trace: Trace, radix: int = 2) -> str:
     """Canonical text form; parse_trace(render_trace(t)) == t."""
-    return "".join(render_chunks(trace.width, chunked(trace.values, trace.width), radix))
+    return "".join(render_chunks(trace.width, trace.chunks(), radix))
 
 
 _JOIN_SLICE = 4096  # pieces joined per str.join

@@ -13,12 +13,12 @@ against the last value applied during reset.
 
 :class:`BitTransitionCounter` is the single-cycle model: ``step`` applies one
 word and one reset level per clock edge. :func:`run_trace` gives the same
-records for a whole trace at once, counting on the trace's int values. Like
-the probe, which keeps only the previous word and a running total, it holds
-counts, not records: one ``array`` of ``one_transition`` and one of
-``total_transition`` counts, 10 B per cycle beside the trace. Each
-:class:`CycleRecord` is built when it is read, and builds its ``datain`` and
-``dataout`` :class:`~togglesim.bits.Word` when those are read.
+records for a whole trace at once. Like the probe, which keeps only the
+previous word and a running total, it holds counts, not records: the
+trace, and one ``array`` each of ``one_transition`` (the per-transfer
+counts of ``analyze --per-cycle``) and ``total_transition`` counts, 10 B
+per cycle. Each :class:`CycleRecord` is built when it is read, and builds
+its ``datain`` and ``dataout`` :class:`~togglesim.bits.Word` when read.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ from __future__ import annotations
 from array import array
 from collections.abc import Iterator, Sequence
 from functools import partial
-from itertools import accumulate, chain, islice, repeat
-from operator import eq, itemgetter, xor
+from itertools import accumulate, chain, repeat
+from operator import eq, itemgetter
 
-from .bits import Record, Trace, Word, check_width
+from .bits import Record, Trace, Word, check_width, popcounts, transfer_diffs
 
 # Running total saturates instead of wrapping on very long runs.
 TOTAL_SATURATION = (1 << 64) - 1
@@ -42,10 +42,8 @@ class CycleRecord(Record, tuple):
     width, datain value, dataout value, one_transition, total_transition)``,
     with its fields read through properties. The records of :func:`run_trace`
     are built each time they are read, so building one must stay a single
-    C-level ``tuple.__new__``: about 0.6 us per cycle, where a slotted
-    ``Record`` holding two ``Word``s took 5.6-5.9 us. ``datain`` and
-    ``dataout`` are built when read, and ``==`` compares the stored ints, so
-    that it builds no ``Word``.
+    C-level ``tuple.__new__``, about 0.6 us per cycle; ``datain`` and
+    ``dataout`` are each one more when read, and ``==`` builds no ``Word``.
     """
 
     __slots__ = ()
@@ -71,22 +69,11 @@ class CycleRecord(Record, tuple):
 
     @property
     def datain(self) -> Word:
-        return Word(self[2], self[3])
+        return tuple.__new__(Word, self[2:4])  # (width, datain value), checked when stored
 
     @property
     def dataout(self) -> Word:
-        return Word(self[2], self[4])
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return tuple.__eq__(self, other)
-        return False if isinstance(other, tuple) else NotImplemented
-
-    __hash__ = Record.__hash__
-    # != inverts __eq__; records have no order, where tuple's would compare the layout
-    __ne__ = object.__ne__
-    __lt__, __le__ = object.__lt__, object.__le__
-    __gt__, __ge__ = object.__gt__, object.__ge__
+        return tuple.__new__(Word, self[2:5:2])
 
 
 class BitTransitionCounter:
@@ -117,21 +104,15 @@ class BitTransitionCounter:
 
 
 class CycleRecords(Sequence):
-    """The records of one :func:`run_trace`, a read-only sequence.
+    """The records of one :func:`run_trace`, a read-only sequence: each
+    :class:`CycleRecord` is built when it is read, and is not kept. It
+    equals any sequence of the same records, a list of them included."""
 
-    It holds the trace's values and the two count arrays; each
-    :class:`CycleRecord` is built when it is read, by iteration or by
-    index, and is not kept. It equals any sequence of the same records, a
-    list of them included.
-    """
-
-    __slots__ = ("_width", "_values", "_reset", "_ones", "_totals")
+    __slots__ = ("_trace", "_reset", "_ones", "_totals")
     __hash__ = None  # equal by value, like a list of the records
 
-    def __init__(self, width: int, values: tuple[int, ...], reset: bool,
-                 ones: array, totals: array) -> None:
-        self._width, self._values, self._reset = width, values, reset
-        self._ones, self._totals = ones, totals
+    def __init__(self, trace: Trace, reset: bool, ones: array, totals: array) -> None:
+        self._trace, self._reset, self._ones, self._totals = trace, reset, ones, totals
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Sequence):
@@ -142,35 +123,31 @@ class CycleRecords(Sequence):
         return f"{type(self).__name__}({list(self)!r})"
 
     def __len__(self) -> int:
-        return len(self._values)
+        return len(self._ones)
 
     def __iter__(self) -> Iterator[CycleRecord]:
-        values = self._values
+        trace = self._trace
         return map(
             partial(tuple.__new__, CycleRecord),
             zip(
-                range(len(values)),
+                range(len(trace)),
                 chain((self._reset,), repeat(False)),
-                repeat(self._width),
-                values,
-                chain((0,), values),  # dataout: zero on cycle 0, then the word before
+                repeat(trace.width),
+                trace.iter_values(),
+                chain((0,), trace.iter_values()),  # dataout: zero on cycle 0, then the word before
                 self._ones,
                 self._totals,
             ),
         )
 
     def __getitem__(self, index: int | slice) -> CycleRecord | list[CycleRecord]:
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        cycle = range(len(self._values))[index]  # an int, negatives counted from the end
+        cycle = range(len(self))[index]  # an int, negatives counted from the end, or a range
+        if isinstance(cycle, range):
+            return list(map(self.__getitem__, cycle))
+        trace = self._trace
         return tuple.__new__(CycleRecord, (
-            cycle,
-            self._reset if cycle == 0 else False,
-            self._width,
-            self._values[cycle],
-            self._values[cycle - 1] if cycle else 0,
-            self._ones[cycle],
-            self._totals[cycle],
+            cycle, self._reset if cycle == 0 else False, trace.width, trace[cycle].value,
+            trace[cycle - 1].value if cycle else 0, self._ones[cycle], self._totals[cycle],
         ))
 
 
@@ -182,14 +159,17 @@ def run_trace(trace: Trace, reset_on_cycle0: bool = True) -> CycleRecords:
     With that customary reset, the final ``total_transition`` equals the sum
     of Hamming distances over consecutive word pairs; without it, cycle 0
     counts the first word against the all-zero register. The result holds
-    the counts, 2 B (``one_transition``) and 8 B (``total_transition``) per
-    cycle, and builds each record when it is read.
+    the trace and 2 + 8 B of counts per cycle, and builds each record when
+    it is read.
     """
     reset = bool(reset_on_cycle0)
-    values = trace.values
-    flips = map(int.bit_count, map(xor, values, islice(values, 1, None)))
-    ones = array("H", chain((0 if reset else values[0].bit_count(),), flips))  # <= 1024 lines
+    zero = bytes((trace.width + 7) // 8)  # the register before cycle 0
+    ones = array("H")
+    for diffs in transfer_diffs(trace.width, chain((zero,), trace.chunks())):
+        ones += popcounts(trace.width, diffs)
+    if reset:
+        ones[0] = 0
     totals = array("Q", accumulate(ones))
     if totals[-1] > TOTAL_SATURATION:  # totals never fall: the last is the largest
         totals = array("Q", map(min, totals, repeat(TOTAL_SATURATION)))
-    return CycleRecords(trace.width, values, reset, ones, totals)
+    return CycleRecords(trace, reset, ones, totals)

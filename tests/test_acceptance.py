@@ -60,9 +60,7 @@ def test_criterion_01_counter_table_exact():
 
 
 def test_criterion_02_probe_trace_semantics():
-    trace = Trace.from_words(
-        [word_from_text(t, 16, 16) for t in ("0000", "0303", "0F03")]
-    )
+    trace = Trace(16, [word_from_text(t, 16, 16).value for t in ("0000", "0303", "0F03")])
     records = run_trace(trace, reset_on_cycle0=True)
     assert [r.one_transition for r in records] == [0, 4, 2]
     assert [r.total_transition for r in records] == [0, 4, 6]
@@ -118,7 +116,7 @@ def test_criterion_07_oracle_equivalence_on_random_traces():
         width = rng.randint(1, 64)
         length = rng.randint(2, 200)
         words = tuple(Word(width, rng.getrandbits(width)) for _ in range(length))
-        trace = Trace.from_words(words)
+        trace = Trace(width, [w.value for w in words])
         by_loop = sum(
             hamming_distance(words[i], words[i + 1]) for i in range(length - 1)
         )
@@ -223,9 +221,7 @@ def test_criterion_11_round_trips_bit_exact():
     for _ in range(200):
         width = rng.randint(1, 32)
         length = rng.randint(2, 40)
-        trace = Trace.from_words(
-            Word(width, rng.getrandbits(width)) for _ in range(length)
-        )
+        trace = Trace(width, [rng.getrandbits(width) for _ in range(length)])
         radix = rng.choice([2, 16])
         text = render_trace(trace, radix)
         parsed = parse_trace(text)

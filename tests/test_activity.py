@@ -66,17 +66,17 @@ class TestAnalyzeTrace:
         assert report.tau == 0.125
 
     def test_constant_trace(self):
-        report = analyze_trace(Trace.from_words([Word(8, 7)] * 5))
+        report = analyze_trace(Trace(8, [7] * 5))
         assert report.total_transitions == 0
         assert report.tau == 0.0
         assert report.per_bit_toggles == (0,) * 8
 
     def test_too_short(self):
         with pytest.raises(ValueError, match="too short"):
-            analyze_trace(Trace.from_words([Word(4, 0)]))
+            analyze_trace(Trace(4, [0]))
 
     def test_per_bit_toggles_indexed_from_lsb(self):
-        trace = Trace.from_words([Word(4, 0b0000), Word(4, 0b0001), Word(4, 0b1001)])
+        trace = Trace(4, [0b0000, 0b0001, 0b1001])
         report = analyze_trace(trace)
         assert report.per_bit_toggles == (1, 0, 0, 1)
 
@@ -134,7 +134,7 @@ class TestCompareReports:
         assert summary.transitions_delta == 0
 
     def test_zero_baseline_rejected(self):
-        quiet = analyze_trace(Trace.from_words([Word(4, 0)] * 3))
+        quiet = analyze_trace(Trace(4, [0] * 3))
         busy = analyze_trace(counter_trace("binary", 4))
         with pytest.raises(ZeroDivisionError):
             compare_reports(quiet, busy)

@@ -113,7 +113,7 @@ class TestTraceTransforms:
         assert encoded.tau <= raw.tau
 
     def test_first_word_passes_through_uninverted(self):
-        trace = Trace.from_words([Word(4, 0b1010), Word(4, 0b0101)])
+        trace = Trace(4, [0b1010, 0b0101])
         encoded = bus_invert_encode_trace(trace)
         assert encoded[0].value == 0b1010  # invert bit low
         assert encoded[0].bit(4) == 0

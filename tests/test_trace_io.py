@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from togglesim import bits, trace_io
 from togglesim.activity import analyze_trace
-from togglesim.bits import CHUNK_BYTES, Trace, Word, chunked
+from togglesim.bits import CHUNK_BYTES, Trace, Word
 from togglesim.trace_io import (
     TraceFileHeader,
     TraceFormatError,
@@ -91,7 +91,7 @@ class TestParseTrace:
 
 class TestRenderTrace:
     def test_hex_rendering_matches_reference_style(self):
-        trace = Trace.from_words([Word(16, v) for v in (0x0000, 0x0303, 0x0F03)])
+        trace = Trace(16, (0x0000, 0x0303, 0x0F03))
         assert render_trace(trace, 16) == FIG_STIMULUS
 
     @given(traces(min_len=1, max_len=20), st.sampled_from([2, 16]))
@@ -117,8 +117,7 @@ class TestRenderTrace:
 
 
 def binary_counter_report():
-    words = [Word(4, v) for v in range(16)]
-    return analyze_trace(Trace.from_words(words))
+    return analyze_trace(Trace(4, range(16)))
 
 
 class TestWriteReport:
@@ -129,7 +128,7 @@ class TestWriteReport:
 
     def test_table_per_cycle_line(self):
         report = analyze_trace(
-            Trace.from_words([Word(4, v) for v in range(4)]), include_per_cycle=True
+            Trace(4, range(4)), include_per_cycle=True
         )
         text = write_report(report, "table")
         assert "per-transfer counts 1 2 1" in text
@@ -151,7 +150,7 @@ class TestWriteReport:
         assert text == json.dumps(payload, indent=2) + "\n"
 
     def test_json_zero_activity(self):
-        report = analyze_trace(Trace.from_words([Word(8, 3)] * 4))
+        report = analyze_trace(Trace(8, [3] * 4))
         payload = json.loads(write_report(report, "json"))
         assert payload["tau"] == 0
         assert payload["tau_display"] == 0
@@ -561,7 +560,7 @@ class TestFastPath:
         digits = width if radix == 2 else width // 4
         rng = random.Random(width + radix)
         values = tuple(rng.getrandbits(width) for _ in range(5 * CHUNK_BYTES // (digits + 1)))
-        rendered = "".join(render_chunks(width, chunked(values, width), radix))
+        rendered = "".join(render_chunks(width, Trace(width, values).chunks(), radix))
         calls = []
         walk = trace_io._words
         monkeypatch.setattr(trace_io, "_words", lambda *args: calls.append(args) or walk(*args))

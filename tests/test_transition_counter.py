@@ -33,9 +33,7 @@ def stepped(trace: Trace, reset_on_cycle0: bool) -> list:
 
 
 def fig3_trace() -> Trace:
-    return Trace.from_words(
-        [word_from_text(x, 16, 16) for x in ("0000", "0303", "0F03")]
-    )
+    return Trace(16, [word_from_text(x, 16, 16).value for x in ("0000", "0303", "0F03")])
 
 
 class TestInit:
@@ -114,11 +112,11 @@ class TestRunTrace:
             assert records[k].dataout == trace[k - 1]
 
     def test_constant_trace(self):
-        trace = Trace.from_words([Word(8, 0x42)] * 10)
+        trace = Trace(8, [0x42] * 10)
         assert run_trace(trace)[-1].total_transition == 0
 
     def test_without_initial_reset_counts_from_zero_register(self):
-        trace = Trace.from_words([Word(4, 0b1111), Word(4, 0b1111)])
+        trace = Trace(4, [0b1111, 0b1111])
         records = run_trace(trace, reset_on_cycle0=False)
         assert records[0].one_transition == 4
         assert records[-1].total_transition == 4
@@ -168,11 +166,11 @@ class TestRunTrace:
     def test_builds_no_word(self, monkeypatch):
         trace = wide_trace(16)
 
-        def refuse(word, width, value):
-            raise AssertionError("run_trace built a Word")
+        def refuse(cls, width, value):
+            raise AssertionError("run_trace built a checked Word")
 
         with monkeypatch.context() as patch:
-            patch.setattr(Word, "__init__", refuse)
+            patch.setattr(Word, "__new__", refuse)  # the checked constructor
             # the records are built when read: read them all, and one by index
             records = list(run_trace(trace))
             assert run_trace(trace)[1] == records[1]
