@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Iterable, Iterator
-from functools import partial
+from functools import partial, partialmethod
 from itertools import chain, repeat
 from operator import attrgetter, itemgetter
 
@@ -142,8 +142,8 @@ class Record:
     each through a property.
 
     Records of the same class with equal fields compare and hash equal, like
-    the tuple of their fields; a record equals nothing else, a tuple
-    included, and has no order. The repr is ``Name(field=value, ...)``, and
+    the tuple of their fields; a record equals nothing else and has no order,
+    not even against a tuple. The repr is ``Name(field=value, ...)``, and
     pickle and copy rebuild a record through its constructor.
     """
 
@@ -173,9 +173,13 @@ class Record:
     def __hash__(self) -> int:
         return hash(self._values(self))
 
-    # != inverts __eq__, and records have no order: none takes tuple's
-    __ne__, __lt__, __le__ = object.__ne__, object.__lt__, object.__le__
-    __gt__, __ge__ = object.__gt__, object.__ge__
+    __ne__ = object.__ne__  # != inverts __eq__
+
+    def _unordered(self, op: str, other: object) -> bool:
+        raise TypeError(f"'{op}' not supported between instances of "
+                        f"{type(self).__name__!r} and {type(other).__name__!r}")
+
+    __lt__, __le__, __gt__, __ge__ = map(partialmethod, repeat(_unordered), ("<", "<=", ">", ">="))
 
     def __reduce__(self):
         return self.__class__, self._values(self)
@@ -186,11 +190,11 @@ class Record:
 
 
 class Word(Record, tuple):
-    """A value of exactly `width` bits; no hidden higher bits are stored.
+    """A value of exactly `width` bits (no hidden higher bits) and its text forms.
 
-    A :class:`Record` stored as the tuple ``(width, value)``, both checked by
-    ``Word(width, value)``; a Trace or CycleRecord builds the Word of a word
-    it has checked with one C-level ``tuple.__new__``."""
+    A :class:`Record` stored as the tuple ``(width, value)`` and checked by
+    ``Word(width, value)``; bit arithmetic is done on ``.value``. A Trace or
+    CycleRecord builds the Word of a checked word with one ``tuple.__new__``."""
 
     __slots__ = ()
     __match_args__ = ("width", "value")
@@ -204,20 +208,6 @@ class Word(Record, tuple):
 
     width = property(itemgetter(0))
     value = property(itemgetter(1))
-
-    def bit(self, index: int) -> int:
-        """Bit at `index`, 0 = LSB."""
-        if not 0 <= index < self.width:
-            raise IndexError(f"bit index {index} out of range for width {self.width}")
-        return (self.value >> index) & 1
-
-    def __xor__(self, other: "Word") -> "Word":
-        if self.width != other.width:
-            raise ValueError(f"width mismatch: {self.width} vs {other.width}")
-        return Word(self.width, self.value ^ other.value)
-
-    def complement(self) -> "Word":
-        return Word(self.width, self.value ^ ((1 << self.width) - 1))
 
     def to_binary(self) -> str:
         """MSB-first binary text, exactly `width` characters."""

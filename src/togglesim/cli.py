@@ -151,12 +151,9 @@ def cmd_power(args: argparse.Namespace) -> int:
             voltage_exponent=args.vdd_exponent,
         )
         powers = [("dynamic power", dynamic_power(params))]
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    if args.isat is not None or args.vdiode is not None:
-        if args.isat is None or args.vdiode is None:
-            raise UsageError("static power needs both --isat and --vdiode")
-        try:
+        if args.isat is not None or args.vdiode is not None:
+            if args.isat is None or args.vdiode is None:
+                raise UsageError("static power needs both --isat and --vdiode")
             sp = StaticPowerParams(
                 saturation_current=args.isat,
                 diode_voltage=args.vdiode,
@@ -164,8 +161,8 @@ def cmd_power(args: argparse.Namespace) -> int:
                 supply_voltage=args.vdd,
             )
             powers.append(("static power", static_power(sp)))
-        except ValueError as exc:
-            raise UsageError(str(exc))
+    except ValueError as exc:
+        raise UsageError(str(exc))
     for name, watts in powers:
         if not math.isfinite(watts * 1e6):
             raise UsageError(f"{name} of {watts:.6g} W overflows the float range in uW")

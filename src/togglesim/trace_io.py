@@ -18,12 +18,12 @@ reader or writer of any trace holds one block of text and its words.
 cut after a line break. A clean block, one full-width word per line ended
 by "\n" as `render_chunks` writes it or by "\r\n", is parsed whole by one
 `int()` or `bytes.fromhex`, and so is the rest of the header's block when
-it is clean. Any other block, such as one holding a comment, a blank line
-or a word short of its digits, is decoded and walked line by line, and an
-error names the same line as a whole-text parse would. `render_chunks`
-writes a chunk as its hex form, for binary after spreading each bit to a
-nibble. `parse_trace`, `read_trace`, `load_trace` and `render_trace` wrap
-them for whole `Trace`s.
+it is clean. Any other block (a comment, a blank line, a word short of its
+digits) has its word lines zero-filled and parsed the same way; only a
+block with a bad word is walked, to name the line a whole-text parse would.
+`render_chunks` writes a chunk as its hex form, for binary after spreading
+each bit to a nibble. `parse_trace`, `read_trace`, `load_trace` and
+`render_trace` wrap them for whole `Trace`s.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from io import IOBase, StringIO, TextIOBase
 from itertools import islice, repeat
 
 from .activity import ActivityReport, rounded_display
-from .bits import CHUNK_BYTES, Record, Trace, check_width, pack, word_from_text
+from .bits import CHUNK_BYTES, Record, Trace, check_width, word_from_text
 
 REPORT_FORMATS = ("json", "csv", "table")
 
@@ -113,8 +113,7 @@ def _clean_words(block: bytes, header: TraceFileHeader) -> bytes | None:
     the zero bits that pad them to whole bytes as "0" digits before the
     newlines are dropped, and a hex word of odd length gets one "0" digit.
     """
-    if b"\r" in block:
-        block = block.replace(b"\r\n", b"\n")
+    block = block.replace(b"\r\n", b"\n")  # the same object when there is none
     width, radix, digits = header.width, header.radix, header.digits
     n, rest = divmod(len(block), digits + 1)
     newlines = b"\n" * n
@@ -160,21 +159,20 @@ def _header(line: str, lineno: int) -> TraceFileHeader:
 
 def _words(lines: list[str], lineno: int, header: TraceFileHeader) -> bytes:
     """The words of the word lines among `lines`, the first being line
-    `lineno`, as a chunk. They are zero-filled to the header's digits and
-    parsed as one clean block (see _clean_words); failing that, each is
-    parsed by word_from_text, and the first bad one is named."""
+    `lineno`, as a chunk (b"" if none): zero-filled to the header's digits
+    and parsed as one clean block (see _clean_words). That fails only on a
+    word that word_from_text rejects, and the walk then names the first."""
     words = [line for _, line in _significant(lines, lineno)]
     text = "\n".join(map(str.rjust, words, repeat(header.digits), repeat("0"))) + "\n"
-    chunk = _clean_words(text.encode("utf-8", "surrogatepass"), header)
+    chunk = _clean_words(text.encode("utf-8", "surrogatepass"), header) if words else b""
     if chunk is not None:
         return chunk
-    values = []
     for lineno, line in _significant(lines, lineno):
         try:
-            values.append(word_from_text(line, header.radix, header.width).value)
+            word_from_text(line, header.radix, header.width)
         except ValueError as exc:
             raise TraceFormatError(f"line {lineno}: {exc}") from exc
-    return pack(header.width, values)
+    raise AssertionError("the words failed the clean parse, but each passed word_from_text")
 
 
 def _parse(stream: IOBase) -> Iterator[TraceFileHeader | bytes]:
@@ -183,8 +181,8 @@ def _parse(stream: IOBase) -> Iterator[TraceFileHeader | bytes]:
 
     The header is the first significant line; the rest of its block is
     parsed as the blocks after it are. A block is parsed whole when it is
-    clean (see _clean_words); any other block is decoded and walked line by
-    line by _words. A format error is raised once the rest of the stream
+    clean (see _clean_words); any other block is decoded and parsed by
+    _words. A format error is raised once the rest of the stream
     has been decoded, so a byte that is not UTF-8 anywhere in it is reported
     first, as it is when the whole stream is decoded before parsing.
     """

@@ -135,13 +135,15 @@ def bus_invert_encode(prev: BusLineState, next_raw: Word) -> BusLineState:
     if prev.word.width != next_raw.width:
         raise ValueError(f"width mismatch: {prev.word.width} vs {next_raw.width}")
     if 2 * hamming_distance(prev.word, next_raw) > next_raw.width:
-        return BusLineState(next_raw.complement(), True)
+        mask = (1 << next_raw.width) - 1
+        return BusLineState(Word(next_raw.width, next_raw.value ^ mask), True)
     return BusLineState(next_raw, False)
 
 
 def bus_invert_decode(line: BusLineState) -> Word:
     """Recover the raw word from the line state."""
-    return line.word.complement() if line.invert else line.word
+    word = line.word
+    return Word(word.width, word.value ^ ((1 << word.width) - 1)) if line.invert else word
 
 
 def _with_invert_line(state: BusLineState) -> Word:
@@ -178,7 +180,7 @@ def bus_invert_decode_trace(encoded: tuple[Word, ...]) -> tuple[Word, ...]:
     mask = (1 << width) - 1
     words = []
     for w in encoded:
-        line = BusLineState(Word(width, w.value & mask), bool(w.bit(width)))
+        line = BusLineState(Word(width, w.value & mask), bool(w.value >> width))
         words.append(bus_invert_decode(line))
     return tuple(words)
 

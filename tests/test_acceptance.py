@@ -159,9 +159,9 @@ def test_criterion_08_generator_properties():
         b = Word(width, rng.getrandbits(width))
         for rule in (90, 150):
             for boundary in ("null", "cyclic"):
-                assert ca_next(a ^ b, rule, boundary) == ca_next(
-                    a, rule, boundary
-                ) ^ ca_next(b, rule, boundary)
+                assert ca_next(Word(width, a.value ^ b.value), rule, boundary).value == (
+                    ca_next(a, rule, boundary).value ^ ca_next(b, rule, boundary).value
+                )
     _passed(
         8,
         "gray single-flip, binary full-period totals, LFSR period 15 "

@@ -97,7 +97,7 @@ class TestAnalyzeTrace:
     @given(traces(min_len=2, max_len=40))
     def test_appending_never_decreases_total(self, trace):
         report = analyze_trace(trace)
-        extended = Trace(trace.width, trace.values + (trace[-1].complement().value,))
+        extended = Trace(trace.width, trace.values + (trace[-1].value ^ ((1 << trace.width) - 1),))
         grown = analyze_trace(extended)
         assert grown.total_transitions >= report.total_transitions
         assert 0.0 <= grown.tau <= 1.0

@@ -569,3 +569,86 @@ class TestFastPath:
             assert read_trace(io.BytesIO(text.encode())).values == values
             assert parse_trace(text).values == values
             assert not calls, repr(end)  # the header's block too is parsed whole
+
+
+HAND_EDIT_WIDTHS = [1, 4, 13, 16, 65, 1024]
+
+
+@st.composite
+def bad_words(draw, width, radix, digits):
+    """A word spelling that word_from_text rejects: a digit outside the
+    radix, one digit too many, or (hex, when the width is not whole digits)
+    a value above the width."""
+    hows = ["digit", "long"] + (["overrange"] if radix == 16 and width % 4 else [])
+    how = draw(st.sampled_from(hows))
+    if how == "long":
+        return "0" * (digits + 1)
+    if how == "overrange":
+        return "F" + "0" * (digits - 1)
+    word = "0" * draw(st.integers(0, digits - 1))
+    at = draw(st.integers(0, len(word)))
+    bad = draw(st.sampled_from(["g", "_", "+", "x", "0 1", "١"] + ["2"] * (radix == 2)))
+    return word[:at] + bad + word[at:]
+
+
+@st.composite
+def hand_edited_traces(draw, bad):
+    """A trace file edited by hand: groups of words, some indented or short
+    of their digits, hex in either case, among comments and blank lines,
+    each line ended by "\\n" or "\\r\\n". With `bad`, each group holds one
+    word that word_from_text rejects."""
+    width = draw(st.sampled_from(HAND_EDIT_WIDTHS))
+    radix = draw(st.sampled_from([2, 16]))
+    digits = width if radix == 2 else (width + 3) // 4
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    lines = [f"width={width} radix={'bin' if radix == 2 else 'hex'}"]
+    for _ in range(draw(st.integers(1, 3))):
+        group = []
+        for _ in range(draw(st.integers(1, 8))):
+            word = format(rng.getrandbits(width), "b" if radix == 2 else "x")
+            word = word.zfill(draw(st.integers(1, digits)))
+            if draw(st.booleans()):
+                word = word.upper()
+            group.append(draw(st.sampled_from(["", " ", "\t"])) + word
+                         + draw(st.sampled_from(["", "  "])))
+        if bad:
+            group.insert(draw(st.integers(0, len(group))), draw(bad_words(width, radix, digits)))
+        for _ in range(draw(st.integers(0, 3))):
+            group.insert(draw(st.integers(0, len(group))),
+                         draw(st.sampled_from(["# note", "  # 0101", "", "   "])))
+        lines += group
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines).encode()
+
+
+class TestHandEditedBlocks:
+    """A hand-edited block is parsed as one zero-filled clean block, which
+    fails only on a word that word_from_text rejects: a clean parse never
+    calls word_from_text, and a bad word is named as the reference names it,
+    in blocks of the budget or of a few lines."""
+
+    @staticmethod
+    def read(data, block):
+        calls = []
+        check = trace_io.word_from_text
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trace_io, "CHUNK_BYTES", block)
+            patch.setattr(trace_io, "word_from_text",
+                          lambda *args: calls.append(args) or check(*args))
+            return outcome(lambda: tuple(read_trace(io.BytesIO(data)))), calls
+
+    @settings(deadline=None)
+    @given(hand_edited_traces(bad=False), st.sampled_from([64, CHUNK_BYTES]))
+    @example(b"width=4 radix=bin\n# note\n  1\r\n\n0010\n", CHUNK_BYTES)
+    @example(b"width=13 radix=hex\n1\n# a block of comments only\n# more\n\n1FFF\n", 1)
+    def test_clean_words_never_call_word_from_text(self, data, block):
+        result, calls = self.read(data, block)
+        assert result == reference.read_trace(data)
+        assert not calls
+
+    @settings(deadline=None)
+    @given(hand_edited_traces(bad=True), st.sampled_from([64, CHUNK_BYTES]))
+    @example(b"width=13 radix=hex\n# note\n 0\nF000\n", CHUNK_BYTES)
+    def test_bad_word_named_as_the_reference_names_it(self, data, block):
+        result, calls = self.read(data, block)
+        assert result == outcome(reference.read_trace, data)
+        assert result[0] is TraceFormatError and calls

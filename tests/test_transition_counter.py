@@ -1,3 +1,4 @@
+import operator
 import random
 import tracemalloc
 
@@ -152,6 +153,13 @@ class TestRunTrace:
             "CycleRecord(cycle=1, reset=False, datain=Word(4, '0010'), "
             "dataout=Word(4, '0001'), one_transition=2, total_transition=2)"
         )
+
+    @pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge])
+    def test_record_has_no_order_even_against_its_tuple(self, op):
+        record = run_trace(Trace(4, (0b0001, 0b0010)))[1]
+        for left, right in ((record, tuple(record)), (tuple(record), record), (record, record)):
+            with pytest.raises(TypeError, match="not supported between instances of 'CycleRecord'"):
+                op(left, right)
 
     def test_records_repr(self):
         records = run_trace(Trace(4, (0b0001, 0b0010)))
