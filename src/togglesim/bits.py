@@ -18,6 +18,7 @@ fold) passes a trace on in *chunks*: ``bytes`` holding one or more words of
 a stage works on a chunk in a few C-level calls, not one Python call per
 word. :func:`pack` and :func:`unpack` convert at the edges of the stages
 that need ints, and :func:`popcounts` counts the set bits of every word.
+The stages that count transitions take the words in :func:`packs`.
 
 :class:`Record` is the base of every immutable value class in the package,
 :class:`Word` and :class:`Trace` included: named fields bound once, with
@@ -28,18 +29,24 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Iterable, Iterator
-from functools import partial, partialmethod
+from functools import partialmethod
 from itertools import chain, repeat
 from operator import attrgetter, itemgetter
 
 MAX_WIDTH = 1024  # sanity bound; typical buses here are 4..16 lines
 
 # The byte budget of every chunked stage: the trace reader's block, and the
-# values per generated, sliced or toggle-counted chunk (chunk_words). The
-# per-chunk Python steps stay negligible next to the per-word work, and no
-# stage's transient memory grows with the trace: under 1 MiB for the reader
-# and the fold at any width, about 1.5 MiB for a generated chunk as text.
+# values per generated or sliced chunk (chunk_words). The per-chunk Python
+# steps stay negligible next to the per-word work, and no stage's transient
+# memory grows with the trace: under 1 MiB for the reader, about 1.5 MiB for
+# a generated chunk as text, and for the fold, whose packs hold PACK_WORDS
+# words or more, a peak of about 1.4 MiB at 1024 bits (tracemalloc).
 CHUNK_BYTES = 1 << 14
+
+# The fewest words in a pack of transfers (see packs), so that a pack's
+# Python steps per line or per byte lane are spread over many words at every
+# width; at least 2, so that every pack holds a transfer.
+PACK_WORDS = 2048
 
 _DIGITS = {2: frozenset("01"), 16: frozenset("0123456789abcdefABCDEF")}
 
@@ -49,7 +56,7 @@ def chunk_words(width: int) -> int:
     return CHUNK_BYTES // ((width + 7) // 8)
 
 
-def _restride(data: bytes, old: int, new: int) -> bytes:
+def restride(data: bytes, old: int, new: int) -> bytes:
     """Big-endian words of `old` bytes each as words of `new` bytes, zero
     bytes added or dropped at the top of each word."""
     if old == new:
@@ -67,7 +74,7 @@ def _machine_words(size: int, chunk: bytes = b""):
 
     items = next((array(c) for c in "BHILQ" if array(c).itemsize >= size), None)
     if items is not None and chunk:
-        items.frombytes(_restride(chunk, size, items.itemsize))
+        items.frombytes(restride(chunk, size, items.itemsize))
         if sys.byteorder == "little":
             items.byteswap()
     return items
@@ -82,7 +89,7 @@ def pack(width: int, values: Iterable[int]) -> bytes:
     items.extend(values)
     if sys.byteorder == "little":
         items.byteswap()
-    return bytes(_restride(items.tobytes(), items.itemsize, size))
+    return bytes(restride(items.tobytes(), items.itemsize, size))
 
 
 def unpack(width: int, chunk: bytes) -> list[int]:
@@ -97,12 +104,13 @@ def unpack(width: int, chunk: bytes) -> list[int]:
 _POPCOUNTS = bytes(map(int.bit_count, range(256)))
 
 
-def popcounts(width: int, chunk: bytes):
-    """The set bits of each `width`-bit word of `chunk`, as an array('H'):
-    one translate maps each byte to its popcount, and byte lane j (byte j of
-    every word) is read as one int. Up to 31 lanes add with no carry out of
-    a byte (31 * 8 < 256); the groups' sums, spread to 2-byte slots, add
-    with no carry out of a slot (MAX_WIDTH < 2 ** 16)."""
+def popcount_slots(width: int, chunk: bytes) -> int:
+    """The set bits of each `width`-bit word of `chunk`, each in a 2-byte
+    slot of one big-endian int: one translate maps each byte to its
+    popcount, and byte lane j (byte j of every word) is read as one int. Up
+    to 31 lanes add with no carry out of a byte (31 * 8 < 256); the groups'
+    sums, spread to 2-byte slots, add with no carry out of a slot
+    (MAX_WIDTH < 2 ** 16)."""
     size = (width + 7) // 8
     bits, spread, total = chunk.translate(_POPCOUNTS), bytearray(2 * len(chunk) // size), 0
     for start in range(0, size, 31):
@@ -110,23 +118,38 @@ def popcounts(width: int, chunk: bytes):
         group = sum(map(int.from_bytes, lanes, repeat("big")))
         spread[1::2] = group.to_bytes(len(spread) // 2, "big")
         total += int.from_bytes(spread, "big")
-    return _machine_words(2, total.to_bytes(len(spread), "big"))
+    return total
+
+
+def popcounts(width: int, chunk: bytes):
+    """The set bits of each `width`-bit word of `chunk`, as an array('H')."""
+    slots = popcount_slots(width, chunk).to_bytes(2 * len(chunk) // ((width + 7) // 8), "big")
+    return _machine_words(2, slots)
+
+
+def packs(width: int, chunks: Iterable[bytes]) -> Iterator[bytearray]:
+    """The words of the trace in `chunks` in packs of chunk_words(width) or
+    PACK_WORDS words, whichever is more, or more still, each pack starting
+    with the last word of the one before, so that each transfer lies in one
+    pack. A trace of one word makes no pack."""
+    size, words = (width + 7) // 8, bytearray()  # the pack being gathered
+    full = max(PACK_WORDS, chunk_words(width)) * size
+    for chunk in chain(chunks, [b""]):  # an empty chunk ends a pack: the last one, say
+        words += chunk
+        if len(words) >= full or not chunk and len(words) > size:
+            yield words
+            words = words[-size:]
 
 
 def transfer_diffs(width: int, chunks: Iterable[bytes]) -> Iterator[bytes]:
     """The flipped lines of each transfer of the trace in `chunks`, a chunk
-    per pack of chunk_words(width) words or more, each pack starting with
-    the last word of the one before. A pack read as one int, XORed with
-    itself shifted down one word, holds each transfer's flips in the slot of
-    its second word."""
-    size, words = (width + 7) // 8, bytearray()  # the pack being gathered
-    full = max(2, chunk_words(width)) * size
-    for chunk in chain(chunks, [b""]):  # an empty chunk ends a pack: the last one, say
-        words += chunk
-        if len(words) >= full or not chunk and len(words) > size:
-            packed = int.from_bytes(words, "big")
-            yield (packed ^ (packed >> (8 * size))).to_bytes(len(words), "big")[size:]
-            words = words[-size:]
+    per pack (see packs). A pack read as one int, XORed with itself shifted
+    down one word, holds each transfer's flips in the slot of its second
+    word."""
+    size = (width + 7) // 8
+    for words in packs(width, chunks):
+        packed = int.from_bytes(words, "big")
+        yield (packed ^ (packed >> (8 * size))).to_bytes(len(words), "big")[size:]
 
 
 def check_width(width: int) -> None:
@@ -308,7 +331,7 @@ class Trace(Record):
         return len(self.chunk) // ((self.width + 7) // 8)
 
     def __iter__(self) -> Iterator[Word]:
-        return map(partial(tuple.__new__, Word), zip(repeat(self.width), self.iter_values()))
+        return map(tuple.__new__, repeat(Word), zip(repeat(self.width), self.iter_values()))
 
     def __getitem__(self, index: int | slice) -> Word | list[Word]:
         cycle = range(len(self))[index]  # an int, negatives counted from the end, or a range

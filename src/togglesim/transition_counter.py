@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterator, Sequence
-from functools import partial
 from itertools import accumulate, chain, repeat
 from operator import eq, itemgetter
 
@@ -128,7 +127,8 @@ class CycleRecords(Sequence):
     def __iter__(self) -> Iterator[CycleRecord]:
         trace = self._trace
         return map(
-            partial(tuple.__new__, CycleRecord),
+            tuple.__new__,
+            repeat(CycleRecord),
             zip(
                 range(len(trace)),
                 chain((self._reset,), repeat(False)),

@@ -4,9 +4,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from togglesim import bits
 from togglesim.activity import analyze_trace
-from togglesim.bits import Trace, Word, hamming_distance, word_from_text
-from togglesim.encoders import bus_invert_encode_trace, gray_encode_trace
+from togglesim.bits import Trace, Word, hamming_distance, pack, word_from_text
+from togglesim.encoders import (
+    bus_invert_encode_chunks, bus_invert_encode_trace, gray_encode_trace
+)
 from togglesim.generators import GeneratorConfig, generate
 import reference_trace as reference
 from reference_generators import gray_decode, gray_encode
@@ -169,3 +172,94 @@ class TestAgainstReference:
         assert outcome(lambda: tuple(bus_invert_encode_trace(trace))) == outcome(
             reference.bus_invert_encode_trace, tuple(trace)
         )
+
+
+@st.composite
+def tie_heavy_values(draw, min_width=1, max_width=bits.MAX_WIDTH - 1):
+    """A width and its words, where the next word usually flips exactly
+    width // 2 lines: bus-invert's tie at an even width, in any invert state."""
+    width = draw(st.integers(min_width, max_width))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    values = [rng.getrandbits(width)]
+    for _ in range(draw(st.integers(0, 24))):
+        if rng.random() < 0.75:
+            values.append(values[-1] ^ sum(1 << i for i in rng.sample(range(width), width // 2)))
+        else:
+            values.append(rng.getrandbits(width))
+    return width, values
+
+
+def split(chunk: bytes, size: int, pieces: list[int]) -> list[bytes]:
+    """`chunk` cut into pieces of the given numbers of words, the rest last."""
+    cuts, start = [], 0
+    for words in pieces:
+        cuts.append(chunk[start : start + words * size])
+        start += words * size
+    return [*cuts, chunk[start:]]
+
+
+def encoded_in_pieces(width: int, values: list[int], pieces: list[int],
+                      pack_words: int) -> bytes:
+    """bus_invert_encode_chunks over `values` cut into `pieces`, with packs
+    of `pack_words` words, so that pieces and packs straddle each other."""
+    chunks = split(pack(width, values), (width + 7) // 8, pieces)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bits, "CHUNK_BYTES", 1)
+        patch.setattr(bits, "PACK_WORDS", pack_words)
+        return b"".join(bus_invert_encode_chunks(width, chunks))
+
+
+def reference_encoded(width: int, values: list[int]) -> bytes:
+    encoded = reference.bus_invert_encode_trace(tuple(Word(width, v) for v in values))
+    return pack(width + 1, [w.value for w in encoded])
+
+
+class TestBusInvertChunks:
+    """The batch encoder against the Word-based reference, for any split of
+    a trace into chunks and any pack size: the invert line is a prefix XOR
+    that a tie restarts, carried from pack to pack."""
+
+    @given(tie_heavy_values(), st.lists(st.integers(0, 7), max_size=8), st.integers(2, 5))
+    @example((1, [0, 1, 1, 0, 1, 0, 0]), [1, 0, 2], 2)  # width 1: half is 0, so no tie
+    @example((9, [0b101010101]), [], 2)  # one word, sent as it is
+    # odd width 7: 4 flips invert, then 3 (a tie only at even widths) keep it
+    @example((7, [0, 0b1111, 0b1000, 0]), [2, 2], 2)
+    # a tie right after an inverted word drops the invert line
+    @example((4, [0, 0b0111, 0b0100, 0b0111]), [0, 1, 1, 1], 2)
+    # inverted at the last word of a pack, and still at the next pack's first
+    @example((8, [0, 0xFF, 0xFE, 0xFE, 0xFC]), [5], 3)
+    @example((1023, [0, (1 << 1023) - 1, 1 << 1022, 0]), [1, 1], 2)
+    def test_any_split_matches_reference(self, drawn, pieces, pack_words):
+        width, values = drawn
+        assert encoded_in_pieces(width, values, pieces, pack_words) == reference_encoded(
+            width, values
+        )
+
+    @pytest.mark.parametrize("width", [1, 16, 17, 64, 65, 256, 1023])
+    def test_unpatched_packs_match_reference(self, width):
+        # more than two packs at every width, ties included where the width is even
+        per_pack = max(bits.PACK_WORDS, bits.chunk_words(width))
+        rng = random.Random(width)
+        values = [rng.getrandbits(width)]
+        for i in range(2 * per_pack + 3):
+            flips = min(width, max(0, width // 2 + i % 3 - 1))  # one less than a tie, a tie, one more
+            values.append(values[-1] ^ sum(1 << b for b in rng.sample(range(width), flips)))
+        chunks = Trace(width, values).chunks()
+        assert b"".join(bus_invert_encode_chunks(width, chunks)) == reference_encoded(
+            width, values
+        )
+
+    def test_no_words_encode_to_no_chunk(self):
+        assert list(bus_invert_encode_chunks(8, [b"", b""])) == []
+
+    def test_max_width_reads_every_chunk_then_raises(self):
+        read = []
+
+        def chunks():
+            for value in (0, 1, 2):
+                read.append(value)
+                yield pack(bits.MAX_WIDTH, [value])
+
+        with pytest.raises(ValueError, match=r"one extra line above the 1024 data lines"):
+            list(bus_invert_encode_chunks(bits.MAX_WIDTH, chunks()))
+        assert read == [0, 1, 2]

@@ -15,7 +15,7 @@ import reference_trace as reference
 from strategies import outcome
 from togglesim.activity import analyze_trace
 from togglesim.bits import (
-    MAX_WIDTH, Trace, Word, chunk_words, pack, popcounts, transfer_diffs
+    MAX_WIDTH, PACK_WORDS, Trace, Word, chunk_words, pack, popcounts, transfer_diffs
 )
 from togglesim.encoders import bus_invert_encode_trace, gray_encode_trace
 from togglesim.trace_io import parse_trace, render_trace
@@ -118,7 +118,8 @@ class TestTransferCounts:
     def test_match_the_popcount_of_each_xor(self, width):
         full = (1 << width) - 1
         # every line flipping at once is the largest count a slot must hold
-        values = [0, full, 0] + random_values(width, 2 * chunk_words(width) + 1, width)
+        per_pack = max(PACK_WORDS, chunk_words(width))
+        values = [0, full, 0] + random_values(width, 2 * per_pack + 1, width)
         counts = chain.from_iterable(
             popcounts(width, diffs) for diffs in transfer_diffs(width, [pack(width, values)])
         )
