@@ -97,7 +97,10 @@ def unpack(width: int, chunk: bytes) -> list[int]:
     size = (width + 7) // 8
     items = _machine_words(size, chunk)
     if items is None:
-        return [int.from_bytes(chunk[i : i + size], "big") for i in range(0, len(chunk), size)]
+        from struct import iter_unpack  # here, not at the top: only wide words need it
+
+        from_bytes = int.from_bytes
+        return [from_bytes(word, "big") for (word,) in iter_unpack(f"{size}s", chunk)]
     return items.tolist()
 
 
@@ -262,13 +265,6 @@ def word_from_text(text: str, radix: int, width: int) -> Word:
     if len(text) > digits:
         raise ValueError(f"{len(text)} {name} digits exceed width {width}")
     return Word(width, int(text, radix))  # which rejects a hex value above the width
-
-
-def hamming_distance(a: Word, b: Word) -> int:
-    """Number of bit positions where two same-width words differ."""
-    if a.width != b.width:
-        raise ValueError(f"width mismatch: {a.width} vs {b.width}")
-    return (a.value ^ b.value).bit_count()
 
 
 class Trace(Record):

@@ -2,9 +2,12 @@
 
 Exit codes: 0 success, 2 usage error, 3 data/parse error.
 
-`tables` and `power` are imported inside their commands, and `json` where a
-report is written or read as JSON, so that `gen` and `analyze`, run once per
-probed trace, start without them.
+`tables` and `power` are imported inside their commands, `activity` and
+each encoder inside `_analyze_stream`'s branch that runs it, and `json`
+where a report is written or read as JSON, so that `gen` and `analyze`, run
+once per probed trace, compile only what they run: `gen` loads neither
+`activity` nor `encoders`, and `analyze` without `--encode` no `encoders`.
+`generators` loads its lane engine, `lanes`, only when a generator runs.
 """
 
 from __future__ import annotations
@@ -14,9 +17,7 @@ import math
 import os
 import sys
 
-from .activity import ActivityReport, analyze_chunks
 from .bits import Word, check_width, word_from_text
-from .encoders import bus_invert_encode_chunks, gray_encode_chunks
 from .generators import (
     BOUNDARIES,
     DEFAULT_TAPS_16,
@@ -98,13 +99,19 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _analyze_stream(stream, args: argparse.Namespace) -> ActivityReport:
-    """Reader, then the encoder `args` names, then the toggle fold, one
-    chunk of the trace at a time."""
+def _analyze_stream(stream, args: argparse.Namespace):
+    """The ActivityReport of the trace in `stream`: reader, then the encoder
+    `args` names, then the toggle fold, one chunk of the trace at a time."""
+    from .activity import analyze_chunks
+
     width, chunks = read_chunks(stream)
     if args.encode == "gray":
+        from .encoders import gray_encode_chunks
+
         chunks = gray_encode_chunks(width, chunks)
     elif args.encode == "businvert":
+        from .encoders import bus_invert_encode_chunks
+
         chunks, width = bus_invert_encode_chunks(width, chunks), width + 1
     return analyze_chunks(width, chunks, include_per_cycle=args.per_cycle)
 

@@ -34,7 +34,6 @@ from functools import lru_cache
 from io import IOBase, StringIO, TextIOBase
 from itertools import islice, repeat
 
-from .activity import ActivityReport, rounded_display
 from .bits import CHUNK_BYTES, Record, Trace, check_width, word_from_text
 
 REPORT_FORMATS = ("json", "csv", "table")
@@ -319,8 +318,10 @@ def _joined(pieces: Iterable[str], sep: str = "") -> str:
     return sep.join(map(sep.join, slices))
 
 
-def write_report(report: ActivityReport, format: str = "table") -> str:
+def write_report(report, format: str = "table") -> str:
     """Serialize an ActivityReport; json key set is stable for tooling."""
+    from .activity import rounded_display  # here: `gen` runs without `activity`
+
     tau_display = rounded_display(
         report.total_transitions, report.width, report.transfers, 2
     )

@@ -7,8 +7,9 @@ the first word), and `read_trace` taking the bytes a stream holds: it
 decodes and parses the whole text at once, where the library streams it.
 `word_from_text` comes along because the copied bodies call it and the
 library has rewritten it. The single-word bus-invert step (`BusLineState`,
-`bus_invert_encode` and `bus_invert_decode`) lives only here: the library
-encodes chunks of ints.
+`bus_invert_encode` and `bus_invert_decode`) and `hamming_distance` live
+only here: the library encodes chunks of ints and counts flips a pack at a
+time.
 """
 
 from __future__ import annotations
@@ -18,12 +19,19 @@ from itertools import pairwise
 
 from reference_generators import gray_encode
 from togglesim.activity import ActivityReport, switching_activity
-from togglesim.bits import MAX_WIDTH, Record, Word, check_width, hamming_distance
+from togglesim.bits import MAX_WIDTH, Record, Word, check_width
 from togglesim.trace_io import TraceFileHeader, TraceFormatError
 
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 _RADIX_BY_NAME = {"bin": 2, "hex": 16}
 _HEADER_RE = re.compile(r"^width=(\d+)\s+radix=(bin|hex)$")
+
+
+def hamming_distance(a: Word, b: Word) -> int:
+    """Number of bit positions where two same-width words differ."""
+    if a.width != b.width:
+        raise ValueError(f"width mismatch: {a.width} vs {b.width}")
+    return (a.value ^ b.value).bit_count()
 
 
 def word_from_text(text: str, radix: int, width: int) -> Word:

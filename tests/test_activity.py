@@ -13,7 +13,7 @@ from togglesim.activity import (
     rounded_display,
     switching_activity,
 )
-from togglesim.bits import Trace, Word, hamming_distance
+from togglesim.bits import Trace, Word
 from togglesim.generators import GeneratorConfig, generate
 from togglesim.transition_counter import run_trace
 import reference_trace as reference

@@ -1,12 +1,14 @@
 import copy
 import operator
 import pickle
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from togglesim.bits import Trace, Word, hamming_distance, pack, unpack, word_from_text
+from togglesim.bits import Trace, Word, pack, unpack, word_from_text
+from reference_trace import hamming_distance
 from strategies import word_pairs, word_triples, words
 
 
@@ -218,3 +220,14 @@ class TestChunkLayout:
 
     def test_hex_block_is_a_chunk(self):
         assert unpack(12, bytes.fromhex("0ABC 0FFF 0000")) == [0xABC, 0xFFF, 0]
+
+    @pytest.mark.parametrize("width", [65, 128, 256, 1023])
+    @pytest.mark.parametrize("count", [0, 1, 300])
+    def test_wide_unpack_equals_slice_loop(self, width, count):
+        # past 8 bytes a word has no machine integer, so unpack splits the
+        # chunk with struct; the loop it replaced slices one word at a time
+        rng = random.Random(width)
+        size = (width + 7) // 8
+        chunk = pack(width, [rng.getrandbits(width) for _ in range(count)])
+        sliced = [int.from_bytes(chunk[i : i + size], "big") for i in range(0, len(chunk), size)]
+        assert unpack(width, chunk) == sliced

@@ -1,11 +1,16 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from togglesim import bits
-from togglesim.bits import Word, hamming_distance, word_from_text
-from togglesim.generators import KINDS, GeneratorConfig, generate, kind_parameter
+from togglesim import bits, lanes
+from togglesim.bits import Word, word_from_text
+from togglesim.generators import (
+    BOUNDARIES, DEFAULT_TAPS_16, KINDS, GeneratorConfig, generate, kind_parameter
+)
 import reference_generators as reference
+from reference_trace import hamming_distance
 from strategies import words
 
 
@@ -309,6 +314,96 @@ class TestAgainstReference:
     @given(configs(), st.integers(0, 40))
     def test_generate_equals_reference_walk(self, config, cycles):
         assert list(generate(config, cycles)) == reference.walk(config, cycles)
+
+
+# every linear kind and CA boundary
+LINEAR = [
+    (kind, boundary)
+    for kind in KINDS if kind_parameter(kind) is not None
+    for boundary in (BOUNDARIES if kind_parameter(kind) == "boundary" else (None,))
+]
+
+
+def lane_edges(width):
+    """Cycle counts that end a run of a `width`-bit linear kind with lanes
+    at each lane and batch edge: K lanes stepped m times make a batch of
+    K m words, and the run's last batch holds 1, m - 1, m, m + 1, K m - 1
+    or K m words after at least width ** 2 words (the shortest run with
+    lanes) or three batches, whichever is more; and 0 and 1, short runs."""
+    count = lanes._lane_count(width, 1 << 30)
+    steps = bits.chunk_words(width) // count
+    batch = count * steps
+    shortest = width * width if count > 1 else 0
+    base = batch * max(3, -(-shortest // batch))
+    return sorted({0, 1} | {base + last - 1 for last in (1, steps - 1, steps, steps + 1,
+                                                           batch - 1, batch)})
+
+
+class TestLanes:
+    """Linear kinds step K lanes at once after a jump ahead; every cycle
+    count at a lane or batch edge, several batches, all-zero CA seeds and
+    short cycles match the reference one step at a time. The widths run to
+    the widest with lanes (LANE_WIDTH) and past it."""
+
+    @staticmethod
+    def check(config, cycle_counts):
+        expected = tuple(w.value for w in reference.walk(config, max(cycle_counts)))
+        for cycles in cycle_counts:
+            assert generate(config, cycles).values == expected[: cycles + 1]
+
+    @staticmethod
+    def config(kind, width, boundary, seed):
+        taps = None
+        if kind_parameter(kind) == "taps":
+            rng = random.Random(f"{kind}-{width}")
+            taps = {width, 1} | {rng.randint(1, width) for _ in range(3)}
+        return GeneratorConfig(kind, width, Word(width, seed), taps, boundary)
+
+    @pytest.mark.parametrize("kind,boundary", LINEAR)
+    @pytest.mark.parametrize("width", [*range(1, 66), 256, 1024])
+    def test_small_chunks(self, kind, boundary, width):
+        # 100-word chunks: K m up to 100 words, m from 1 (8 bits) to 6 (64 bits)
+        seeds = [random.Random(width).getrandbits(width) | 1]
+        if kind_parameter(kind) == "boundary":
+            seeds.append(0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bits, "CHUNK_BYTES", 100 * ((width + 7) // 8))
+            for seed in seeds:
+                self.check(self.config(kind, width, boundary, seed), lane_edges(width))
+
+    @pytest.mark.parametrize("kind,boundary", LINEAR)
+    @pytest.mark.parametrize("width", [8, 16, 24, 64, 65])
+    def test_budget_chunks(self, kind, boundary, width):
+        seed = random.Random(width).getrandbits(width) | 1
+        self.check(self.config(kind, width, boundary, seed), lane_edges(width))
+
+    @pytest.mark.parametrize("width", [2, 8, 16, 32, 64])
+    def test_short_runs_step_one_word(self, width):
+        # fewer than width ** 2 words: the jumps would cost more than lanes save
+        assert lanes._lane_count(width, width * width - 1) == 1
+        assert lanes._lane_count(width, width * width) > 1
+
+    @pytest.mark.parametrize(
+        "kind,width,taps,boundary,seed,tail,period",
+        [
+            # the stock taps leave the LSB untapped, so M is singular
+            ("lfsr_external", 16, DEFAULT_TAPS_16, None, 0b1011001010110110, 10, 63),
+            # rule 90 on 2^k cyclic cells takes every state to all-zero
+            ("ca90", 16, None, "cyclic", 0b1011001010110110, 8, 1),
+            ("lfsr_external", 8, {8, 6, 5, 4}, None, 0x01, 1, 1),
+        ],
+        ids=["lfsr_external-stock-taps", "ca90-cyclic-lock-up", "lfsr_external-8-bit-fixed-point"],
+    )
+    @pytest.mark.parametrize("chunk", [5, 37, 300])
+    def test_short_cycles(self, kind, width, taps, boundary, seed, tail, period, chunk):
+        config = GeneratorConfig(kind, width, Word(width, seed), taps, boundary)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bits, "CHUNK_BYTES", chunk * ((width + 7) // 8))
+            values = generate(config, 400).values
+        assert values == tuple(w.value for w in reference.walk(config, 400))
+        first = {}
+        repeat = next(i for i, v in enumerate(values) if first.setdefault(v, i) != i)
+        assert (first[values[repeat]], repeat - first[values[repeat]]) == (tail, period)
 
 
 COUNTER_WIDTHS = [*range(1, 17), 64, 65, 256]

@@ -69,6 +69,32 @@ class TestImports:
         loaded = fresh_import("import togglesim.cli; togglesim.cli.build_parser()")
         assert not loaded["typing"]
 
+    @pytest.mark.parametrize(
+        "argv,extra",
+        [
+            (["gen", "--kind", "lfsr_internal", "--width", "16", "--seed", "ACE1",
+              "--cycles", "9"], ["lanes"]),
+            (["gen", "--kind", "gray", "--width", "16", "--cycles", "9"], ["encoders", "lanes"]),
+            (["analyze", "TRACE"], ["activity"]),
+            (["analyze", "TRACE", "--encode", "businvert"], ["activity", "encoders"]),
+        ],
+        ids=["gen", "gen-gray", "analyze", "analyze-encode"],
+    )
+    def test_each_command_loads_only_what_it_runs(self, tmp_path, argv, extra):
+        # gen compiles neither the toggle fold nor the encoders, analyze the
+        # encoders only to re-encode, and analyze never the generators' lanes
+        trace = tmp_path / "words.trace"
+        trace.write_text("width=4 radix=bin\n0000\n0101\n")
+        argv = [str(trace) if arg == "TRACE" else arg for arg in argv]
+        loaded = fresh_import(
+            "import contextlib, io\nfrom togglesim.cli import main\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0"
+        )
+        common = ["cli", "bits", "generators", "trace_io"]
+        assert loaded["togglesim"] == sorted(
+            ["togglesim", *(f"togglesim.{name}" for name in common + extra)]
+        )
+
     def test_probe_loads_only_bits(self):
         loaded = fresh_import("import togglesim.transition_counter")
         assert loaded["togglesim"] == [

@@ -7,12 +7,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from togglesim import transition_counter
-from togglesim.bits import Trace, Word, hamming_distance, word_from_text
+from togglesim.bits import Trace, Word, word_from_text
 from togglesim.transition_counter import (
     TOTAL_SATURATION,
     BitTransitionCounter,
     run_trace,
 )
+from reference_trace import hamming_distance
 from strategies import traces, wide_trace
 
 
