@@ -22,20 +22,16 @@ Shift and tap conventions, fixed so sequences are reproducible:
 
 `_GENERATORS` is the single place a kind is defined: it names the one
 `GeneratorConfig` field the kind accepts (`taps`, `boundary` or none) and a
-builder that returns the kind's chunk source. Every kind but gray is an
-`int -> int` recurrence, whose words `lanes.source` packs a chunk at a
-time; the gray counter is the binary counter's chunks through the packed
-gray map. The LFSRs and CAs are linear over GF(2): each also gives its step
-on lanes of words packed in one int, and up to `lanes.LANE_WIDTH` bits the
-source starts the lanes by jumping ahead and steps many words per big-int
-step. The binary counter, a linear kind wider than that and a short run
-step one word at a time, through the kind's one-word step: the lane step on
-one lane computes the same, but costs more per word (measured at 16 to 1024
-bits: Galois 20 to 45 %, CAs up to 15 %, the Fibonacci folds 70 to 180 %).
-`GeneratorConfig` validates every parameter once, so the builders trust it.
-`generate_chunks` (and its whole-`Trace` wrapper `generate`) is the one way
-to run a generator; the CLI, the reference tables and the benchmark all go
-through it.
+builder that returns the kind's chunk source, made by `lanes` (gray: the
+binary counter's, gray-mapped). The binary counter, LFSRs and null-boundary
+CAs give `lanes.source` their one-word step, the linear ones also their
+step on lanes of words in one int, started by jumps through matrix columns.
+A cyclic CA gives `lanes.power_source` its powers M^(2^k), two rotations of
+each lane by the Frobenius identity of O. Martin, A. M. Odlyzko and S.
+Wolfram ("Algebraic properties of cellular automata", Commun. Math. Phys.
+93, 1984). `GeneratorConfig` validates every parameter once, so the
+builders trust it. `generate_chunks`, or `generate` for a whole `Trace`, is
+the one way to run a generator: the CLI, tables and benchmark all use it.
 """
 
 from __future__ import annotations
@@ -101,27 +97,31 @@ def _galois(width: int, taps: frozenset[int]) -> Source:
 
 
 def _ca(width: int, self_mask: int, boundary: str) -> Source:
-    from .lanes import source
+    from .lanes import power_source, source
 
-    # Both rules XOR the two neighbors; rule-150 cells (self_mask set) also
-    # XOR themselves in. In lanes, a shift brings in a bit of the next lane,
-    # which `down` and `up` clear.
-    full, top = (1 << width) - 1, width - 1
-
-    def swar(low: int) -> Step:
-        down, up, own = low * (full >> 1), low * (full ^ 1), low * self_mask
-        if boundary == "null":
-            return lambda s: ((s >> 1) & down) ^ ((s << 1) & up) ^ (s & own)
-        return lambda s: (
-            ((s >> 1) & down | (s & low) << top) ^ ((s << 1) & up | (s >> top) & low)
-            ^ (s & own)
-        )
-
+    full = (1 << width) - 1
     if boundary == "null":
+        def swar(low: int) -> Step:
+            # in lanes, a shift brings in a bit of the next lane, which `down` and `up` clear
+            down, up, own = low * (full >> 1), low * (full ^ 1), low * self_mask
+            return lambda s: ((s >> 1) & down) ^ ((s << 1) & up) ^ (s & own)
+
         return source(width, lambda v: (v >> 1) ^ ((v << 1) & full) ^ (v & self_mask), swar)
-    return source(width, lambda v: (
-        (v >> 1 | (v & 1) << top) ^ ((v << 1 | v >> top) & full) ^ (v & self_mask)
-    ), swar)
+
+    def power(k: int, low: int) -> Step:
+        # M^(2^k) = x^d + c + x^-d, d = 2^k mod w, c = 1 for rule 150 (see `lanes`)
+        d = pow(2, k, width)
+        if 2 * d % width == 0:  # x^d = x^-d: the rotations cancel
+            return (lambda s: s) if self_mask else (lambda s: 0)
+        e = width - d
+        low_d, low_e = (low << d) - low, (low << e) - low  # bits 0 to d - 1, e - 1
+        if self_mask:
+            return lambda s: (((s >> d) & low_e) ^ ((s & low_d) << e) ^ ((s >> e) & low_d)
+                              ^ ((s & low_e) << d) ^ s)
+        return lambda s: (
+            ((s >> d) & low_e) ^ ((s & low_d) << e) ^ ((s >> e) & low_d) ^ ((s & low_e) << d))
+
+    return power_source(width, power)
 
 
 def _binary(width: int) -> Source:

@@ -262,21 +262,26 @@ def render_chunks(width: int, chunks: Iterable[bytes], radix: int = 2) -> Iterat
     Hex is the chunk's own hex form, a newline after every word. For binary,
     each bit of the chunk is first spread to a nibble of its own, so that
     the hex form of the spread chunk is the binary text. Either way every
-    word is rendered in whole bytes; the digits that pad a word to them are
-    leading zeros, dropped by one replace.
+    word is rendered in whole bytes. Where that pads a word with leading
+    zeros, each word's first digit is deleted, once per pad digit, by a
+    strided `del` on the chunk's text as a bytearray.
     """
     header = TraceFileHeader(width, radix)
     yield header.render() + "\n"
     size = (width + 7) // 8
-    pad = (8 if radix == 2 else 2) * size - header.digits
+    line = (8 if radix == 2 else 2) * size + 1  # a word's whole-byte digits and "\n"
+    pad = line - 1 - header.digits
     for chunk in chunks:
         if radix == 16:
-            text = chunk.hex("\n", size).upper()
+            text = chunk.hex("\n", size).upper() + "\n"
         else:
-            text = _spread_bits(chunk).hex("\n", 4 * size)
+            text = _spread_bits(chunk).hex("\n", 4 * size) + "\n"
         if pad:
-            text = text[pad:].replace("\n" + "0" * pad, "\n")
-        yield text + "\n"
+            text = bytearray(text, "ascii")
+            for k in range(pad):
+                del text[:: line - k]
+            text = text.decode("ascii")
+        yield text
 
 
 def _spread_bits(chunk: bytes) -> bytes:

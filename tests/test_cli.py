@@ -548,6 +548,17 @@ class TestTables:
         assert plain == nocolor
         assert "\x1b[" not in nocolor
 
+    @pytest.mark.parametrize("label,rule", [("CA-90", 90), ("CA-150", 150)])
+    def test_cyclic_boundary_counts_equal_the_reference_walk(self, capsys, label, rule):
+        # 8 to 32 cycles of a 16-bit cyclic CA: the runs the Frobenius powers make
+        code, stdout, _ = run_cli(capsys, "tables", "--boundary", "cyclic")
+        assert code == 0
+        row = next(line.split() for line in stdout.splitlines() if line.startswith(label))
+        seed = Word(16, int("1011001010110110", 2))
+        words = reference.walk(GeneratorConfig(f"ca{rule}", 16, seed, boundary="cyclic"), 32)
+        flips = [(a.value ^ b.value).bit_count() for a, b in zip(words, words[1:])]
+        assert row[1:] == ["computed", *(str(sum(flips[:n])) for n in (8, 16, 32))]
+
     @pytest.mark.parametrize("taps", ["17", "1,2"])
     def test_bad_taps_is_usage_error_like_gen(self, capsys, taps):
         code, stdout, stderr = run_cli(capsys, "tables", "--taps", taps)

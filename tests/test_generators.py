@@ -343,7 +343,8 @@ class TestLanes:
     """Linear kinds step K lanes at once after a jump ahead; every cycle
     count at a lane or batch edge, several batches, all-zero CA seeds and
     short cycles match the reference one step at a time. The widths run to
-    the widest with lanes (LANE_WIDTH) and past it."""
+    the widest with column jumps (LANE_WIDTH) and past it; cyclic CAs, which
+    jump by the powers M^(2^k) at every width, also at each doubling edge."""
 
     @staticmethod
     def check(config, cycle_counts):
@@ -404,6 +405,43 @@ class TestLanes:
         first = {}
         repeat = next(i for i, v in enumerate(values) if first.setdefault(v, i) != i)
         assert (first[values[repeat]], repeat - first[values[repeat]]) == (tail, period)
+
+    @staticmethod
+    def power_edges(lanes):
+        """Cycle counts whose runs end at each doubling edge of a cyclic CA
+        whose chunks hold `lanes` words, a power of two: 1, 2, 3, ..., K - 1,
+        K and K + 1 words; and runs of three to four batches of K words."""
+        ends = {(1 << j) + edge for j in range(lanes.bit_length()) for edge in (-1, 0, 1)}
+        return sorted({n - 1 for n in ends if n} | {3 * lanes + n - 1 for n in (0, 1, lanes)})
+
+    @pytest.mark.parametrize("kind", ["ca90", "ca150"])
+    @pytest.mark.parametrize("width", [*range(1, 66), 100, 255, 256, 257, 512, 1024])
+    @pytest.mark.parametrize("chunk", [16, 37])  # K = 16 and 32
+    def test_cyclic_powers(self, kind, width, chunk):
+        lanes = 1 << chunk.bit_length() - 1
+        seeds = [0, (1 << width) - 1, random.Random(width).getrandbits(width)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bits, "CHUNK_BYTES", chunk * ((width + 7) // 8))
+            for seed in seeds:
+                self.check(self.config(kind, width, "cyclic", seed), self.power_edges(lanes))
+
+    def test_cyclic_rule_150_period_divides_half_a_power_of_two_width(self):
+        # x^(w/2) = x^-(w/2) modulo x^w - 1, so M^(w/2) = 1 and M^w = 1: at 256
+        # cells word i + 128 is word i, and so is word i + 256
+        config = self.config("ca150", 256, "cyclic", random.Random(256).getrandbits(256))
+        values = generate(config, 600).values
+        assert values == tuple(w.value for w in reference.walk(config, 600))
+        assert values[256:] == values[:-256]
+        assert values[128:] == values[:-128]
+
+    @pytest.mark.parametrize("width", [2, 4, 8, 16, 32, 64, 256])
+    def test_cyclic_rule_90_dies_at_half_a_power_of_two_width(self, width):
+        # M^(w/2) = x^(w/2) + x^-(w/2) = 0 modulo x^w - 1: all-zero from step w/2
+        config = self.config("ca90", width, "cyclic", (1 << width) - 1 - 2)
+        values = generate(config, 2 * width).values
+        assert values == tuple(w.value for w in reference.walk(config, 2 * width))
+        assert values[width // 2 - 1] != 0
+        assert not any(values[width // 2:])
 
 
 COUNTER_WIDTHS = [*range(1, 17), 64, 65, 256]

@@ -25,6 +25,19 @@ from strategies import outcome, traces, wide_trace
 
 FIG_STIMULUS = "width=16 radix=hex\n0000\n0303\n0F03\n"
 
+# Widths whose words render with pad digits: in binary where 8 does not
+# divide the width, in hex where the width mod 8 is 1 to 4 (12, 17).
+PAD_WIDTHS = [7, 12, 15, 17, 31]
+
+
+def examples(*cases):
+    """Hypothesis @example for each case: one argument, or a tuple of them."""
+    def decorate(test):
+        for case in cases:
+            test = example(*case)(test) if isinstance(case, tuple) else example(case)(test)
+        return test
+    return decorate
+
 
 class TestParseTrace:
     def test_reference_stimulus(self):
@@ -95,6 +108,8 @@ class TestRenderTrace:
         assert render_trace(trace, 16) == FIG_STIMULUS
 
     @given(traces(min_len=1, max_len=20), st.sampled_from([2, 16]))
+    @examples(*((wide_trace(width, 2 * bits.chunk_words(width) + 1), radix)
+                for width in PAD_WIDTHS for radix in (2, 16)))  # three chunks
     def test_round_trip(self, trace, radix):
         text = render_trace(trace, radix)
         again = parse_trace(text)
@@ -296,15 +311,6 @@ def decorated_trace_texts(draw):
 
 # Word spellings int() accepts that the trace format does not.
 INT_ONLY_SPELLINGS = ("0_1", "+1", "-1", "0b1", "0x1", "1 0", "\uff11", "\u0661")
-
-
-def examples(*cases):
-    """Hypothesis @example for each case: one argument, or a tuple of them."""
-    def decorate(test):
-        for case in cases:
-            test = example(*case)(test) if isinstance(case, tuple) else example(case)(test)
-        return test
-    return decorate
 
 
 # Every width to 24 in both radices: each count of pad digits a word can take.
@@ -525,6 +531,7 @@ class TestPackedChunks:
     @given(traces(min_len=1, max_len=20, max_width=1024), st.sampled_from([2, 16]),
            st.sampled_from([1, 2, 3, None]))
     @example(Trace(1024, ((1 << 1024) - 1, 0, 5)), 2, 1)
+    @examples(*((wide_trace(width, 10), radix, 3) for width in PAD_WIDTHS for radix in (2, 16)))
     def test_render(self, trace, radix, chunk):
         words = tuple(trace)
         with pytest.MonkeyPatch.context() as patch:
