@@ -6,7 +6,7 @@ binary and gray counters), measures switching activity, applies
 low-transition encodings, and estimates CMOS dynamic and static power.
 
 Each name is imported from the module that defines it, such as
-`from togglesim.bits import Trace`; the package root re-exports nothing.
+`from togglesim.trace import Trace`; the package root re-exports nothing.
 """
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from itertools import chain
 
-from .bits import Record, Trace, popcounts, transfer_diffs
+from .bits import Record, popcounts, transfer_diffs
 
 
 class ActivityReport(Record):

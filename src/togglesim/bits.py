@@ -2,11 +2,10 @@
 
 A :class:`Word` is an immutable bit pattern of known width. Bit 0 is the
 least significant bit and the rightmost character of the binary text form,
-so a 16-bit bus "data(15)..data(0)" maps to indices 15..0. A :class:`Trace`
-is a width plus its words, one per clock cycle, held as one chunk (below):
-``ceil(width / 8)`` bytes per word. Iterating or indexing it yields
-:class:`Word` objects, and a slice a list of them. The number of
-word-to-word transfers is one less than the number of words.
+so a 16-bit bus "data(15)..data(0)" maps to indices 15..0. A trace is a
+width plus its words, one per clock cycle, and has one transfer fewer than
+words. Every CLI command loads this module, but only ``tables`` builds a
+held trace, a ``togglesim.trace.Trace``.
 
 The transition count between two consecutive words is their Hamming
 distance, i.e. the popcount of their XOR.
@@ -21,7 +20,7 @@ that need ints, and :func:`popcounts` counts the set bits of every word.
 The stages that count transitions take the words in :func:`packs`.
 
 :class:`Record` is the base of every immutable value class in the package,
-:class:`Word` and :class:`Trace` included: named fields bound once, with
+:class:`Word` and ``Trace`` included: named fields bound once, with
 equality, hash, repr and pickling by field.
 """
 
@@ -265,74 +264,3 @@ def word_from_text(text: str, radix: int, width: int) -> Word:
     if len(text) > digits:
         raise ValueError(f"{len(text)} {name} digits exceed width {width}")
     return Word(width, int(text, radix))  # which rejects a hex value above the width
-
-
-class Trace(Record):
-    """Same-width words over consecutive clock cycles, cycle 0 first, held
-    as one chunk (see the module docstring): ceil(width / 8) bytes a word.
-    ``Trace(width, values)`` checks and packs int values; ``values`` unpacks
-    them. Iteration builds each :class:`Word` a chunk at a time.
-    """
-
-    __slots__ = ("width", "chunk")
-    __match_args__ = ("width", "values")
-
-    def __init__(self, width: int, values: Iterable[int]) -> None:
-        check_width(width)
-        values = tuple(values)
-        if not values:
-            raise ValueError("empty trace: need at least one word")
-        low, high = min(values), max(values)
-        if low < 0 or high >> width:
-            raise ValueError(f"values {low}..{high} do not all fit in {width} bits")
-        super().__init__(width, pack(width, values))
-
-    @classmethod
-    def from_chunks(cls, width: int, chunks: Iterable[bytes]) -> "Trace":
-        """The trace of the words in `chunks`, checked in bulk: whole words
-        only, and no bit set above `width`."""
-        chunk = b"".join(chunks)  # first, so that an error of the chunks' source comes first
-        check_width(width)
-        size = (width + 7) // 8
-        if not chunk:
-            raise ValueError("empty trace: need at least one word")
-        if len(chunk) % size:
-            raise ValueError(f"{len(chunk)} bytes are not whole {size}-byte words")
-        if width % 8 and max(chunk[::size]) >> (width % 8):
-            raise ValueError(f"a word has a bit set above its {width} bits")
-        trace = object.__new__(cls)
-        Record.__init__(trace, width, chunk)
-        return trace
-
-    @property
-    def values(self) -> tuple[int, ...]:
-        """The words' int values, unpacked at each read."""
-        return tuple(unpack(self.width, self.chunk))
-
-    @property
-    def transfers(self) -> int:
-        """Word-to-word transitions observed; len(trace) - 1."""
-        return len(self) - 1
-
-    def chunks(self) -> Iterator[bytes]:
-        """The words as chunks of chunk_words(width) words (the last may be shorter)."""
-        chunk, step = self.chunk, chunk_words(self.width) * ((self.width + 7) // 8)
-        return (chunk[start : start + step] for start in range(0, len(chunk), step))
-
-    def iter_values(self) -> Iterator[int]:
-        """The words' int values, unpacked a chunk at a time."""
-        return chain.from_iterable(map(unpack, repeat(self.width), self.chunks()))
-
-    def __len__(self) -> int:
-        return len(self.chunk) // ((self.width + 7) // 8)
-
-    def __iter__(self) -> Iterator[Word]:
-        return map(tuple.__new__, repeat(Word), zip(repeat(self.width), self.iter_values()))
-
-    def __getitem__(self, index: int | slice) -> Word | list[Word]:
-        cycle = range(len(self))[index]  # an int, negatives counted from the end, or a range
-        if isinstance(cycle, range):
-            return list(map(self.__getitem__, cycle))
-        size = (self.width + 7) // 8
-        value = int.from_bytes(self.chunk[cycle * size : (cycle + 1) * size], "big")
-        return tuple.__new__(Word, (self.width, value))

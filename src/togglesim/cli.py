@@ -2,12 +2,12 @@
 
 Exit codes: 0 success, 2 usage error, 3 data/parse error.
 
-`tables` and `power` are imported inside their commands, `activity` and
-each encoder inside `_analyze_stream`'s branch that runs it, and `json`
-where a report is written or read as JSON, so that `gen` and `analyze`, run
-once per probed trace, compile only what they run: `gen` loads neither
-`activity` nor `encoders`, and `analyze` without `--encode` no `encoders`.
-`generators` loads its lane engine, `lanes`, only when a generator runs.
+`gen` and `analyze` run once per probed trace, so each command imports
+only what it runs, where it runs it. The parser needs `bits` and `trace_io`
+alone: it writes out the generators' kinds and boundaries. `gen` adds
+`generators` and its engine (and `encoders` for gray), `analyze` the
+reader, `activity` and, with `--encode`, `encoders`; `json` is loaded where
+a report is written or read as JSON.
 """
 
 from __future__ import annotations
@@ -18,21 +18,7 @@ import os
 import sys
 
 from .bits import Word, check_width, word_from_text
-from .generators import (
-    BOUNDARIES,
-    DEFAULT_TAPS_16,
-    GeneratorConfig,
-    KINDS,
-    generate_chunks,
-    kind_parameter,
-)
-from .trace_io import (
-    REPORT_FORMATS,
-    TraceFormatError,
-    read_chunks,
-    render_chunks,
-    write_report,
-)
+from .trace_io import REPORT_FORMATS, TraceFormatError, render_chunks, write_report
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -57,6 +43,8 @@ def _parse_seed(text: str, width: int, radix: str) -> Word:
 
 
 def _build_config(args: argparse.Namespace) -> GeneratorConfig:
+    from .generators import DEFAULT_TAPS_16, GeneratorConfig, kind_parameter
+
     try:
         check_width(args.width)
     except ValueError as exc:
@@ -83,6 +71,8 @@ def _build_config(args: argparse.Namespace) -> GeneratorConfig:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from .generators import generate_chunks
+
     config = _build_config(args)
     if args.cycles < 0:
         raise UsageError(f"--cycles must be >= 0, got {args.cycles}")
@@ -103,6 +93,7 @@ def _analyze_stream(stream, args: argparse.Namespace):
     """The ActivityReport of the trace in `stream`: reader, then the encoder
     `args` names, then the toggle fold, one chunk of the trace at a time."""
     from .activity import analyze_chunks
+    from .reader import read_chunks
 
     width, chunks = read_chunks(stream)
     if args.encode == "gray":
@@ -188,6 +179,7 @@ def _painter(stream):
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
+    from .generators import DEFAULT_TAPS_16
     from .tables import counter_rows, generator_rows, render_counter_table, render_generator_table
 
     paint = _painter(sys.stdout)
@@ -211,7 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a stimulus trace")
-    gen.add_argument("--kind", required=True, choices=KINDS)
+    # generators.KINDS and BOUNDARIES, written out so that the parser needs no generators
+    kinds = ("lfsr_internal", "lfsr_external", "ca90", "ca150", "binary", "gray")
+    boundaries = ("null", "cyclic")
+    gen.add_argument("--kind", required=True, choices=kinds)
     gen.add_argument("--width", type=int, required=True)
     gen.add_argument("--seed", help="seed pattern; binary if it spans --width, else hex")
     gen.add_argument(
@@ -219,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="force seed interpretation",
     )
     gen.add_argument("--taps", help="comma-separated 1-based tap positions (LFSR kinds)")
-    gen.add_argument("--boundary", choices=BOUNDARIES,
+    gen.add_argument("--boundary", choices=boundaries,
                      help="CA boundary (CA kinds; default null)")
     gen.add_argument("--cycles", type=int, required=True,
                      help="number of generated transfers; trace has cycles+1 words")
@@ -252,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     tables = sub.add_parser("tables", help="reproduce the bundled reference tables")
     tables.add_argument("--taps", help="LFSR taps for the generator table")
-    tables.add_argument("--boundary", choices=BOUNDARIES, default="null")
+    tables.add_argument("--boundary", choices=boundaries, default="null")
     tables.set_defaults(func=cmd_tables)
 
     return parser

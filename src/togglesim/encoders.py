@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from itertools import chain, repeat
 
-from .bits import MAX_WIDTH, Trace, packs, popcount_slots, restride
+from .bits import MAX_WIDTH, packs, popcount_slots, restride
 
 
 def gray_to_binary(g: int) -> int:
@@ -43,6 +43,8 @@ def gray_encode_chunks(width: int, chunks: Iterable[bytes]) -> Iterator[bytes]:
 
 def gray_encode_trace(trace: Trace) -> Trace:
     """Gray-map every word of a trace (an address-bus style recoding)."""
+    from .trace import Trace
+
     return Trace.from_chunks(trace.width, gray_encode_chunks(trace.width, trace.chunks()))
 
 
@@ -109,5 +111,7 @@ def bus_invert_encode_chunks(width: int, chunks: Iterable[bytes]) -> Iterator[by
 def bus_invert_encode_trace(trace: Trace) -> Trace:
     """Re-encode a raw trace as it would appear on invert-signaled lines;
     see bus_invert_encode_chunks."""
+    from .trace import Trace
+
     encoded = bus_invert_encode_chunks(trace.width, trace.chunks())
     return Trace.from_chunks(trace.width + 1, encoded)

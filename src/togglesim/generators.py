@@ -22,23 +22,23 @@ Shift and tap conventions, fixed so sequences are reproducible:
 
 `_GENERATORS` is the single place a kind is defined: it names the one
 `GeneratorConfig` field the kind accepts (`taps`, `boundary` or none) and a
-builder that returns the kind's chunk source, made by `lanes` (gray: the
-binary counter's, gray-mapped). The binary counter, LFSRs and null-boundary
-CAs give `lanes.source` their one-word step, the linear ones also their
-step on lanes of words in one int, started by jumps through matrix columns.
-A cyclic CA gives `lanes.power_source` its powers M^(2^k), two rotations of
-each lane by the Frobenius identity of O. Martin, A. M. Odlyzko and S.
-Wolfram ("Algebraic properties of cellular automata", Commun. Math. Phys.
-93, 1984). `GeneratorConfig` validates every parameter once, so the
-builders trust it. `generate_chunks`, or `generate` for a whole `Trace`, is
-the one way to run a generator: the CLI, tables and benchmark all use it.
+builder that returns the kind's chunk source (gray: the binary counter's,
+gray-mapped). The binary counter, LFSRs and null-boundary CAs give
+`lanes.source` their one-word step, the linear ones also their step on
+lanes of words in one int, started by jumps through matrix columns. A
+cyclic CA gives `frobenius.power_source` its powers M^(2^k), two rotations
+of each lane. Each builder imports the engine it runs. `GeneratorConfig`
+validates every parameter once, so the builders trust it. `generate_chunks`,
+or `generate` for a whole `Trace`, is the one way to run a generator: the
+CLI, tables and benchmark all use it. Only `gen` and `tables` load this
+module; the CLI parser writes out `KINDS` and `BOUNDARIES`, pinned by a test.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 
-from .bits import Record, Trace, Word, check_width
+from .bits import Record, Word, check_width
 
 Step = Callable[[int], int]
 # (bit 0 of every lane) -> the step of every lane at once
@@ -97,10 +97,10 @@ def _galois(width: int, taps: frozenset[int]) -> Source:
 
 
 def _ca(width: int, self_mask: int, boundary: str) -> Source:
-    from .lanes import power_source, source
-
     full = (1 << width) - 1
     if boundary == "null":
+        from .lanes import source
+
         def swar(low: int) -> Step:
             # in lanes, a shift brings in a bit of the next lane, which `down` and `up` clear
             down, up, own = low * (full >> 1), low * (full ^ 1), low * self_mask
@@ -108,8 +108,10 @@ def _ca(width: int, self_mask: int, boundary: str) -> Source:
 
         return source(width, lambda v: (v >> 1) ^ ((v << 1) & full) ^ (v & self_mask), swar)
 
+    from .frobenius import power_source
+
     def power(k: int, low: int) -> Step:
-        # M^(2^k) = x^d + c + x^-d, d = 2^k mod w, c = 1 for rule 150 (see `lanes`)
+        # M^(2^k) = x^d + c + x^-d, d = 2^k mod w, c = 1 for rule 150 (see `frobenius`)
         d = pow(2, k, width)
         if 2 * d % width == 0:  # x^d = x^-d: the rotations cancel
             return (lambda s: s) if self_mask else (lambda s: 0)
@@ -214,4 +216,6 @@ def generate_chunks(config: GeneratorConfig, cycles: int) -> Iterator[bytes]:
 
 def generate(config: GeneratorConfig, cycles: int) -> Trace:
     """Seed plus `cycles` generated words: a trace with `cycles` transfers."""
+    from .trace import Trace
+
     return Trace.from_chunks(config.width, generate_chunks(config, cycles))

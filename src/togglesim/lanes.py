@@ -1,33 +1,20 @@
 """Chunk sources of recurrences, stepped as SWAR lanes when linear over GF(2).
 
-Lanes start in one of two ways. `source` (the LFSRs and null-boundary CAs)
-jumps them ahead through the columns of a power of the step's bit matrix M,
-which costs width ** 2 bits per big-int step: so only up to LANE_WIDTH bits
-and in runs of at least width ** 2 words, and otherwise it runs the kind's
-one-word step. `power_source` (the cyclic CAs) takes the powers M^(2^k) as
-lane steps, at every width and run length. A cyclic step multiplies by
-x + c + x^-1 modulo x^w - 1 (c = 1 for rule 150), and squaring over GF(2) is
-additive, so M^(2^k) is x^d + c + x^-d, d = 2^k mod w: two rotations of each
-lane (O. Martin, A. M. Odlyzko and S. Wolfram, "Algebraic properties of
-cellular automata", Commun. Math. Phys. 93, 1984). At a power-of-two width
-x^(w/2) = x^-(w/2), so M^(w/2) = c: rule 150's period divides w/2, and rule
-90 is all-zero from step w/2 on.
-
-`generators` imports this module when a generator runs, not at its top:
-`analyze` imports `generators` for its parser's choices alone, and so
-compiles none of this.
+`source` (the binary counter, LFSRs and null-boundary CAs) jumps the lanes
+ahead through the columns of a power of the step's bit matrix M, which
+costs width ** 2 bits per big-int step: so only up to LANE_WIDTH bits and
+in runs of at least width ** 2 words, and otherwise it runs the kind's
+one-word step (cyclic CAs: see `frobenius`). `generators` imports this
+module when it builds such a generator, so a cyclic CA's `gen` and a
+library user that only builds a `GeneratorConfig` compile none of it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 
 from .bits import chunk_words, pack
 from .generators import Source, Step, Swar
-
-# (k, bit 0 of every lane) -> M^(2^k), M the step's matrix, as the step of
-# every lane at once
-Power = Callable[[int, int], Step]
 
 # In `source`, a linear kind of up to LANE_WIDTH bits steps about LANE_BITS
 # bits of lanes at once; a wider one steps one word, as its jumps and
@@ -122,35 +109,5 @@ def source(width: int, step: Step, swar: Swar | None = None) -> Source:
             data = pack(used * bits, rows)
             yield _lane_order(data, used, size)[: count * size] if used > 1 else data
             starts = s if lanes == 1 else _apply(jumps[-1], starts, low)
-
-    return chunks
-
-
-def power_source(width: int, power: Power) -> Source:
-    """The source of a linear kind that gives `power`, the lane step of its
-    powers M^(2^k) (a cyclic CA: see the module docstring).
-
-    A batch is K lanes, K the largest power of two no greater than a
-    chunk's words or the run's: the seed's lane doubles into K lanes through
-    M^1, M^2, .. M^(K/2), lane j holding the seed stepped j times, and M^K
-    moves the lanes on to the next batch, in the last only those the run
-    still needs. So each batch is one int whose bytes are its words in trace
-    order, and the lanes need no jump columns and no reordering.
-    """
-    size = (width + 7) // 8
-    bits, one = 8 * size, (1).to_bytes(size, "big")
-
-    def chunks(seed: int, cycles: int) -> Iterator[bytes]:
-        words = cycles + 1
-        k = min(chunk_words(width), words).bit_length() - 1
-        row, lanes = seed, 1 << k
-        for j in range(k):
-            row = row << (bits << j) | power(j, int.from_bytes(one * (1 << j), "big"))(row)
-        yield row.to_bytes(size << k, "big")
-        advance = power(k, int.from_bytes(one * min(lanes, words - lanes), "big"))
-        for start in range(lanes, words, lanes):
-            count = min(lanes, words - start)
-            row = advance(row >> (lanes - count) * bits)
-            yield row.to_bytes(count * size, "big")
 
     return chunks

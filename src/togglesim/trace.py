@@ -1,0 +1,81 @@
+"""A whole trace held in memory as one chunk (see `bits`), which `gen` and
+`analyze` never build: the whole-trace wrappers (`generate`, `read_trace`,
+the encoders' `*_encode_trace`) import this module when they build one.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Iterable, Iterator
+from itertools import chain, repeat
+
+from .bits import Record, Word, check_width, chunk_words, pack, unpack
+
+
+class Trace(Record):
+    """Same-width words over consecutive clock cycles, cycle 0 first.
+    ``Trace(width, values)`` checks and packs int values; ``values`` unpacks
+    them. Iteration builds each :class:`Word` a chunk at a time.
+    """
+
+    __slots__ = ("width", "chunk")
+    __match_args__ = ("width", "values")
+
+    def __init__(self, width: int, values: Iterable[int]) -> None:
+        check_width(width)
+        values = tuple(values)
+        if not values:
+            raise ValueError("empty trace: need at least one word")
+        low, high = min(values), max(values)
+        if low < 0 or high >> width:
+            raise ValueError(f"values {low}..{high} do not all fit in {width} bits")
+        super().__init__(width, pack(width, values))
+
+    @classmethod
+    def from_chunks(cls, width: int, chunks: Iterable[bytes]) -> "Trace":
+        """The trace of the words in `chunks`, checked in bulk: whole words
+        only, and no bit set above `width`."""
+        chunk = b"".join(chunks)  # first, so that an error of the chunks' source comes first
+        check_width(width)
+        size = (width + 7) // 8
+        if not chunk:
+            raise ValueError("empty trace: need at least one word")
+        if len(chunk) % size:
+            raise ValueError(f"{len(chunk)} bytes are not whole {size}-byte words")
+        if width % 8 and max(chunk[::size]) >> (width % 8):
+            raise ValueError(f"a word has a bit set above its {width} bits")
+        trace = object.__new__(cls)
+        Record.__init__(trace, width, chunk)
+        return trace
+
+    @property
+    def values(self) -> tuple[int, ...]:
+        """The words' int values, unpacked at each read."""
+        return tuple(unpack(self.width, self.chunk))
+
+    @property
+    def transfers(self) -> int:
+        """Word-to-word transitions observed; len(trace) - 1."""
+        return len(self) - 1
+
+    def chunks(self) -> Iterator[bytes]:
+        """The words as chunks of chunk_words(width) words (the last may be shorter)."""
+        chunk, step = self.chunk, chunk_words(self.width) * ((self.width + 7) // 8)
+        return (chunk[start : start + step] for start in range(0, len(chunk), step))
+
+    def iter_values(self) -> Iterator[int]:
+        """The words' int values, unpacked a chunk at a time."""
+        return chain.from_iterable(map(unpack, repeat(self.width), self.chunks()))
+
+    def __len__(self) -> int:
+        return len(self.chunk) // ((self.width + 7) // 8)
+
+    def __iter__(self) -> Iterator[Word]:
+        return map(tuple.__new__, repeat(Word), zip(repeat(self.width), self.iter_values()))
+
+    def __getitem__(self, index: int | slice) -> Word | list[Word]:
+        cycle = range(len(self))[index]  # an int, negatives counted from the end, or a range
+        if isinstance(cycle, range):
+            return list(map(self.__getitem__, cycle))
+        size = (self.width + 7) // 8
+        value = int.from_bytes(self.chunk[cycle * size : (cycle + 1) * size], "big")
+        return tuple.__new__(Word, (self.width, value))

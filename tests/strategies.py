@@ -4,7 +4,8 @@ import random
 
 from hypothesis import strategies as st
 
-from togglesim.bits import Trace, Word
+from togglesim.bits import Word
+from togglesim.trace import Trace
 
 
 @st.composite

@@ -13,7 +13,7 @@ from togglesim.activity import (
     rounded_display,
     switching_activity,
 )
-from togglesim.bits import Trace, Word, word_from_text
+from togglesim.bits import Word, word_from_text
 from togglesim.generators import DEFAULT_TAPS_16, GeneratorConfig, generate
 from togglesim.power import (
     DynamicPowerParams,
@@ -29,6 +29,7 @@ from togglesim.tables import (
     generator_rows,
     truncated_cents,
 )
+from togglesim.trace import Trace
 from togglesim.trace_io import parse_trace, render_trace, write_report
 from togglesim.transition_counter import run_trace
 from reference_trace import hamming_distance

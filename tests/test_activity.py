@@ -13,8 +13,9 @@ from togglesim.activity import (
     rounded_display,
     switching_activity,
 )
-from togglesim.bits import Trace, Word
+from togglesim.bits import Word
 from togglesim.generators import GeneratorConfig, generate
+from togglesim.trace import Trace
 from togglesim.transition_counter import run_trace
 import reference_trace as reference
 from strategies import outcome, traces, wide_trace

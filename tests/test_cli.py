@@ -7,8 +7,8 @@ import tracemalloc
 import pytest
 
 from togglesim.bits import Word
-from togglesim.cli import main
-from togglesim.generators import KINDS, GeneratorConfig, kind_parameter
+from togglesim.cli import build_parser, main
+from togglesim.generators import BOUNDARIES, KINDS, GeneratorConfig, kind_parameter
 import reference_generators as reference
 
 
@@ -124,6 +124,22 @@ class TestGen:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+
+def test_parser_choices_are_the_generators_own():
+    # the parser writes these out so that it need not import generators
+    commands = next(
+        action for action in build_parser()._actions if action.dest == "command"
+    ).choices
+    options = {
+        (command, option): action.choices
+        for command in ("gen", "tables")
+        for action in commands[command]._actions
+        for option in action.option_strings
+    }
+    assert list(options["gen", "--kind"]) == list(KINDS)
+    assert list(options["gen", "--boundary"]) == list(BOUNDARIES)
+    assert list(options["tables", "--boundary"]) == list(BOUNDARIES)
 
 
 # every kind and CA boundary, at widths that 4 does and does not divide, on

@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 
 from togglesim import bits
 from togglesim.activity import analyze_trace
-from togglesim.bits import Trace, Word, pack, word_from_text
+from togglesim.bits import Word, pack, word_from_text
 from togglesim.encoders import (
     bus_invert_encode_chunks, bus_invert_encode_trace, gray_encode_trace
 )
 from togglesim.generators import GeneratorConfig, generate
+from togglesim.trace import Trace
 import reference_trace as reference
 from reference_generators import gray_decode, gray_encode
 from reference_trace import BusLineState, bus_invert_decode, bus_invert_encode, hamming_distance

@@ -15,10 +15,11 @@ import pytest
 
 import togglesim
 from togglesim.activity import ActivityReport, ReductionSummary
-from togglesim.bits import Record, Trace, Word
+from togglesim.bits import Record, Word
 from togglesim.generators import GeneratorConfig
 from togglesim.power import DynamicPowerParams, StaticPowerParams
 from togglesim.tables import CounterRow, GeneratorCell, GeneratorRow
+from togglesim.trace import Trace
 from togglesim.trace_io import TraceFileHeader
 from togglesim.transition_counter import CycleRecord
 
@@ -58,10 +59,12 @@ class TestImports:
         assert not loaded["csv"]
 
     def test_cli_parser_loads_no_tables_power_or_dataclasses(self):
-        # what every gen and analyze process runs before its command
+        # what every gen and analyze process runs before its command: the
+        # parser writes its generator choices out, so it loads no generators
         loaded = fresh_import("import togglesim.cli; togglesim.cli.build_parser()")
-        assert "togglesim.tables" not in loaded["togglesim"]
-        assert "togglesim.power" not in loaded["togglesim"]
+        assert loaded["togglesim"] == [
+            "togglesim", "togglesim.bits", "togglesim.cli", "togglesim.trace_io"
+        ]
         assert not loaded["dataclasses"]
 
     def test_cli_parser_loads_no_typing(self):
@@ -73,16 +76,20 @@ class TestImports:
         "argv,extra",
         [
             (["gen", "--kind", "lfsr_internal", "--width", "16", "--seed", "ACE1",
-              "--cycles", "9"], ["lanes"]),
-            (["gen", "--kind", "gray", "--width", "16", "--cycles", "9"], ["encoders", "lanes"]),
-            (["analyze", "TRACE"], ["activity"]),
-            (["analyze", "TRACE", "--encode", "businvert"], ["activity", "encoders"]),
+              "--cycles", "9"], ["generators", "lanes"]),
+            (["gen", "--kind", "gray", "--width", "16", "--cycles", "9"],
+             ["encoders", "generators", "lanes"]),
+            (["gen", "--kind", "ca150", "--width", "16", "--seed", "ACE1", "--boundary",
+              "cyclic", "--cycles", "9"], ["frobenius", "generators"]),
+            (["analyze", "TRACE"], ["activity", "reader"]),
+            (["analyze", "TRACE", "--encode", "businvert"], ["activity", "encoders", "reader"]),
         ],
-        ids=["gen", "gen-gray", "analyze", "analyze-encode"],
+        ids=["gen", "gen-gray", "gen-cyclic", "analyze", "analyze-encode"],
     )
     def test_each_command_loads_only_what_it_runs(self, tmp_path, argv, extra):
-        # gen compiles neither the toggle fold nor the encoders, analyze the
-        # encoders only to re-encode, and analyze never the generators' lanes
+        # gen compiles neither the reader, the toggle fold nor the encoders,
+        # and one of the two lane engines, analyze the encoders only to
+        # re-encode and never the generators, and neither builds a held Trace
         trace = tmp_path / "words.trace"
         trace.write_text("width=4 radix=bin\n0000\n0101\n")
         argv = [str(trace) if arg == "TRACE" else arg for arg in argv]
@@ -90,10 +97,30 @@ class TestImports:
             "import contextlib, io\nfrom togglesim.cli import main\n"
             f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0"
         )
-        common = ["cli", "bits", "generators", "trace_io"]
+        common = ["cli", "bits", "trace_io"]
         assert loaded["togglesim"] == sorted(
             ["togglesim", *(f"togglesim.{name}" for name in common + extra)]
         )
+        assert "togglesim.trace" not in loaded["togglesim"]
+
+    def test_analyze_as_run_imports_only_what_it_runs(self, tmp_path):
+        # the real command line, as a pipeline runs it: -m runs cli as
+        # __main__, so -X importtime reports the modules it imports
+        trace = tmp_path / "words.trace"
+        trace.write_text("width=4 radix=bin\n0000\n0101\n")
+        env = {**os.environ, "PYTHONPATH": SRC, "PYTHONDONTWRITEBYTECODE": "1"}
+        result = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "togglesim.cli", "analyze", str(trace)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        reported = {
+            line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines()
+            if line.startswith("import time:") and "|" in line
+        }
+        assert sorted(m for m in reported if m.split(".")[0] == "togglesim") == [
+            "togglesim", "togglesim.activity", "togglesim.bits", "togglesim.reader",
+            "togglesim.trace_io",
+        ]
 
     def test_probe_loads_only_bits(self):
         loaded = fresh_import("import togglesim.transition_counter")

@@ -15,9 +15,10 @@ import reference_trace as reference
 from strategies import outcome
 from togglesim.activity import analyze_trace
 from togglesim.bits import (
-    MAX_WIDTH, PACK_WORDS, Trace, Word, chunk_words, pack, popcounts, transfer_diffs
+    MAX_WIDTH, PACK_WORDS, Word, chunk_words, pack, popcounts, transfer_diffs
 )
 from togglesim.encoders import bus_invert_encode_trace, gray_encode_trace
+from togglesim.trace import Trace
 from togglesim.trace_io import parse_trace, render_trace
 from togglesim.transition_counter import run_trace
 

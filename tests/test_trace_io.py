@@ -7,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from togglesim import bits, trace_io
+from togglesim import bits, reader
 from togglesim.activity import analyze_trace
-from togglesim.bits import CHUNK_BYTES, Trace, Word
+from togglesim.bits import CHUNK_BYTES, Word
+from togglesim.trace import Trace
 from togglesim.trace_io import (
     TraceFileHeader,
     TraceFormatError,
@@ -426,7 +427,7 @@ def blocks_outcome(data, block):
     blocks of `block` characters or bytes."""
     stream = io.BytesIO(data) if isinstance(data, bytes) else io.StringIO(data)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(trace_io, "CHUNK_BYTES", block)
+        patch.setattr(reader, "CHUNK_BYTES", block)
         return outcome(lambda: tuple(read_trace(stream)))
 
 
@@ -569,8 +570,8 @@ class TestFastPath:
         values = tuple(rng.getrandbits(width) for _ in range(5 * CHUNK_BYTES // (digits + 1)))
         rendered = "".join(render_chunks(width, Trace(width, values).chunks(), radix))
         calls = []
-        walk = trace_io._words
-        monkeypatch.setattr(trace_io, "_words", lambda *args: calls.append(args) or walk(*args))
+        walk = reader._words
+        monkeypatch.setattr(reader, "_words", lambda *args: calls.append(args) or walk(*args))
         for end in ("\n", "\r\n"):
             text = rendered.replace("\n", end)
             assert read_trace(io.BytesIO(text.encode())).values == values
@@ -636,10 +637,10 @@ class TestHandEditedBlocks:
     @staticmethod
     def read(data, block):
         calls = []
-        check = trace_io.word_from_text
+        check = reader.word_from_text
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(trace_io, "CHUNK_BYTES", block)
-            patch.setattr(trace_io, "word_from_text",
+            patch.setattr(reader, "CHUNK_BYTES", block)
+            patch.setattr(reader, "word_from_text",
                           lambda *args: calls.append(args) or check(*args))
             return outcome(lambda: tuple(read_trace(io.BytesIO(data)))), calls
 

@@ -7,7 +7,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from togglesim import transition_counter
-from togglesim.bits import Trace, Word, word_from_text
+from togglesim.bits import Word, word_from_text
+from togglesim.trace import Trace
 from togglesim.transition_counter import (
     TOTAL_SATURATION,
     BitTransitionCounter,
