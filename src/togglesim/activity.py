@@ -99,8 +99,8 @@ def analyze_chunks(width: int, chunks: Iterable[bytes],
     )
 
 
-def analyze_trace(trace: Trace, include_per_cycle: bool = False) -> ActivityReport:
-    """analyze_chunks over the chunks of a held trace."""
+def analyze_trace(trace, include_per_cycle: bool = False) -> ActivityReport:
+    """analyze_chunks over the chunks of a held Trace."""
     return analyze_chunks(trace.width, trace.chunks(), include_per_cycle)
 
 

@@ -8,6 +8,11 @@ alone: it writes out the generators' kinds and boundaries. `gen` adds
 `generators` and its engine (and `encoders` for gray), `analyze` the
 reader, `activity` and, with `--encode`, `encoders`; `json` is loaded where
 a report is written or read as JSON.
+
+A process enters at `run()`, which calls `gc.freeze()` once `main()` has
+returned, so the process ends without the interpreter's shutdown collection:
+objects still alive at exit are freed by the OS, not collected, and a
+`__del__` of cyclic garbage left then does not run.
 """
 
 from __future__ import annotations
@@ -42,7 +47,8 @@ def _parse_seed(text: str, width: int, radix: str) -> Word:
     return word_from_text(text, 2 if radix == "bin" else 16, width)
 
 
-def _build_config(args: argparse.Namespace) -> GeneratorConfig:
+def _build_config(args: argparse.Namespace):
+    """The GeneratorConfig that the `gen` arguments in `args` name."""
     from .generators import DEFAULT_TAPS_16, GeneratorConfig, kind_parameter
 
     try:
@@ -268,5 +274,26 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DATA
 
 
+def run():
+    """The process entry of the `togglesim` script and `python -m togglesim.cli`:
+    exit with main()'s code, after `gc.freeze()`.
+
+    Freezing moves every live object into the collector's permanent
+    generation, which the interpreter's shutdown collection skips, so the
+    process does not walk a heap the OS is about to free. atexit hooks and
+    the final flush of stdout and stderr still run, so the exit code and the
+    report of a failed flush are unchanged. `os._exit` after a flush would
+    end sooner, but it skips atexit hooks (coverage.py saves its data from
+    one) and reports a failed final flush differently, so it is not used.
+    main() is the library and test entry and never freezes.
+    """
+    import gc  # here: importing cli or building its parser loads no gc
+
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

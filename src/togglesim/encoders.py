@@ -41,8 +41,9 @@ def gray_encode_chunks(width: int, chunks: Iterable[bytes]) -> Iterator[bytes]:
     return map(gray_map, repeat(width), chunks)
 
 
-def gray_encode_trace(trace: Trace) -> Trace:
-    """Gray-map every word of a trace (an address-bus style recoding)."""
+def gray_encode_trace(trace):
+    """Gray-map every word of a Trace (an address-bus style recoding) into a
+    new Trace."""
     from .trace import Trace
 
     return Trace.from_chunks(trace.width, gray_encode_chunks(trace.width, trace.chunks()))
@@ -108,9 +109,9 @@ def bus_invert_encode_chunks(width: int, chunks: Iterable[bytes]) -> Iterator[by
         yield (packed ^ (lows << width + 1) - lows).to_bytes(len(data), "big")[out:]
 
 
-def bus_invert_encode_trace(trace: Trace) -> Trace:
-    """Re-encode a raw trace as it would appear on invert-signaled lines;
-    see bus_invert_encode_chunks."""
+def bus_invert_encode_trace(trace):
+    """Re-encode a raw Trace, into a new Trace, as it would appear on
+    invert-signaled lines; see bus_invert_encode_chunks."""
     from .trace import Trace
 
     encoded = bus_invert_encode_chunks(trace.width, trace.chunks())

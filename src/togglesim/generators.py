@@ -214,8 +214,8 @@ def generate_chunks(config: GeneratorConfig, cycles: int) -> Iterator[bytes]:
     yield from source(config.seed.value, cycles)
 
 
-def generate(config: GeneratorConfig, cycles: int) -> Trace:
-    """Seed plus `cycles` generated words: a trace with `cycles` transfers."""
+def generate(config: GeneratorConfig, cycles: int):
+    """Seed plus `cycles` generated words: a Trace with `cycles` transfers."""
     from .trace import Trace
 
     return Trace.from_chunks(config.width, generate_chunks(config, cycles))

@@ -58,20 +58,21 @@ class TraceFileHeader(Record):
         return self.width if self.radix == 2 else (self.width + 3) // 4
 
 
-def read_trace(stream: IOBase) -> Trace:
-    """Parse a trace from a readable text or byte stream."""
+def read_trace(stream: IOBase):
+    """Parse a Trace from a readable text or byte stream."""
     from .reader import read_chunks
     from .trace import Trace
 
     return Trace.from_chunks(*read_chunks(stream))
 
 
-def parse_trace(text: str) -> Trace:
+def parse_trace(text: str):
     """Parse trace text into a Trace; raises TraceFormatError with line numbers."""
     return read_trace(StringIO(text))
 
 
-def load_trace(path: str) -> Trace:
+def load_trace(path: str):
+    """Parse the Trace in the file at `path`."""
     with open(path, "rb") as fh:
         return read_trace(fh)
 
@@ -127,8 +128,8 @@ def _spread_masks(length: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-def render_trace(trace: Trace, radix: int = 2) -> str:
-    """Canonical text form; parse_trace(render_trace(t)) == t."""
+def render_trace(trace, radix: int = 2) -> str:
+    """Canonical text form of a Trace; parse_trace(render_trace(t)) == t."""
     return "".join(render_chunks(trace.width, trace.chunks(), radix))
 
 

@@ -104,13 +104,14 @@ class BitTransitionCounter:
 
 class CycleRecords(Sequence):
     """The records of one :func:`run_trace`, a read-only sequence: each
-    :class:`CycleRecord` is built when it is read, and is not kept. It
-    equals any sequence of the same records, a list of them included."""
+    :class:`CycleRecord` is built when it is read, from the run's Trace and
+    counts that this holds, and is not kept. It equals any sequence of the
+    same records, a list of them included."""
 
     __slots__ = ("_trace", "_reset", "_ones", "_totals")
     __hash__ = None  # equal by value, like a list of the records
 
-    def __init__(self, trace: Trace, reset: bool, ones: array, totals: array) -> None:
+    def __init__(self, trace, reset: bool, ones: array, totals: array) -> None:
         self._trace, self._reset, self._ones, self._totals = trace, reset, ones, totals
 
     def __eq__(self, other: object) -> bool:
@@ -151,8 +152,8 @@ class CycleRecords(Sequence):
         ))
 
 
-def run_trace(trace: Trace, reset_on_cycle0: bool = True) -> CycleRecords:
-    """Feed a whole trace through a fresh counter, one word per cycle.
+def run_trace(trace, reset_on_cycle0: bool = True) -> CycleRecords:
+    """Feed a whole Trace through a fresh counter, one word per cycle.
 
     The records equal those of ``BitTransitionCounter.step`` applied to each
     word in turn, with reset asserted on cycle 0 only if ``reset_on_cycle0``.

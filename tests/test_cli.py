@@ -1,11 +1,15 @@
+import gc
 import io
 import json
 import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
+import togglesim
 from togglesim.bits import Word
 from togglesim.cli import build_parser, main
 from togglesim.generators import BOUNDARIES, KINDS, GeneratorConfig, kind_parameter
@@ -586,3 +590,100 @@ class TestTables:
         assert stdout == ""
         assert stderr == gen_stderr
         assert "tap" in stderr
+
+
+SRC = os.path.dirname(os.path.dirname(togglesim.__file__))
+LFSR16 = ["gen", "--kind", "lfsr_internal", "--width", "16", "--seed", "ACE1", "--cycles", "3000"]
+
+
+def process_env(**extra):
+    return {**os.environ, "PYTHONPATH": SRC, **extra}
+
+
+def run_process(*argv, stdin=b"", stdout=subprocess.PIPE, env=None):
+    """`python -m togglesim.cli argv` in a new process: its exit code, its
+    stdout (None when not piped) and its stderr, decoded."""
+    done = subprocess.run(
+        [sys.executable, "-m", "togglesim.cli", *argv], input=stdin, stdout=stdout,
+        stderr=subprocess.PIPE, env=env or process_env(), timeout=60,
+    )
+    stdout = None if done.stdout is None else done.stdout.decode()
+    return done.returncode, stdout, done.stderr.decode()
+
+
+class TestProcessEntry:
+    """The commands as a pipeline runs them: `python -m togglesim.cli`
+    enters at run(), which ends the process with the heap frozen."""
+
+    def test_gen_piped_into_analyze_equals_main(self, capsys, monkeypatch):
+        argv = [sys.executable, "-m", "togglesim.cli"]
+        gen = subprocess.Popen([*argv, *LFSR16], stdout=subprocess.PIPE,
+                               stderr=subprocess.PIPE, env=process_env())
+        analyze = subprocess.run([*argv, "analyze", "-"], stdin=gen.stdout,
+                                 capture_output=True, env=process_env(), timeout=60)
+        gen.stdout.close()
+        gen_stderr = gen.stderr.read().decode()
+        gen.stderr.close()
+        assert gen.wait(timeout=60) == 0 and analyze.returncode == 0
+        code, trace, stderr = run_cli(capsys, *LFSR16)
+        assert code == 0 and gen_stderr == stderr == "3001 words\n"
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(trace.encode())))
+        code, report, _ = run_cli(capsys, "analyze", "-")
+        assert code == 0
+        assert analyze.stdout.decode() == report
+        assert analyze.stderr == b""
+
+    def test_usage_error_exits_2(self):
+        assert run_process(*LFSR16[:-1], "-1") == (
+            2, "", "togglesim: error: --cycles must be >= 0, got -1\n"
+        )
+
+    def test_analyze_of_empty_stdin_exits_3(self):
+        assert run_process("analyze", "-") == (
+            3, "", "togglesim: error: missing header 'width=<n> radix=<bin|hex>'\n"
+        )
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device_exits_3_when_unbuffered(self):
+        with open("/dev/full", "wb") as full:
+            result = run_process(*LFSR16, stdout=full, env=process_env(PYTHONUNBUFFERED="1"))
+        assert result == (3, None, "togglesim: error: [Errno 28] No space left on device\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device_final_flush_is_still_reported(self):
+        # buffered, the final flush of what main left in stdout's buffer
+        # fails too: the interpreter reports it and exits 120, as it does
+        # without the freeze
+        env = process_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        with open("/dev/full", "wb") as full:
+            code, _, stderr = run_process(*LFSR16, stdout=full, env=env)
+        lines = stderr.splitlines()
+        assert code == 120
+        assert lines[0] == "togglesim: error: [Errno 28] No space left on device"
+        assert lines[-1] == "OSError: [Errno 28] No space left on device"
+
+    @pytest.mark.parametrize("argv", [
+        ["power", "--tau", "0.5", "--cap", "1e-12", "--vdd", "1", "--freq", "1e6"],
+        LFSR16[:-1] + ["-1"],
+        ["analyze", "no-such.trace"],
+    ], ids=["ok", "usage", "data"])
+    def test_main_block_exits_with_mains_code_and_frozen_heap(self, capsys, argv):
+        code = (
+            "import gc, runpy, sys\n"
+            f"sys.argv = ['togglesim', *{argv!r}]\n"
+            "try:\n"
+            "    runpy.run_module('togglesim.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    print(repr(exc.code), gc.get_freeze_count() > 0, file=sys.stderr)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=process_env(), timeout=60)
+        assert done.stderr.splitlines()[-1] == f"{run_cli(capsys, *argv)[0]} True"
+
+    def test_main_never_freezes(self, capsys):
+        # main is the library and test entry: freezing here would keep the
+        # test runner's own garbage from ever being collected
+        before = gc.get_freeze_count()
+        assert run_cli(capsys, *LFSR16)[0] == 0
+        assert gc.get_freeze_count() == before

@@ -8,12 +8,15 @@ import json
 import os
 import pickle
 import pkgutil
+import re
 import subprocess
 import sys
+import typing
 
 import pytest
 
 import togglesim
+import togglesim.cli
 from togglesim.activity import ActivityReport, ReductionSummary
 from togglesim.bits import Record, Word
 from togglesim.generators import GeneratorConfig
@@ -135,6 +138,43 @@ class TestImports:
         # what importing cli from the root runs, as the benchmark's replay does
         loaded = fresh_import("__import__('togglesim', fromlist=['cli']).cli")
         assert "togglesim.cli" in loaded["togglesim"]
+
+
+def defined_functions() -> dict:
+    """Every function and method that a togglesim module defines, by dotted name."""
+    found = {}
+    for info in pkgutil.iter_modules(togglesim.__path__):
+        module = importlib.import_module(f"togglesim.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).items() if inspect.isclass(obj) else [("", obj)]
+            for attr, member in members:
+                member = getattr(member, "__func__", getattr(member, "fget", member))
+                if inspect.isfunction(inspect.unwrap(member)):
+                    found[".".join(filter(None, (module.__name__, name, attr)))] = member
+    return found
+
+
+FUNCTIONS = defined_functions()
+
+
+@pytest.mark.parametrize("name", FUNCTIONS)
+def test_annotations_resolve(name):
+    # each annotation names something bound in its module at run time; a
+    # class imported only where it is used is named in the docstring instead
+    typing.get_type_hints(FUNCTIONS[name])
+
+
+def test_console_script_is_the_main_block_entry():
+    with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"), encoding="utf-8") as fh:
+        script = re.search(r'^togglesim = "togglesim\.cli:(\w+)"$', fh.read(), re.MULTILINE)
+    main_block = re.search(
+        r'^if __name__ == "__main__":\n    (\w+)\(\)\n\Z', inspect.getsource(togglesim.cli),
+        re.MULTILINE,
+    )
+    assert script and main_block
+    assert script[1] == main_block[1] == "run"
 
 
 # Each record built twice from equal but separately made field values, the
