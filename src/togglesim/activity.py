@@ -15,35 +15,25 @@ per-transfer counts are asked for. Those counts, here and in the probe's
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable
 from itertools import chain
 
 from .bits import Record, popcounts, transfer_diffs
 
 
-class ActivityReport(Record):
+class ActivityReport(Record, namedtuple("ActivityReport", "width transfers total_transitions "
+                                        "tau per_bit_toggles per_cycle", defaults=[None])):
     """Whole-trace switching summary. per_bit_toggles[i] counts flips of bit i."""
 
-    __slots__ = (
-        "width", "transfers", "total_transitions", "tau", "per_bit_toggles", "per_cycle"
-    )
-
-    def __init__(self, width: int, transfers: int, total_transitions: int, tau: float,
-                 per_bit_toggles: tuple[int, ...],
-                 per_cycle: tuple[int, ...] | None = None) -> None:
-        super().__init__(width, transfers, total_transitions, tau, per_bit_toggles, per_cycle)
+    __slots__ = ()
 
 
-class ReductionSummary(Record):
+class ReductionSummary(Record, namedtuple("ReductionSummary", "tau_before tau_after tau_delta "
+                                          "relative_reduction transitions_delta")):
     """How much quieter trace B is than baseline trace A."""
 
-    __slots__ = (
-        "tau_before", "tau_after", "tau_delta", "relative_reduction", "transitions_delta"
-    )
-
-    def __init__(self, tau_before: float, tau_after: float, tau_delta: float,
-                 relative_reduction: float, transitions_delta: int) -> None:
-        super().__init__(tau_before, tau_after, tau_delta, relative_reduction, transitions_delta)
+    __slots__ = ()
 
 
 def switching_activity(total_transitions: int, width: int, transfers: int) -> float:

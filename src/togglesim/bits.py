@@ -4,8 +4,8 @@ A :class:`Word` is an immutable bit pattern of known width. Bit 0 is the
 least significant bit and the rightmost character of the binary text form,
 so a 16-bit bus "data(15)..data(0)" maps to indices 15..0. A trace is a
 width plus its words, one per clock cycle, and has one transfer fewer than
-words. Every CLI command loads this module, but only ``tables`` builds a
-held trace, a ``togglesim.trace.Trace``.
+words. Every CLI command loads this module, and none builds a held trace,
+a ``togglesim.trace.Trace``.
 
 The transition count between two consecutive words is their Hamming
 distance, i.e. the popcount of their XOR.
@@ -20,17 +20,19 @@ that need ints, and :func:`popcounts` counts the set bits of every word.
 The stages that count transitions take the words in :func:`packs`.
 
 :class:`Record` is the base of every immutable value class in the package,
-:class:`Word` and ``Trace`` included: named fields bound once, with
-equality, hash, repr and pickling by field.
+:class:`Word` and ``Trace`` included: named fields, with equality, hash,
+repr and pickling by field. Every record but ``Trace`` is a tuple, most on a
+``collections.namedtuple`` base.
 """
 
 from __future__ import annotations
 
 import sys
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from functools import partialmethod
 from itertools import chain, repeat
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 MAX_WIDTH = 1024  # sanity bound; typical buses here are 4..16 lines
 
@@ -161,10 +163,11 @@ def check_width(width: int) -> None:
 
 
 class Record:
-    """An immutable value: a subclass names its two or more fields in
-    ``__slots__`` and passes their values, checked, to ``Record.__init__``.
-    A subclass stored as a tuple names them in ``__match_args__`` and reads
-    each through a property.
+    """An immutable value of two or more fields, named in order in
+    ``__match_args__``: a ``collections.namedtuple`` subclass with
+    ``__slots__ = ()``, checked, if at all, in ``__new__``, which ``_replace``
+    runs too. ``Trace`` binds slots instead, and ``CycleRecord`` is a tuple
+    of a layout of its own.
 
     Records of the same class with equal fields compare and hash equal, like
     the tuple of their fields; a record equals nothing else and has no order,
@@ -175,12 +178,11 @@ class Record:
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        cls.__match_args__ = cls.__dict__.get("__match_args__", cls.__slots__)
         cls._values = attrgetter(*cls.__match_args__)  # a tuple: every record has 2+ fields
 
-    def __init__(self, *values: object) -> None:
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
+    @classmethod
+    def _make(cls, values: Iterable[object]) -> Record:  # so that _replace checks, too
+        return cls(*values)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -214,25 +216,20 @@ class Record:
         return f"{type(self).__qualname__}({', '.join(fields)})"
 
 
-class Word(Record, tuple):
+class Word(Record, namedtuple("Word", "width value")):
     """A value of exactly `width` bits (no hidden higher bits) and its text forms.
 
-    A :class:`Record` stored as the tuple ``(width, value)`` and checked by
-    ``Word(width, value)``; bit arithmetic is done on ``.value``. A Trace or
-    CycleRecord builds the Word of a checked word with one ``tuple.__new__``."""
+    Checked by ``Word(width, value)``; bit arithmetic is done on ``.value``.
+    A Trace or CycleRecord builds the Word of a checked word with one
+    ``tuple.__new__``."""
 
     __slots__ = ()
-    __match_args__ = ("width", "value")
-    __init__ = tuple.__init__  # the fields are bound by __new__
 
-    def __new__(cls, width: int, value: int) -> "Word":
+    def __new__(cls, width: int, value: int) -> Word:
         check_width(width)
         if not 0 <= value < (1 << width):
             raise ValueError(f"value 0x{value:X} does not fit in {width} bits")
-        return tuple.__new__(cls, (width, value))
-
-    width = property(itemgetter(0))
-    value = property(itemgetter(1))
+        return super().__new__(cls, width, value)
 
     def to_binary(self) -> str:
         """MSB-first binary text, exactly `width` characters."""

@@ -91,6 +91,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         print(f"wrote {words} words to {args.output}")
     else:
         sys.stdout.writelines(texts)
+        sys.stdout.flush()  # a failed write fails here, before the count is reported
         print(f"{words} words", file=sys.stderr)
     return EXIT_OK
 
@@ -263,7 +264,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a failed write, a closed pipe too, exits 3
+        return code
     except UsageError as exc:
         print(f"togglesim: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -281,16 +284,25 @@ def run():
     Freezing moves every live object into the collector's permanent
     generation, which the interpreter's shutdown collection skips, so the
     process does not walk a heap the OS is about to free. atexit hooks and
-    the final flush of stdout and stderr still run, so the exit code and the
-    report of a failed flush are unchanged. `os._exit` after a flush would
-    end sooner, but it skips atexit hooks (coverage.py saves its data from
-    one) and reports a failed final flush differently, so it is not used.
-    main() is the library and test entry and never freezes.
+    the final flush of stdout and stderr still run. `os._exit` after a flush
+    would end sooner, but it skips atexit hooks (coverage.py saves its data
+    from one), so it is not used. main() is the library and test entry and
+    never freezes.
+
+    main() flushes stdout, so that a failed write exits 3; what that flush
+    left in stdout's buffer would fail again at shutdown, with the
+    interpreter's report and exit 120. So if a flush here fails too, fd 1 is
+    pointed at os.devnull, as Python's `signal` documentation does.
     """
     import gc  # here: importing cli or building its parser loads no gc
 
     try:
-        sys.exit(main())
+        code = main()
+        try:
+            sys.stdout.flush()
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(code)
     finally:
         gc.freeze()
 

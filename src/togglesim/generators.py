@@ -36,6 +36,7 @@ module; the CLI parser writes out `KINDS` and `BOUNDARIES`, pinned by a test.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Callable, Iterator
 
 from .bits import Record, Word, check_width
@@ -159,17 +160,18 @@ def kind_parameter(kind: str) -> str | None:
     return _GENERATORS[kind][0]
 
 
-class GeneratorConfig(Record):
+class GeneratorConfig(Record, namedtuple("GeneratorConfig", "kind width seed taps boundary",
+                                         defaults=[None, None])):
     """Everything that determines a stimulus stream.
 
     `taps` applies to LFSR kinds only and must include position `width`;
     `boundary` applies to CA kinds only and defaults to null.
     """
 
-    __slots__ = ("kind", "width", "seed", "taps", "boundary")
+    __slots__ = ()
 
-    def __init__(self, kind: str, width: int, seed: Word,
-                 taps: frozenset[int] | None = None, boundary: str | None = None) -> None:
+    def __new__(cls, kind: str, width: int, seed: Word, taps: frozenset[int] | None = None,
+                boundary: str | None = None) -> GeneratorConfig:
         if kind not in _GENERATORS:
             raise ValueError(f"unknown generator kind {kind!r}")
         check_width(width)
@@ -201,7 +203,7 @@ class GeneratorConfig(Record):
                 raise ValueError(f"boundary must be 'null' or 'cyclic', got {boundary!r}")
         elif boundary is not None:
             raise ValueError("boundary applies to CA kinds only")
-        super().__init__(kind, width, seed, taps, boundary)
+        return super().__new__(cls, kind, width, seed, taps, boundary)
 
 
 def generate_chunks(config: GeneratorConfig, cycles: int) -> Iterator[bytes]:

@@ -15,6 +15,7 @@ returned as inf.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 from .bits import Record
 
@@ -43,36 +44,41 @@ def check_tau(tau: float) -> float:
     return tau
 
 
-class DynamicPowerParams(Record):
+class DynamicPowerParams(Record, namedtuple("DynamicPowerParams", "tau load_capacitance "
+                                            "supply_voltage frequency voltage_exponent",
+                                            defaults=[1])):
     """Inputs of dynamic_power: load_capacitance in F, supply_voltage in V and
     frequency in Hz."""
 
-    __slots__ = ("tau", "load_capacitance", "supply_voltage", "frequency", "voltage_exponent")
+    __slots__ = ()
 
-    def __init__(self, tau: float, load_capacitance: float, supply_voltage: float,
-                 frequency: float, voltage_exponent: int = 1) -> None:
+    def __new__(cls, tau: float, load_capacitance: float, supply_voltage: float,
+                frequency: float, voltage_exponent: int = 1) -> DynamicPowerParams:
         check_tau(tau)
         _check_positive("load_capacitance", load_capacitance)
         _check_positive("supply_voltage", supply_voltage)
         _check_positive("frequency", frequency)
         if voltage_exponent not in (1, 2):
             raise ValueError(f"voltage_exponent must be 1 or 2, got {voltage_exponent}")
-        super().__init__(tau, load_capacitance, supply_voltage, frequency, voltage_exponent)
+        return super().__new__(cls, tau, load_capacitance, supply_voltage, frequency,
+                               voltage_exponent)
 
 
-class StaticPowerParams(Record):
+class StaticPowerParams(Record, namedtuple("StaticPowerParams", "saturation_current "
+                                           "diode_voltage temperature supply_voltage")):
     """Inputs of static_power: saturation_current in A, diode_voltage in V (may
     be zero or negative), temperature in K and supply_voltage in V."""
 
-    __slots__ = ("saturation_current", "diode_voltage", "temperature", "supply_voltage")
+    __slots__ = ()
 
-    def __init__(self, saturation_current: float, diode_voltage: float,
-                 temperature: float, supply_voltage: float) -> None:
+    def __new__(cls, saturation_current: float, diode_voltage: float,
+                temperature: float, supply_voltage: float) -> StaticPowerParams:
         _check_positive("saturation_current", saturation_current)
         _check_finite("diode_voltage", diode_voltage)
         _check_positive("temperature", temperature)
         _check_positive("supply_voltage", supply_voltage)
-        super().__init__(saturation_current, diode_voltage, temperature, supply_voltage)
+        return super().__new__(cls, saturation_current, diode_voltage, temperature,
+                               supply_voltage)
 
 
 def _check_result(name: str, value: float) -> float:

@@ -16,9 +16,11 @@ cells, round-half-up only 2).
 
 from __future__ import annotations
 
-from .activity import analyze_trace, rounded_display
+from collections import namedtuple
+
+from .activity import analyze_chunks, rounded_display
 from .bits import Record, Word, word_from_text
-from .generators import DEFAULT_TAPS_16, GeneratorConfig, generate, kind_parameter
+from .generators import DEFAULT_TAPS_16, GeneratorConfig, generate_chunks, kind_parameter
 
 CYCLE_COLUMNS = (8, 16, 32)
 REFERENCE_SEED_TEXT = "1011001010110110"
@@ -51,17 +53,9 @@ def cents_display(cents: int) -> str:
     return f"{cents // 100}.{cents % 100:02d}"
 
 
-class CounterRow(Record):
-    __slots__ = (
-        "label", "transitions", "activity_display", "reference_transitions",
-        "reference_activity",
-    )
-
-    def __init__(self, label: str, transitions: int, activity_display: str,
-                 reference_transitions: int, reference_activity: str) -> None:
-        super().__init__(
-            label, transitions, activity_display, reference_transitions, reference_activity
-        )
+class CounterRow(Record, namedtuple("CounterRow", "label transitions activity_display "
+                                    "reference_transitions reference_activity")):
+    __slots__ = ()
 
     @property
     def matches(self) -> bool:
@@ -71,17 +65,9 @@ class CounterRow(Record):
         )
 
 
-class GeneratorCell(Record):
-    __slots__ = (
-        "cycles", "transitions", "activity_display", "reference_transitions",
-        "reference_activity",
-    )
-
-    def __init__(self, cycles: int, transitions: int, activity_display: str,
-                 reference_transitions: int, reference_activity: str) -> None:
-        super().__init__(
-            cycles, transitions, activity_display, reference_transitions, reference_activity
-        )
+class GeneratorCell(Record, namedtuple("GeneratorCell", "cycles transitions activity_display "
+                                       "reference_transitions reference_activity")):
+    __slots__ = ()
 
     @property
     def count_matches(self) -> bool:
@@ -96,11 +82,8 @@ class GeneratorCell(Record):
         return cents_display(cents) == self.reference_activity
 
 
-class GeneratorRow(Record):
-    __slots__ = ("label", "cells")
-
-    def __init__(self, label: str, cells: tuple[GeneratorCell, ...]) -> None:
-        super().__init__(label, cells)
+class GeneratorRow(Record, namedtuple("GeneratorRow", "label cells")):
+    __slots__ = ()
 
 
 def counter_rows() -> list[CounterRow]:
@@ -108,7 +91,7 @@ def counter_rows() -> list[CounterRow]:
     rows = []
     for label, kind, width, ref_count, ref_tau, decimals in COUNTER_REFERENCE:
         config = GeneratorConfig(kind=kind, width=width, seed=Word(width, 0))
-        report = analyze_trace(generate(config, (1 << width) - 1))
+        report = analyze_chunks(width, generate_chunks(config, (1 << width) - 1))
         rows.append(
             CounterRow(
                 label=label,
@@ -136,7 +119,7 @@ def generator_rows(
         config = GeneratorConfig(kind=kind, width=REFERENCE_WIDTH, seed=seed, **given)
         cells = []
         for cycles in CYCLE_COLUMNS:
-            report = analyze_trace(generate(config, cycles))
+            report = analyze_chunks(REFERENCE_WIDTH, generate_chunks(config, cycles))
             ref_count, ref_tau = reference[cycles]
             cells.append(
                 GeneratorCell(

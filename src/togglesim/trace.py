@@ -1,5 +1,5 @@
-"""A whole trace held in memory as one chunk (see `bits`), which `gen` and
-`analyze` never build: the whole-trace wrappers (`generate`, `read_trace`,
+"""A whole trace held in memory as one chunk (see `bits`), which no CLI
+command builds: the whole-trace wrappers (`generate`, `read_trace`,
 the encoders' `*_encode_trace`) import this module when they build one.
 """
 
@@ -14,7 +14,9 @@ from .bits import Record, Word, check_width, chunk_words, pack, unpack
 class Trace(Record):
     """Same-width words over consecutive clock cycles, cycle 0 first.
     ``Trace(width, values)`` checks and packs int values; ``values`` unpacks
-    them. Iteration builds each :class:`Word` a chunk at a time.
+    them. Iteration builds each :class:`Word` a chunk at a time. It is the one
+    record that binds slots: as a tuple, its ``in``, ``count``, ``index`` and
+    ``+`` would act on ``(width, chunk)``, not on its words.
     """
 
     __slots__ = ("width", "chunk")
@@ -28,7 +30,8 @@ class Trace(Record):
         low, high = min(values), max(values)
         if low < 0 or high >> width:
             raise ValueError(f"values {low}..{high} do not all fit in {width} bits")
-        super().__init__(width, pack(width, values))
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "chunk", pack(width, values))
 
     @classmethod
     def from_chunks(cls, width: int, chunks: Iterable[bytes]) -> "Trace":
@@ -44,7 +47,8 @@ class Trace(Record):
         if width % 8 and max(chunk[::size]) >> (width % 8):
             raise ValueError(f"a word has a bit set above its {width} bits")
         trace = object.__new__(cls)
-        Record.__init__(trace, width, chunk)
+        object.__setattr__(trace, "width", width)
+        object.__setattr__(trace, "chunk", chunk)
         return trace
 
     @property

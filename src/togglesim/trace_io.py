@@ -24,6 +24,7 @@ binary after spreading each bit to a nibble. `parse_trace`, `read_trace`,
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from io import IOBase, StringIO
@@ -40,14 +41,14 @@ class TraceFormatError(ValueError):
     """Malformed trace text; the message names the offending line."""
 
 
-class TraceFileHeader(Record):
-    __slots__ = ("width", "radix")
+class TraceFileHeader(Record, namedtuple("TraceFileHeader", "width radix")):
+    __slots__ = ()
 
-    def __init__(self, width: int, radix: int) -> None:
+    def __new__(cls, width: int, radix: int) -> TraceFileHeader:
         check_width(width)
         if radix not in _NAME_BY_RADIX:
             raise ValueError(f"radix must be 2 or 16, got {radix}")
-        super().__init__(width, radix)
+        return super().__new__(cls, width, radix)
 
     def render(self) -> str:
         return f"width={self.width} radix={_NAME_BY_RADIX[self.radix]}"

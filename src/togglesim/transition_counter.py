@@ -49,7 +49,6 @@ class CycleRecord(Record, tuple):
     __match_args__ = (
         "cycle", "reset", "datain", "dataout", "one_transition", "total_transition"
     )
-    __init__ = tuple.__init__  # the fields are bound by __new__
 
     def __new__(cls, cycle: int, reset: bool, datain: Word, dataout: Word,
                 one_transition: int, total_transition: int) -> "CycleRecord":

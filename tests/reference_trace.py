@@ -15,6 +15,7 @@ time.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from itertools import pairwise
 
 from reference_generators import gray_encode
@@ -123,14 +124,10 @@ def gray_encode_trace(words: tuple[Word, ...]) -> tuple[Word, ...]:
     return tuple(gray_encode(w) for w in words)
 
 
-class BusLineState(Record):
+class BusLineState(Record, namedtuple("BusLineState", "word invert")):
     """What is physically on the wires: data lines plus the invert line."""
 
-    __slots__ = ("word", "invert")
-
-    def __init__(self, word: Word, invert: bool) -> None:
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "invert", invert)
+    __slots__ = ()
 
 
 def bus_invert_encode(prev: BusLineState, next_raw: Word) -> BusLineState:

@@ -651,17 +651,39 @@ class TestProcessEntry:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     def test_full_device_final_flush_is_still_reported(self):
-        # buffered, the final flush of what main left in stdout's buffer
-        # fails too: the interpreter reports it and exits 120, as it does
-        # without the freeze
+        # buffered, what the failed write left in stdout's buffer must not
+        # fail a second time at shutdown, with the interpreter's report and
+        # exit 120: main reports the failure once, and exits 3
         env = process_env()
         env.pop("PYTHONUNBUFFERED", None)
         with open("/dev/full", "wb") as full:
-            code, _, stderr = run_process(*LFSR16, stdout=full, env=env)
-        lines = stderr.splitlines()
-        assert code == 120
-        assert lines[0] == "togglesim: error: [Errno 28] No space left on device"
-        assert lines[-1] == "OSError: [Errno 28] No space left on device"
+            result = run_process(*LFSR16, stdout=full, env=env)
+        assert result == (3, None, "togglesim: error: [Errno 28] No space left on device\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("sink", ["full", "closed pipe"])
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [LFSR16[:-1] + ["3"], ["tables"]], ids=["gen", "tables"])
+    def test_output_that_fits_the_buffer_fails_with_exit_3(self, argv, buffered, sink):
+        # the whole output waits in stdout's buffer until main flushes it; a
+        # closed pipe is a failed write like any other, and gen reports no
+        # word count after a failed write
+        env = process_env()
+        if buffered:
+            env.pop("PYTHONUNBUFFERED", None)
+        else:
+            env["PYTHONUNBUFFERED"] = "1"
+        if sink == "full":
+            stdout, error = os.open("/dev/full", os.O_WRONLY), "[Errno 28] No space left on device"
+        else:
+            read_end, stdout = os.pipe()
+            os.close(read_end)
+            error = "[Errno 32] Broken pipe"
+        try:
+            result = run_process(*argv, stdout=stdout, env=env)
+        finally:
+            os.close(stdout)
+        assert result == (3, None, f"togglesim: error: {error}\n")
 
     @pytest.mark.parametrize("argv", [
         ["power", "--tau", "0.5", "--cap", "1e-12", "--vdd", "1", "--freq", "1e6"],

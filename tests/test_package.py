@@ -86,13 +86,16 @@ class TestImports:
               "cyclic", "--cycles", "9"], ["frobenius", "generators"]),
             (["analyze", "TRACE"], ["activity", "reader"]),
             (["analyze", "TRACE", "--encode", "businvert"], ["activity", "encoders", "reader"]),
+            (["tables"], ["activity", "encoders", "generators", "lanes", "tables"]),
         ],
-        ids=["gen", "gen-gray", "gen-cyclic", "analyze", "analyze-encode"],
+        ids=["gen", "gen-gray", "gen-cyclic", "analyze", "analyze-encode", "tables"],
     )
     def test_each_command_loads_only_what_it_runs(self, tmp_path, argv, extra):
         # gen compiles neither the reader, the toggle fold nor the encoders,
         # and one of the two lane engines, analyze the encoders only to
-        # re-encode and never the generators, and neither builds a held Trace
+        # re-encode and never the generators; tables runs the generators
+        # into the fold as gen | analyze - does, and no command builds a
+        # held Trace
         trace = tmp_path / "words.trace"
         trace.write_text("width=4 radix=bin\n0000\n0101\n")
         argv = [str(trace) if arg == "TRACE" else arg for arg in argv]
@@ -327,8 +330,50 @@ def test_match_statement_binds_fields_by_position():
             pytest.fail("Word did not match its own class pattern")
 
 
+# Each checked record, built with one field changed to a value its constructor
+# rejects: the field and the bad value.
+BAD_FIELDS = {
+    "Word": ("value", 1 << 12),
+    "TraceFileHeader": ("radix", 10),
+    "GeneratorConfig": ("taps", frozenset([3])),
+    "DynamicPowerParams": ("tau", 5),
+    "StaticPowerParams": ("temperature", -1.0),
+}
+
+
+@pytest.mark.parametrize("name", BAD_FIELDS)
+def test_replace_runs_the_constructors_checks(name):
+    make, _, _ = RECORDS[name]
+    record = make()
+    field, bad = BAD_FIELDS[name]
+    values = {**record._asdict(), field: bad}
+    with pytest.raises(ValueError) as built:
+        type(record)(**values)
+    with pytest.raises(ValueError) as replaced:
+        record._replace(**{field: bad})
+    assert str(replaced.value) == str(built.value)
+
+
 @pytest.mark.parametrize("make,field,other", RECORDS.values(), ids=RECORDS)
 class TestValueSemantics:
+    def test_every_record_but_trace_is_a_tuple_without_a_dict(self, make, field, other):
+        record = make()
+        assert isinstance(record, tuple) == (type(record) is not Trace)
+        assert not hasattr(record, "__dict__")
+        assert hasattr(record, "_fields") == (type(record) not in (Trace, CycleRecord))
+
+    def test_namedtuple_record_is_the_sequence_of_its_fields(self, make, field, other):
+        record = make()
+        if not hasattr(record, "_fields"):  # Trace binds slots; CycleRecord stores its own layout
+            return
+        names = type(record).__match_args__
+        assert record._fields == names
+        assert tuple(record) == tuple(getattr(record, name) for name in names)
+        changed = record._replace(**{field: getattr(other, field)})
+        assert type(changed) is type(record)
+        assert changed == type(record)(**{**record._asdict(), field: getattr(other, field)})
+        assert getattr(changed, field) == getattr(other, field)
+
     def test_assignment_raises(self, make, field, other):
         record = make()
         with pytest.raises(AttributeError):
