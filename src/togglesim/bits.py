@@ -1,23 +1,19 @@
-"""Fixed-width bit vectors and the transition-counting primitives.
+"""Fixed-width bit vectors, packed chunks of them, and the record base.
 
 A :class:`Word` is an immutable bit pattern of known width. Bit 0 is the
 least significant bit and the rightmost character of the binary text form,
 so a 16-bit bus "data(15)..data(0)" maps to indices 15..0. A trace is a
 width plus its words, one per clock cycle, and has one transfer fewer than
-words. Every CLI command loads this module, and none builds a held trace,
-a ``togglesim.trace.Trace``.
-
-The transition count between two consecutive words is their Hamming
-distance, i.e. the popcount of their XOR.
+words. Every CLI command loads this module once it is parsed (the parser
+needs none of it), and none builds a held trace, a ``togglesim.trace.Trace``.
 
 Every chunked stage (generator, renderer, reader, encoders and the toggle
 fold) passes a trace on in *chunks*: ``bytes`` holding one or more words of
 ``ceil(width / 8)`` bytes each, big-endian, in trace order, the bits above
 `width` zero. It is what ``bytes.fromhex`` makes of a block of hex words, so
 a stage works on a chunk in a few C-level calls, not one Python call per
-word. :func:`pack` and :func:`unpack` convert at the edges of the stages
-that need ints, and :func:`popcounts` counts the set bits of every word.
-The stages that count transitions take the words in :func:`packs`.
+word. :func:`pack` makes a chunk of ints, ``togglesim.trace.unpack`` reads
+one back, and ``togglesim.activity`` counts transitions over chunks.
 
 :class:`Record` is the base of every immutable value class in the package,
 :class:`Word` and ``Trace`` included: named fields, with equality, hash,
@@ -29,9 +25,9 @@ from __future__ import annotations
 
 import sys
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from functools import partialmethod
-from itertools import chain, repeat
+from itertools import repeat
 from operator import attrgetter
 
 MAX_WIDTH = 1024  # sanity bound; typical buses here are 4..16 lines
@@ -41,13 +37,8 @@ MAX_WIDTH = 1024  # sanity bound; typical buses here are 4..16 lines
 # steps stay negligible next to the per-word work, and no stage's transient
 # memory grows with the trace: under 1 MiB for the reader, about 1.5 MiB for
 # a generated chunk as text, and for the fold, whose packs hold PACK_WORDS
-# words or more, a peak of about 1.4 MiB at 1024 bits (tracemalloc).
+# words or more (see `activity`), a peak of about 1.4 MiB at 1024 bits.
 CHUNK_BYTES = 1 << 14
-
-# The fewest words in a pack of transfers (see packs), so that a pack's
-# Python steps per line or per byte lane are spread over many words at every
-# width; at least 2, so that every pack holds a transfer.
-PACK_WORDS = 2048
 
 _DIGITS = {2: frozenset("01"), 16: frozenset("0123456789abcdefABCDEF")}
 
@@ -68,7 +59,7 @@ def restride(data: bytes, old: int, new: int) -> bytes:
     return out
 
 
-def _machine_words(size: int, chunk: bytes = b""):
+def machine_words(size: int, chunk: bytes = b""):
     """The `size`-byte words of `chunk` in an array of the narrowest unsigned
     machine integer of at least `size` bytes, or None past 8 bytes."""
     from array import array  # here, not at the top: the CLI starts without it
@@ -84,76 +75,13 @@ def _machine_words(size: int, chunk: bytes = b""):
 def pack(width: int, values: Iterable[int]) -> bytes:
     """A chunk of `width`-bit words from their values (see the module docstring)."""
     size = (width + 7) // 8
-    items = _machine_words(size)
+    items = machine_words(size)
     if items is None:
         return b"".join(map(int.to_bytes, values, repeat(size), repeat("big")))
     items.extend(values)
     if sys.byteorder == "little":
         items.byteswap()
     return bytes(restride(items.tobytes(), items.itemsize, size))
-
-
-def unpack(width: int, chunk: bytes) -> list[int]:
-    """The values of the `width`-bit words in `chunk`; the inverse of pack."""
-    size = (width + 7) // 8
-    items = _machine_words(size, chunk)
-    if items is None:
-        from struct import iter_unpack  # here, not at the top: only wide words need it
-
-        from_bytes = int.from_bytes
-        return [from_bytes(word, "big") for (word,) in iter_unpack(f"{size}s", chunk)]
-    return items.tolist()
-
-
-_POPCOUNTS = bytes(map(int.bit_count, range(256)))
-
-
-def popcount_slots(width: int, chunk: bytes) -> int:
-    """The set bits of each `width`-bit word of `chunk`, each in a 2-byte
-    slot of one big-endian int: one translate maps each byte to its
-    popcount, and byte lane j (byte j of every word) is read as one int. Up
-    to 31 lanes add with no carry out of a byte (31 * 8 < 256); the groups'
-    sums, spread to 2-byte slots, add with no carry out of a slot
-    (MAX_WIDTH < 2 ** 16)."""
-    size = (width + 7) // 8
-    bits, spread, total = chunk.translate(_POPCOUNTS), bytearray(2 * len(chunk) // size), 0
-    for start in range(0, size, 31):
-        lanes = (bits[j::size] for j in range(start, min(start + 31, size)))
-        group = sum(map(int.from_bytes, lanes, repeat("big")))
-        spread[1::2] = group.to_bytes(len(spread) // 2, "big")
-        total += int.from_bytes(spread, "big")
-    return total
-
-
-def popcounts(width: int, chunk: bytes):
-    """The set bits of each `width`-bit word of `chunk`, as an array('H')."""
-    slots = popcount_slots(width, chunk).to_bytes(2 * len(chunk) // ((width + 7) // 8), "big")
-    return _machine_words(2, slots)
-
-
-def packs(width: int, chunks: Iterable[bytes]) -> Iterator[bytearray]:
-    """The words of the trace in `chunks` in packs of chunk_words(width) or
-    PACK_WORDS words, whichever is more, or more still, each pack starting
-    with the last word of the one before, so that each transfer lies in one
-    pack. A trace of one word makes no pack."""
-    size, words = (width + 7) // 8, bytearray()  # the pack being gathered
-    full = max(PACK_WORDS, chunk_words(width)) * size
-    for chunk in chain(chunks, [b""]):  # an empty chunk ends a pack: the last one, say
-        words += chunk
-        if len(words) >= full or not chunk and len(words) > size:
-            yield words
-            words = words[-size:]
-
-
-def transfer_diffs(width: int, chunks: Iterable[bytes]) -> Iterator[bytes]:
-    """The flipped lines of each transfer of the trace in `chunks`, a chunk
-    per pack (see packs). A pack read as one int, XORed with itself shifted
-    down one word, holds each transfer's flips in the slot of its second
-    word."""
-    size = (width + 7) // 8
-    for words in packs(width, chunks):
-        packed = int.from_bytes(words, "big")
-        yield (packed ^ (packed >> (8 * size))).to_bytes(len(words), "big")[size:]
 
 
 def check_width(width: int) -> None:
@@ -170,8 +98,9 @@ class Record:
     of a layout of its own.
 
     Records of the same class with equal fields compare and hash equal, like
-    the tuple of their fields; a record equals nothing else and has no order,
-    not even against a tuple. The repr is ``Name(field=value, ...)``, and
+    the tuple of their fields (a ``Trace`` like the tuple of its width and
+    chunk, which stand for its words); a record equals nothing else and has
+    no order, not even against a tuple. The repr is ``Name(field=value, ...)``, and
     pickle and copy rebuild a record through its constructor.
     """
 

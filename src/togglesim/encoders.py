@@ -4,8 +4,10 @@ Both are sequential maps over a trace's words arriving as packed byte chunks
 (see `bits`), and `gray_encode_trace` and `bus_invert_encode_trace` wrap
 them for a whole `Trace`. `gray_encode_chunks` maps each chunk as one int.
 The bus-invert choice depends on the word before, so
-`bus_invert_encode_chunks` takes the words in the packs of `bits.packs`
-and yields a chunk per pack, each worked in whole-pack big-int steps.
+`bus_invert_encode_chunks` takes the words in the packs of `activity.packs`
+and yields a chunk per pack, each worked in whole-pack big-int steps. It
+imports them where it runs, so that the gray generator, which needs only
+the gray map, loads no `activity`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from itertools import chain, repeat
 
-from .bits import MAX_WIDTH, packs, popcount_slots, restride
+from .bits import MAX_WIDTH, restride
 
 
 def gray_to_binary(g: int) -> int:
@@ -55,7 +57,7 @@ def bus_invert_encode_chunks(width: int, chunks: Iterable[bytes]) -> Iterator[by
     "Bus-Invert Coding for Low-Power I/O", IEEE TVLSI 1995).
 
     Output words are one bit wider, the invert line being the extra MSB, and
-    each output chunk encodes one pack of words (see `bits.packs`). The first
+    each output chunk encodes one pack of words (see `activity.packs`). The first
     word is transmitted unmodified with the invert line low. A width with no
     room for the invert line raises ValueError once every chunk has been
     read, so an error the source of the chunks raises is reported first.
@@ -68,6 +70,8 @@ def bus_invert_encode_chunks(width: int, chunks: Iterable[bytes]) -> Iterator[by
     tie, which a scan (Blelloch, "Prefix sums and their applications",
     CMU-CS-90-190, 1990) computes a pack at a time in a few big-int steps.
     """
+    from .activity import packs, popcount_slots
+
     if width >= MAX_WIDTH:
         for _ in chunks:
             pass

@@ -32,14 +32,17 @@ validates every parameter once, so the builders trust it. `generate_chunks`,
 or `generate` for a whole `Trace`, is the one way to run a generator: the
 CLI, tables and benchmark all use it. Only `gen` and `tables` load this
 module; the CLI parser writes out `KINDS` and `BOUNDARIES`, pinned by a test.
+`cmd_gen` is the `gen` command's body, which renders with `writer`.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from collections.abc import Callable, Iterator
 
-from .bits import Record, Word, check_width
+from . import UsageError
+from .bits import Record, Word, check_width, word_from_text
 
 Step = Callable[[int], int]
 # (bit 0 of every lane) -> the step of every lane at once
@@ -221,3 +224,57 @@ def generate(config: GeneratorConfig, cycles: int):
     from .trace import Trace
 
     return Trace.from_chunks(config.width, generate_chunks(config, cycles))
+
+
+def parse_taps(text: str) -> frozenset[int]:
+    """The tap positions that a `--taps` option of `gen` or `tables` names."""
+    try:
+        return frozenset(int(tok) for tok in text.split(",") if tok.strip())
+    except ValueError:
+        raise UsageError(f"--taps must be comma-separated integers, got {text!r}")
+
+
+def _build_config(args) -> GeneratorConfig:
+    """The GeneratorConfig that the `gen` arguments in `args` name."""
+    try:
+        check_width(args.width)
+    except ValueError as exc:
+        raise UsageError(f"bad --width: {exc}")
+    text, radix = args.seed if args.seed is not None else "0" * args.width, args.seed_radix
+    if radix == "auto":  # binary iff the string is all 0/1 and spans the full width
+        radix = "bin" if set(text) <= {"0", "1"} and len(text) == args.width else "hex"
+    try:
+        seed = word_from_text(text, 2 if radix == "bin" else 16, args.width)
+    except ValueError as exc:
+        raise UsageError(f"bad --seed: {exc}")
+    taps = parse_taps(args.taps) if args.taps is not None else None
+    if taps is None and kind_parameter(args.kind) == "taps":
+        if args.width != 16:
+            raise UsageError(f"--taps is required for {args.kind} at width {args.width} "
+                             "(a default exists only for width 16)")
+        taps = DEFAULT_TAPS_16
+    try:
+        return GeneratorConfig(kind=args.kind, width=args.width, seed=seed, taps=taps,
+                               boundary=args.boundary)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+
+
+def cmd_gen(args) -> None:
+    """The `gen` command: write the trace its parsed command line names."""
+    from .writer import render_chunks
+
+    config = _build_config(args)
+    if args.cycles < 0:
+        raise UsageError(f"--cycles must be >= 0, got {args.cycles}")
+    chunks = generate_chunks(config, args.cycles)
+    texts = render_chunks(config.width, chunks, 2 if args.radix == "bin" else 16)
+    words = args.cycles + 1
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.writelines(texts)
+        print(f"wrote {words} words to {args.output}")
+    else:
+        sys.stdout.writelines(texts)
+        sys.stdout.flush()  # a failed write fails here, before the count is reported
+        print(f"{words} words", file=sys.stderr)

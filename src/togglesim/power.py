@@ -9,7 +9,7 @@ Static power is the subthreshold leakage current times the supply voltage,
 leakage following the diode law i_s * (exp(qV / kT) - 1).
 
 A power or current too large for a float raises ValueError; none is
-returned as inf.
+returned as inf. `cmd_power` is the `power` command's body.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
+from . import UsageError
 from .bits import Record
 
 ELEMENTARY_CHARGE = 1.602176634e-19  # C
@@ -127,3 +128,40 @@ def thermal_voltage(temperature: float) -> float:
     """kT/q in volts; handy for choosing diode voltages in tests and CLIs."""
     _check_positive("temperature", temperature)
     return BOLTZMANN * temperature / ELEMENTARY_CHARGE
+
+
+def cmd_power(args) -> None:
+    """The `power` command: print the power its parsed command line describes."""
+    import json
+
+    if (args.tau is None) == (args.from_report is None):
+        raise UsageError("exactly one of --tau or --from-report is required")
+    tau = args.tau
+    if args.from_report is not None:
+        try:
+            with open(args.from_report, "r", encoding="utf-8") as fh:
+                payload = json.load(fh)
+            tau = payload["tau"]
+            if isinstance(tau, bool) or not isinstance(tau, (int, float)):
+                raise TypeError(f"tau must be a JSON number, got {json.dumps(tau)}")
+            tau = check_tau(float(tau))
+        except (OSError, OverflowError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"cannot read tau from {args.from_report}: {exc}")  # exit 3
+    try:
+        params = DynamicPowerParams(tau=tau, load_capacitance=args.cap, supply_voltage=args.vdd,
+                                    frequency=args.freq, voltage_exponent=args.vdd_exponent)
+        powers = [("dynamic power", dynamic_power(params))]
+        if args.isat is not None or args.vdiode is not None:
+            if args.isat is None or args.vdiode is None:
+                raise UsageError("static power needs both --isat and --vdiode")
+            sp = StaticPowerParams(saturation_current=args.isat, diode_voltage=args.vdiode,
+                                   temperature=args.temp, supply_voltage=args.vdd)
+            powers.append(("static power", static_power(sp)))
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    for name, watts in powers:
+        if not math.isfinite(watts * 1e6):
+            raise UsageError(f"{name} of {watts:.6g} W overflows the float range in uW")
+    for name, watts in powers:
+        watts += 0.0  # IEEE -0.0 + 0.0 is 0.0: a -0 tau or vdiode prints 0, not -0
+        print(f"{name + ':':15}{watts:.6g} W ({watts * 1e6:.6g} uW)")

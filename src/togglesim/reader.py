@@ -70,7 +70,8 @@ def _clean_words(block: bytes, header: TraceFileHeader) -> bytes | None:
     the zero bits that pad them to whole bytes as "0" digits before the
     newlines are dropped, and a hex word of odd length gets one "0" digit.
     """
-    block = block.replace(b"\r\n", b"\n")  # the same object when there is none
+    if b"\r" in block:  # one memchr, far cheaper than the replace's search
+        block = block.replace(b"\r\n", b"\n")
     width, radix, digits = header.width, header.radix, header.digits
     n, rest = divmod(len(block), digits + 1)
     newlines = b"\n" * n

@@ -11,16 +11,21 @@ null CA boundary.
 Display rules, fixed empirically against the reference tables: counter
 activities round half-up at each row's printed precision; generator
 activities truncate to 2 decimals (truncation reproduces all 12 reference
-cells, round-half-up only 2).
+cells, round-half-up only 2). `cmd_tables` is the `tables` command's body.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from collections import namedtuple
 
+from . import UsageError
 from .activity import analyze_chunks, rounded_display
 from .bits import Record, Word, word_from_text
-from .generators import DEFAULT_TAPS_16, GeneratorConfig, generate_chunks, kind_parameter
+from .generators import (
+    DEFAULT_TAPS_16, GeneratorConfig, generate_chunks, kind_parameter, parse_taps
+)
 
 CYCLE_COLUMNS = (8, 16, 32)
 REFERENCE_SEED_TEXT = "1011001010110110"
@@ -180,3 +185,19 @@ def render_generator_table(rows: list[GeneratorRow], paint=str) -> str:
         f"decimals): {consistent}/{total_cells} cells"
     )
     return "\n".join(lines) + "\n"
+
+
+def cmd_tables(args) -> None:
+    """The `tables` command: print both tables for its parsed command line,
+    the match flags colored on a terminal unless NO_COLOR is set."""
+    paint = str
+    if os.environ.get("NO_COLOR") is None and sys.stdout.isatty():
+        paint = lambda text: f"\x1b[{32 if text == 'ok' else 31}m{text}\x1b[0m"
+    taps = parse_taps(args.taps) if args.taps is not None else DEFAULT_TAPS_16
+    try:
+        generators = generator_rows(taps=taps, boundary=args.boundary)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    sys.stdout.write(render_counter_table(counter_rows(), paint))
+    print()
+    sys.stdout.write(render_generator_table(generators, paint))

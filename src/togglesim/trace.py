@@ -1,6 +1,8 @@
 """A whole trace held in memory as one chunk (see `bits`), which no CLI
 command builds: the whole-trace wrappers (`generate`, `read_trace`,
 the encoders' `*_encode_trace`) import this module when they build one.
+`unpack`, the inverse of `bits.pack`, is here with `Trace`, the one reader
+of a chunk's words as ints.
 """
 
 from __future__ import annotations
@@ -8,7 +10,19 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from itertools import chain, repeat
 
-from .bits import Record, Word, check_width, chunk_words, pack, unpack
+from .bits import Record, Word, check_width, chunk_words, machine_words, pack
+
+
+def unpack(width: int, chunk: bytes) -> list[int]:
+    """The values of the `width`-bit words in `chunk`; the inverse of pack."""
+    size = (width + 7) // 8
+    items = machine_words(size, chunk)
+    if items is None:
+        from struct import iter_unpack  # here, not at the top: only wide words need it
+
+        from_bytes = int.from_bytes
+        return [from_bytes(word, "big") for (word,) in iter_unpack(f"{size}s", chunk)]
+    return items.tolist()
 
 
 class Trace(Record):
@@ -16,7 +30,8 @@ class Trace(Record):
     ``Trace(width, values)`` checks and packs int values; ``values`` unpacks
     them. Iteration builds each :class:`Word` a chunk at a time. It is the one
     record that binds slots: as a tuple, its ``in``, ``count``, ``index`` and
-    ``+`` would act on ``(width, chunk)``, not on its words.
+    ``+`` would act on ``(width, chunk)``, not on its words. Equality and hash
+    read ``(width, chunk)``, which the words fix, so neither unpacks a word.
     """
 
     __slots__ = ("width", "chunk")
@@ -69,6 +84,14 @@ class Trace(Record):
     def iter_values(self) -> Iterator[int]:
         """The words' int values, unpacked a chunk at a time."""
         return chain.from_iterable(map(unpack, repeat(self.width), self.chunks()))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return super().__eq__(other)
+        return self.width == other.width and self.chunk == other.chunk
+
+    def __hash__(self) -> int:
+        return hash((self.width, self.chunk))
 
     def __len__(self) -> int:
         return len(self.chunk) // ((self.width + 7) // 8)

@@ -15,18 +15,16 @@ where `str.splitlines` ends them. `radix` is `bin` (MSB-first binary) or
 Both directions stream, one packed chunk (see `bits`) at a time, so a
 reader or writer of any trace holds one block of text and its words. The
 reader, `read_chunks`, is in `togglesim.reader`, which of the CLI commands
-only `analyze` loads. `render_chunks` writes a chunk as its hex form, for
-binary after spreading each bit to a nibble. `parse_trace`, `read_trace`,
-`load_trace` and `render_trace` wrap them for whole `Trace`s
-(`togglesim.trace`). Every CLI command loads this module, the parser for
-`REPORT_FORMATS`.
+only `analyze` loads, and the writer, `render_chunks`, in `togglesim.writer`,
+which only `gen` loads. `parse_trace`, `read_trace`, `load_trace` and
+`render_trace` wrap them for whole `Trace`s (`togglesim.trace`). `gen` and
+`analyze` load this module; the CLI parser writes `REPORT_FORMATS` out.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
-from functools import lru_cache
+from collections.abc import Iterable
 from io import IOBase, StringIO
 from itertools import islice
 
@@ -78,59 +76,10 @@ def load_trace(path: str):
         return read_trace(fh)
 
 
-def render_chunks(width: int, chunks: Iterable[bytes], radix: int = 2) -> Iterator[str]:
-    """Canonical text form of a trace, one string for the header and one per
-    chunk (see `bits`); their concatenation parses back to the words.
-
-    Hex is the chunk's own hex form, a newline after every word. For binary,
-    each bit of the chunk is first spread to a nibble of its own, so that
-    the hex form of the spread chunk is the binary text. Either way every
-    word is rendered in whole bytes. Where that pads a word with leading
-    zeros, each word's first digit is deleted, once per pad digit, by a
-    strided `del` on the chunk's text as a bytearray.
-    """
-    header = TraceFileHeader(width, radix)
-    yield header.render() + "\n"
-    size = (width + 7) // 8
-    line = (8 if radix == 2 else 2) * size + 1  # a word's whole-byte digits and "\n"
-    pad = line - 1 - header.digits
-    for chunk in chunks:
-        if radix == 16:
-            text = chunk.hex("\n", size).upper() + "\n"
-        else:
-            text = _spread_bits(chunk).hex("\n", 4 * size) + "\n"
-        if pad:
-            text = bytearray(text, "ascii")
-            for k in range(pad):
-                del text[:: line - k]
-            text = text.decode("ascii")
-        yield text
-
-
-def _spread_bits(chunk: bytes) -> bytes:
-    """`chunk` with bit i of every byte moved to bit 4i of four bytes."""
-    spread = bytearray(4 * len(chunk))
-    spread[3::4] = chunk
-    value = int.from_bytes(spread, "big")
-    for shift, mask in _spread_masks(len(chunk)):
-        value = (value | value << shift) & mask
-    return value.to_bytes(len(spread), "big")
-
-
-@lru_cache(maxsize=1)  # chunks mostly come in one length
-def _spread_masks(length: int) -> tuple[tuple[int, int], ...]:
-    """_spread_bits's three shift and mask steps for a chunk of `length` bytes:
-    each byte's high nibble to the high half of its four bytes, then each
-    bit pair to a byte of its own, then each bit to a nibble."""
-    return tuple(
-        (shift, int.from_bytes(mask * length, "big"))
-        for shift, mask in ((12, b"\x00\x0f\x00\x0f"), (6, b"\x03\x03\x03\x03"),
-                            (3, b"\x11\x11\x11\x11"))
-    )
-
-
 def render_trace(trace, radix: int = 2) -> str:
     """Canonical text form of a Trace; parse_trace(render_trace(t)) == t."""
+    from .writer import render_chunks
+
     return "".join(render_chunks(trace.width, trace.chunks(), radix))
 
 

@@ -28,7 +28,8 @@ from collections.abc import Iterator, Sequence
 from itertools import accumulate, chain, repeat
 from operator import eq, itemgetter
 
-from .bits import Record, Word, check_width, popcounts, transfer_diffs
+from .activity import popcounts, transfer_diffs
+from .bits import Record, Word, check_width
 
 # Running total saturates instead of wrapping on very long runs.
 TOTAL_SATURATION = (1 << 64) - 1

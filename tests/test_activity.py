@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from togglesim import bits
+from togglesim import activity, bits
 from togglesim.activity import (
     analyze_chunks,
     analyze_trace,
@@ -243,7 +243,7 @@ class TestChunkedFold:
         with pytest.MonkeyPatch.context() as patch:
             # `chunk` words per slice and per pack, or 2 per pack for 1
             patch.setattr(bits, "CHUNK_BYTES", chunk * ((trace.width + 7) // 8))
-            patch.setattr(bits, "PACK_WORDS", 2)
+            patch.setattr(activity, "PACK_WORDS", 2)
             assert outcome(analyze_trace, trace, per_cycle) == outcome(
                 reference.analyze_trace, tuple(trace), per_cycle
             )
@@ -268,7 +268,7 @@ class TestChunkedFold:
         # the unpatched budget: slices of CHUNK_BYTES // ceil(width / 8) words,
         # packs of that or PACK_WORDS words, whichever is more
         per_chunk = bits.chunk_words(width)
-        per_pack = max(bits.PACK_WORDS, per_chunk)
+        per_pack = max(activity.PACK_WORDS, per_chunk)
         for transfers in {per_chunk - 1, per_chunk, per_chunk + 1,
                           per_pack - 1, per_pack, per_pack + 1, 2 * per_pack + 1}:
             trace = sparse_trace(width, transfers + 1)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from togglesim.bits import Word, pack, unpack, word_from_text
-from togglesim.trace import Trace
+from togglesim.bits import Word, pack, word_from_text
+from togglesim.trace import Trace, unpack
 from reference_trace import hamming_distance
 from strategies import word_pairs, word_triples, words
 

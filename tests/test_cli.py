@@ -13,6 +13,7 @@ import togglesim
 from togglesim.bits import Word
 from togglesim.cli import build_parser, main
 from togglesim.generators import BOUNDARIES, KINDS, GeneratorConfig, kind_parameter
+from togglesim.trace_io import REPORT_FORMATS
 import reference_generators as reference
 
 
@@ -144,6 +145,16 @@ def test_parser_choices_are_the_generators_own():
     assert list(options["gen", "--kind"]) == list(KINDS)
     assert list(options["gen", "--boundary"]) == list(BOUNDARIES)
     assert list(options["tables", "--boundary"]) == list(BOUNDARIES)
+
+
+def test_parser_report_formats_are_write_reports_own():
+    # written out, too, so that the parser need not import trace_io
+    commands = next(
+        action for action in build_parser()._actions if action.dest == "command"
+    ).choices
+    (formats,) = (action.choices for action in commands["analyze"]._actions
+                  if "--format" in action.option_strings)
+    assert list(formats) == list(REPORT_FORMATS)
 
 
 # every kind and CA boundary, at widths that 4 does and does not divide, on
@@ -611,6 +622,30 @@ def run_process(*argv, stdin=b"", stdout=subprocess.PIPE, env=None):
     return done.returncode, stdout, done.stderr.decode()
 
 
+FAILED_OUTPUT_ERRORS = {
+    "full": "[Errno 28] No space left on device", "closed pipe": "[Errno 32] Broken pipe"
+}
+
+
+def run_into_a_failed_output(argv, buffered: bool, sink: str):
+    """run_process with stdout on /dev/full or on a pipe whose read end is
+    closed, and stdout buffered or not."""
+    env = process_env()
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
+    else:
+        env["PYTHONUNBUFFERED"] = "1"
+    if sink == "full":
+        stdout = os.open("/dev/full", os.O_WRONLY)
+    else:
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+    try:
+        return run_process(*argv, stdout=stdout, env=env)
+    finally:
+        os.close(stdout)
+
+
 class TestProcessEntry:
     """The commands as a pipeline runs them: `python -m togglesim.cli`
     enters at run(), which ends the process with the heap frozen."""
@@ -636,6 +671,35 @@ class TestProcessEntry:
     def test_usage_error_exits_2(self):
         assert run_process(*LFSR16[:-1], "-1") == (
             2, "", "togglesim: error: --cycles must be >= 0, got -1\n"
+        )
+
+    @pytest.mark.parametrize("argv,stderr", [
+        (["power", "--cap", "1e-12", "--vdd", "1", "--freq", "1e6"],
+         "exactly one of --tau or --from-report is required"),
+        (["tables", "--taps", "17"], "invalid tap position 17 for width 16"),
+        (["gen", "--kind", "lfsr_internal", "--width", "3", "--cycles", "4"],
+         "--taps is required for lfsr_internal at width 3 (a default exists only for width 16)"),
+    ], ids=["power", "tables", "gen"])
+    def test_usage_error_of_a_command_body_exits_2(self, argv, stderr):
+        # -m runs cli as __main__: a body that took UsageError from cli would
+        # load a second cli, whose UsageError main does not catch
+        assert run_process(*argv) == (2, "", f"togglesim: error: {stderr}\n")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["gen", "--help"]], ids=["top", "gen"])
+    def test_help_exits_0(self, argv):
+        code, stdout, stderr = run_process(*argv)
+        assert (code, stderr) == (0, "")
+        assert stdout.startswith(f"usage: togglesim {' '.join(argv[:-1])}".rstrip())
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("sink", ["full", "closed pipe"])
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["--help"], ["gen", "--help"]], ids=["top", "gen"])
+    def test_help_into_a_failed_output_exits_3(self, argv, buffered, sink):
+        # argparse ignores a failed help write and exits 0 with stdout's
+        # buffer unflushed, which then fails at shutdown with exit 120
+        assert run_into_a_failed_output(argv, buffered, sink) == (
+            3, None, f"togglesim: error: {FAILED_OUTPUT_ERRORS[sink]}\n"
         )
 
     def test_analyze_of_empty_stdin_exits_3(self):
@@ -668,40 +732,32 @@ class TestProcessEntry:
         # the whole output waits in stdout's buffer until main flushes it; a
         # closed pipe is a failed write like any other, and gen reports no
         # word count after a failed write
-        env = process_env()
-        if buffered:
-            env.pop("PYTHONUNBUFFERED", None)
-        else:
-            env["PYTHONUNBUFFERED"] = "1"
-        if sink == "full":
-            stdout, error = os.open("/dev/full", os.O_WRONLY), "[Errno 28] No space left on device"
-        else:
-            read_end, stdout = os.pipe()
-            os.close(read_end)
-            error = "[Errno 32] Broken pipe"
-        try:
-            result = run_process(*argv, stdout=stdout, env=env)
-        finally:
-            os.close(stdout)
-        assert result == (3, None, f"togglesim: error: {error}\n")
+        assert run_into_a_failed_output(argv, buffered, sink) == (
+            3, None, f"togglesim: error: {FAILED_OUTPUT_ERRORS[sink]}\n"
+        )
 
     @pytest.mark.parametrize("argv", [
         ["power", "--tau", "0.5", "--cap", "1e-12", "--vdd", "1", "--freq", "1e6"],
         LFSR16[:-1] + ["-1"],
         ["analyze", "no-such.trace"],
-    ], ids=["ok", "usage", "data"])
+        ["power", "--cap", "1e-12", "--vdd", "1", "--freq", "1e6"],
+        ["tables", "--taps", "17"],
+        ["gen", "--kind", "lfsr_internal", "--width", "3", "--cycles", "4"],
+    ], ids=["ok", "usage", "data", "power-usage", "tables-usage", "gen-usage"])
     def test_main_block_exits_with_mains_code_and_frozen_heap(self, capsys, argv):
+        # and no command body imports togglesim.cli, which runs as __main__ here
         code = (
             "import gc, runpy, sys\n"
             f"sys.argv = ['togglesim', *{argv!r}]\n"
             "try:\n"
             "    runpy.run_module('togglesim.cli', run_name='__main__')\n"
             "except SystemExit as exc:\n"
-            "    print(repr(exc.code), gc.get_freeze_count() > 0, file=sys.stderr)\n"
+            "    print(repr(exc.code), gc.get_freeze_count() > 0, 'togglesim.cli' in sys.modules,\n"
+            "          file=sys.stderr)\n"
         )
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=process_env(), timeout=60)
-        assert done.stderr.splitlines()[-1] == f"{run_cli(capsys, *argv)[0]} True"
+        assert done.stderr.splitlines()[-1] == f"{run_cli(capsys, *argv)[0]} True False"
 
     def test_main_never_freezes(self, capsys):
         # main is the library and test entry: freezing here would keep the

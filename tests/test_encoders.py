@@ -4,9 +4,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from togglesim import bits
+from togglesim import activity, bits
 from togglesim.activity import analyze_trace
-from togglesim.bits import Word, pack, word_from_text
+from togglesim.bits import Word, chunk_words, pack, word_from_text
 from togglesim.encoders import (
     bus_invert_encode_chunks, bus_invert_encode_trace, gray_encode_trace
 )
@@ -206,7 +206,7 @@ def encoded_in_pieces(width: int, values: list[int], pieces: list[int],
     chunks = split(pack(width, values), (width + 7) // 8, pieces)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bits, "CHUNK_BYTES", 1)
-        patch.setattr(bits, "PACK_WORDS", pack_words)
+        patch.setattr(activity, "PACK_WORDS", pack_words)
         return b"".join(bus_invert_encode_chunks(width, chunks))
 
 
@@ -239,7 +239,7 @@ class TestBusInvertChunks:
     @pytest.mark.parametrize("width", [1, 16, 17, 64, 65, 256, 1023])
     def test_unpatched_packs_match_reference(self, width):
         # more than two packs at every width, ties included where the width is even
-        per_pack = max(bits.PACK_WORDS, bits.chunk_words(width))
+        per_pack = max(activity.PACK_WORDS, chunk_words(width))
         rng = random.Random(width)
         values = [rng.getrandbits(width)]
         for i in range(2 * per_pack + 3):

@@ -1,6 +1,8 @@
 """The package's shape: each name has one import path, importing a module
-loads only what it uses, and the public records are immutable values."""
+loads only what it uses, each command compiles only its own code, and the
+public records are immutable values."""
 
+import ast
 import copy
 import importlib
 import inspect
@@ -22,6 +24,7 @@ from togglesim.bits import Record, Word
 from togglesim.generators import GeneratorConfig
 from togglesim.power import DynamicPowerParams, StaticPowerParams
 from togglesim.tables import CounterRow, GeneratorCell, GeneratorRow
+from togglesim import trace
 from togglesim.trace import Trace
 from togglesim.trace_io import TraceFileHeader
 from togglesim.transition_counter import CycleRecord
@@ -49,6 +52,59 @@ def fresh_import(statement: str) -> dict:
     return json.loads(result.stdout)
 
 
+# Each command line shape: its argv, TRACE standing for a small trace file,
+# and the modules it loads besides the package, cli and bits.
+COMMANDS = {
+    "gen": (["gen", "--kind", "lfsr_internal", "--width", "16", "--seed", "ACE1",
+             "--cycles", "9"], ["generators", "lanes", "trace_io", "writer"]),
+    "gen-gray": (["gen", "--kind", "gray", "--width", "16", "--cycles", "9"],
+                 ["encoders", "generators", "lanes", "trace_io", "writer"]),
+    "gen-cyclic": (["gen", "--kind", "ca150", "--width", "16", "--seed", "ACE1", "--boundary",
+                    "cyclic", "--cycles", "9"], ["frobenius", "generators", "trace_io", "writer"]),
+    "analyze": (["analyze", "TRACE"], ["activity", "reader", "trace_io"]),
+    "analyze-encode": (["analyze", "TRACE", "--encode", "businvert"],
+                       ["activity", "encoders", "reader", "trace_io"]),
+    "tables": (["tables"], ["activity", "encoders", "generators", "lanes", "tables"]),
+    "power": (["power", "--tau", "0.5", "--cap", "1e-12", "--vdd", "1", "--freq", "1e6"],
+              ["power"]),
+}
+
+# The most AST nodes that the togglesim sources each shape loads may hold,
+# the package's and cli's included: with no bytecode cache, as the
+# benchmark's processes run, a process compiles every one of them before
+# its command runs.
+NODE_BUDGETS = {
+    "build_parser": 700,
+    "gen": 5450,
+    "analyze": 4950,
+    "gen-gray": 6150,
+    "gen-cyclic": 4900,
+    "analyze-encode": 5650,
+    "tables": 8600,
+    "power": 3350,
+}
+
+
+def command_modules(tmp_path, argv: list[str]) -> list[str]:
+    """The togglesim modules that a fresh interpreter loads to run `argv`."""
+    trace_file = tmp_path / "words.trace"
+    trace_file.write_text("width=4 radix=bin\n0000\n0101\n")
+    argv = [str(trace_file) if arg == "TRACE" else arg for arg in argv]
+    return fresh_import(
+        "import contextlib, io\nfrom togglesim.cli import main\n"
+        f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0"
+    )["togglesim"]
+
+
+def parser_modules() -> list[str]:
+    return fresh_import("import togglesim.cli; togglesim.cli.build_parser()")["togglesim"]
+
+
+def ast_nodes(module: str) -> int:
+    with open(importlib.import_module(module).__file__, encoding="utf-8") as fh:
+        return sum(1 for _ in ast.walk(ast.parse(fh.read())))
+
+
 class TestImports:
     def test_bits_loads_only_bits(self):
         loaded = fresh_import("import togglesim.bits")
@@ -62,12 +118,10 @@ class TestImports:
         assert not loaded["csv"]
 
     def test_cli_parser_loads_no_tables_power_or_dataclasses(self):
-        # what every gen and analyze process runs before its command: the
-        # parser writes its generator choices out, so it loads no generators
+        # what every process runs before its command: the parser writes its
+        # choices out, so it loads no other togglesim module
         loaded = fresh_import("import togglesim.cli; togglesim.cli.build_parser()")
-        assert loaded["togglesim"] == [
-            "togglesim", "togglesim.bits", "togglesim.cli", "togglesim.trace_io"
-        ]
+        assert loaded["togglesim"] == ["togglesim", "togglesim.cli"]
         assert not loaded["dataclasses"]
 
     def test_cli_parser_loads_no_typing(self):
@@ -75,39 +129,29 @@ class TestImports:
         loaded = fresh_import("import togglesim.cli; togglesim.cli.build_parser()")
         assert not loaded["typing"]
 
-    @pytest.mark.parametrize(
-        "argv,extra",
-        [
-            (["gen", "--kind", "lfsr_internal", "--width", "16", "--seed", "ACE1",
-              "--cycles", "9"], ["generators", "lanes"]),
-            (["gen", "--kind", "gray", "--width", "16", "--cycles", "9"],
-             ["encoders", "generators", "lanes"]),
-            (["gen", "--kind", "ca150", "--width", "16", "--seed", "ACE1", "--boundary",
-              "cyclic", "--cycles", "9"], ["frobenius", "generators"]),
-            (["analyze", "TRACE"], ["activity", "reader"]),
-            (["analyze", "TRACE", "--encode", "businvert"], ["activity", "encoders", "reader"]),
-            (["tables"], ["activity", "encoders", "generators", "lanes", "tables"]),
-        ],
-        ids=["gen", "gen-gray", "gen-cyclic", "analyze", "analyze-encode", "tables"],
-    )
+    @pytest.mark.parametrize("argv,extra", COMMANDS.values(), ids=COMMANDS)
     def test_each_command_loads_only_what_it_runs(self, tmp_path, argv, extra):
         # gen compiles neither the reader, the toggle fold nor the encoders,
         # and one of the two lane engines, analyze the encoders only to
-        # re-encode and never the generators; tables runs the generators
-        # into the fold as gen | analyze - does, and no command builds a
-        # held Trace
-        trace = tmp_path / "words.trace"
-        trace.write_text("width=4 radix=bin\n0000\n0101\n")
-        argv = [str(trace) if arg == "TRACE" else arg for arg in argv]
-        loaded = fresh_import(
-            "import contextlib, io\nfrom togglesim.cli import main\n"
-            f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0"
-        )
-        common = ["cli", "bits", "trace_io"]
-        assert loaded["togglesim"] == sorted(
+        # re-encode and never the generators or the writer; tables runs the
+        # generators into the fold as gen | analyze - does, power only its
+        # model, and no command builds a held Trace
+        loaded = command_modules(tmp_path, argv)
+        common = ["cli", "bits"]
+        assert loaded == sorted(
             ["togglesim", *(f"togglesim.{name}" for name in common + extra)]
         )
-        assert "togglesim.trace" not in loaded["togglesim"]
+        assert "togglesim.trace" not in loaded
+
+    @pytest.mark.parametrize("shape", NODE_BUDGETS)
+    def test_each_command_compiles_within_its_node_budget(self, tmp_path, shape):
+        # each command's body and each primitive live with the code that
+        # runs them, so that no command compiles another's code
+        if shape == "build_parser":
+            loaded = parser_modules()
+        else:
+            loaded = command_modules(tmp_path, COMMANDS[shape][0])
+        assert sum(map(ast_nodes, loaded)) <= NODE_BUDGETS[shape]
 
     def test_analyze_as_run_imports_only_what_it_runs(self, tmp_path):
         # the real command line, as a pipeline runs it: -m runs cli as
@@ -128,10 +172,11 @@ class TestImports:
             "togglesim.trace_io",
         ]
 
-    def test_probe_loads_only_bits(self):
+    def test_probe_loads_only_bits_and_activity(self):
+        # activity holds the transition counts that the probe shares
         loaded = fresh_import("import togglesim.transition_counter")
         assert loaded["togglesim"] == [
-            "togglesim", "togglesim.bits", "togglesim.transition_counter"
+            "togglesim", "togglesim.activity", "togglesim.bits", "togglesim.transition_counter"
         ]
 
     def test_root_re_exports_nothing(self):
@@ -400,11 +445,14 @@ class TestValueSemantics:
         assert type(record)(*(getattr(record, name) for name in names)) == record
 
     def test_never_equals_but_hashes_like_the_tuple_of_its_fields(self, make, field, other):
+        # a Trace hashes like the tuple of what it stores, its width and
+        # chunk, so that a hash unpacks no word
         record = make()
         fields = tuple(getattr(record, name) for name in type(record).__match_args__)
         assert record != fields and fields != record
         assert not record == fields and not fields == record
-        assert hash(record) == hash(fields)
+        stored = (record.width, record.chunk) if type(record) is Trace else fields
+        assert hash(record) == hash(stored)
 
     def test_pickle_and_copy_round_trip(self, make, field, other):
         record = make()
@@ -421,6 +469,18 @@ def test_records_of_different_classes_differ_with_equal_fields():
     row = CounterRow(8, 66, "0.51", 66, "0.51")
     assert cell != row and row != cell
     assert TraceFileHeader(8, 16) != Word(8, 16) and Word(8, 16) != TraceFileHeader(8, 16)
+
+
+def test_equal_traces_compare_and_hash_without_unpacking(monkeypatch):
+    a, b, shorter = Trace(12, range(4000)), Trace(12, range(4000)), Trace(12, range(3999))
+
+    def no_unpack(*args):
+        raise AssertionError("unpacked")
+
+    monkeypatch.setattr(trace, "unpack", no_unpack)
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert a != shorter and a != Trace(13, range(4000))
+    assert a != (12, a.chunk)
 
 
 def test_cycle_record_differs_from_its_stored_tuple():

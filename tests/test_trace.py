@@ -13,10 +13,8 @@ from hypothesis import strategies as st
 
 import reference_trace as reference
 from strategies import outcome
-from togglesim.activity import analyze_trace
-from togglesim.bits import (
-    MAX_WIDTH, PACK_WORDS, Word, chunk_words, pack, popcounts, transfer_diffs
-)
+from togglesim.activity import PACK_WORDS, analyze_trace, popcounts, transfer_diffs
+from togglesim.bits import MAX_WIDTH, Word, chunk_words, pack
 from togglesim.encoders import bus_invert_encode_trace, gray_encode_trace
 from togglesim.trace import Trace
 from togglesim.trace_io import parse_trace, render_trace
@@ -112,7 +110,7 @@ class TestFromChunks:
 
 
 class TestTransferCounts:
-    """bits.popcounts of bits.transfer_diffs, the per-transfer counts that
+    """activity.popcounts of activity.transfer_diffs, the per-transfer counts that
     analyze --per-cycle and run_trace share, against one bit_count each."""
 
     @pytest.mark.parametrize("width", [1, 7, 8, 9, 247, 248, 256, 1024])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from togglesim import bits, reader
+from togglesim import bits, reader, writer
 from togglesim.activity import analyze_trace
 from togglesim.bits import CHUNK_BYTES, Word
 from togglesim.trace import Trace
@@ -17,10 +17,10 @@ from togglesim.trace_io import (
     load_trace,
     parse_trace,
     read_trace,
-    render_chunks,
     render_trace,
     write_report,
 )
+from togglesim.writer import render_chunks
 import reference_trace as reference
 from strategies import outcome, traces, wide_trace
 
@@ -525,9 +525,28 @@ def mixed_trace_bytes(draw, min_bytes, max_bytes):
     return data
 
 
+def spread_bits_by_shifts(chunk: bytes) -> bytes:
+    """writer._spread_bits as three whole-chunk big-int shift and mask steps:
+    each byte's high nibble to the high half of its four bytes, then each
+    bit pair to a byte of its own, then each bit to a nibble."""
+    spread = bytearray(4 * len(chunk))
+    spread[3::4] = chunk
+    value = int.from_bytes(spread, "big")
+    for shift, mask in ((12, b"\x00\x0f\x00\x0f"), (6, b"\x03\x03\x03\x03"),
+                        (3, b"\x11\x11\x11\x11")):
+        value = (value | value << shift) & int.from_bytes(mask * len(chunk), "big")
+    return value.to_bytes(len(spread), "big")
+
+
 class TestPackedChunks:
     """The packed reader and renderer against the Word-based reference: the
     same words, or the same error text and line, at widths 1 to 1024."""
+
+    @given(st.binary(max_size=4096))
+    @examples(bytes(range(256)), *(random.Random(size).randbytes(size)
+                                   for size in (1, 1000, CHUNK_BYTES)))
+    def test_spread_bits_equals_the_shift_and_mask_spread(self, chunk):
+        assert writer._spread_bits(chunk) == spread_bits_by_shifts(chunk)
 
     @given(traces(min_len=1, max_len=20, max_width=1024), st.sampled_from([2, 16]),
            st.sampled_from([1, 2, 3, None]))
