@@ -98,10 +98,11 @@ class Record:
     of a layout of its own.
 
     Records of the same class with equal fields compare and hash equal, like
-    the tuple of their fields (a ``Trace`` like the tuple of its width and
-    chunk, which stand for its words); a record equals nothing else and has
-    no order, not even against a tuple. The repr is ``Name(field=value, ...)``, and
-    pickle and copy rebuild a record through its constructor.
+    the tuple of their fields (``Trace``, which stores no tuple, compares and
+    hashes its width and chunk, which stand for its words); a record equals
+    nothing else and has no order, not even against a tuple. The repr is
+    ``Name(field=value, ...)``, and pickle and copy rebuild a record through
+    its constructor.
     """
 
     __slots__ = ()
@@ -122,9 +123,7 @@ class Record:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return False if isinstance(other, tuple) else NotImplemented
-        if isinstance(self, tuple):  # stored as a tuple: compare what is stored
-            return tuple.__eq__(self, other)
-        return self._values(self) == other._values(other)
+        return tuple.__eq__(self, other)  # compare what is stored
 
     def __hash__(self) -> int:
         return hash(self._values(self))
