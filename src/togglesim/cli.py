@@ -3,22 +3,30 @@
 Exit codes: 0 success, 2 usage error, 3 data/parse error or failed write.
 
 `gen` and `analyze` run once per probed trace, so each process compiles only
-its command's code. Here are the parser, which needs no other togglesim
-module (it writes out the kinds, boundaries and report formats), `main` and
-`run`. `main` imports the one body it runs from the module it drives:
+its command's code, and a plain command line loads no argparse. `GRAMMAR`
+declares each command's arguments once, for two parsers. `main` first hands
+the argv to `cmdline.parse`, which accepts only a plain line: the command,
+its full flags each with its value as the next word, switches, and
+`analyze`'s one positional, every value of its declared type and choices.
+It returns what argparse would for that line. For any other line, such as
+`--help`, an abbreviated or `--flag=value` option, a negative number, a bad
+value or a missing option, it returns None, and `main` parses with
+`build_parser()`: the argparse parser that `usage.build` makes of the
+grammar, so help and usage errors keep argparse's text. Only that path
+loads `usage` and argparse, and with them `gettext` and `locale`.
+
+`main` imports the one body it runs from the module it drives:
 `generators.cmd_gen`, `activity.cmd_analyze`, `power.cmd_power` or
-`tables.cmd_tables`. A body raises the package root's `UsageError`, since
-`python -m togglesim.cli` runs this module as `__main__`: importing
-`togglesim.cli` would compile it again, with a `UsageError` `main` misses.
+`tables.cmd_tables`. A body raises the package root's `UsageError`, and
+`cmdline` takes the grammar as an argument, since `python -m togglesim.cli`
+runs this module as `__main__`: importing `togglesim.cli` would compile it
+again, with a `UsageError` `main` misses.
 
 A process enters at `run()`, which calls `gc.freeze()` once `main()` has
 returned, so it ends without the shutdown collection: objects alive at exit
 are freed by the OS, and a `__del__` of cyclic garbage left then never runs.
 """
 
-from __future__ import annotations
-
-import argparse
 import os
 import sys
 
@@ -26,78 +34,66 @@ from . import UsageError
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA = 0, 2, 3
 
+# Each command's help, then its arguments, each (flags, type, choices,
+# default, help): flags without a dash name the positional, which is always
+# required, type bool makes a switch, and a default of ... makes an option
+# required. The kinds, boundaries and report formats are generators.KINDS
+# and BOUNDARIES and trace_io.REPORT_FORMATS, written out so that parsing
+# imports neither module.
+GRAMMAR = {
+    "gen": (
+        "generate a stimulus trace",
+        ("--kind", None, ("lfsr_internal", "lfsr_external", "ca90", "ca150", "binary", "gray"),
+         ..., None),
+        ("--width", int, None, ..., None),
+        ("--seed", None, None, None, "seed pattern; binary if it spans --width, else hex"),
+        ("--seed-radix", None, ("auto", "bin", "hex"), "auto", "force seed interpretation"),
+        ("--taps", None, None, None, "comma-separated 1-based tap positions (LFSR kinds)"),
+        ("--boundary", None, ("null", "cyclic"), None, "CA boundary (CA kinds; default null)"),
+        ("--cycles", int, None, ..., "number of generated transfers; trace has cycles+1 words"),
+        ("--radix", None, ("bin", "hex"), "bin", "trace file radix"),
+        ("-o --output", None, None, None, "output path (default stdout)"),
+    ),
+    "analyze": (
+        "measure switching activity of a trace",
+        ("trace", None, None, None, "trace file path, or - for stdin"),
+        ("--encode", None, ("gray", "businvert"), None, "re-encode the trace before measuring"),
+        ("--format", None, ("json", "csv", "table"), "table", None),
+        ("--per-cycle", bool, None, False, "include per-transfer counts (table and json output)"),
+    ),
+    "power": (
+        "estimate power from an activity factor",
+        ("--tau", float, None, None, "activity factor in [0, 1]"),
+        ("--from-report", None, None, None, "take tau from an analyze --format json file"),
+        ("--cap", float, None, ..., "load capacitance, F"),
+        ("--vdd", float, None, ..., "supply voltage, V"),
+        ("--freq", float, None, ..., "clock frequency, Hz"),
+        ("--vdd-exponent", int, (1, 2), 1, "voltage exponent in the dynamic term"),
+        ("--isat", float, None, None, "reverse saturation current, A"),
+        ("--vdiode", float, None, None, "diode voltage, V"),
+        ("--temp", float, None, 300.0, "temperature, K"),
+    ),
+    "tables": (
+        "reproduce the bundled reference tables",
+        ("--taps", None, None, None, "LFSR taps for the generator table"),
+        ("--boundary", None, ("null", "cyclic"), "null", None),
+    ),
+}
 
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose help text fails as any other output does (exit
-    3): argparse's print_help ignores an OSError, and its exit never flushes."""
 
-    def print_help(self, file=None) -> None:
-        (file or sys.stdout).write(self.format_help())
+def build_parser():
+    """The argparse parser of `GRAMMAR` (a `usage.Parser`), with which `main`
+    parses any line that `cmdline.parse` declines."""
+    from .usage import build  # here: a plain command line never loads argparse
 
-    def exit(self, status: int = 0, message: str | None = None):
-        sys.stdout.flush()
-        super().exit(status, message)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="togglesim",
-        description="Switching-activity profiler: stimulus generation, "
-        "transition counting, and CMOS power estimates for bus traces.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("gen", help="generate a stimulus trace")
-    # generators.KINDS and BOUNDARIES, written out so that the parser imports no generators
-    kinds = ("lfsr_internal", "lfsr_external", "ca90", "ca150", "binary", "gray")
-    boundaries = ("null", "cyclic")
-    gen.add_argument("--kind", required=True, choices=kinds)
-    gen.add_argument("--width", type=int, required=True)
-    gen.add_argument("--seed", help="seed pattern; binary if it spans --width, else hex")
-    gen.add_argument(
-        "--seed-radix", choices=("auto", "bin", "hex"), default="auto",
-        help="force seed interpretation",
-    )
-    gen.add_argument("--taps", help="comma-separated 1-based tap positions (LFSR kinds)")
-    gen.add_argument("--boundary", choices=boundaries,
-                     help="CA boundary (CA kinds; default null)")
-    gen.add_argument("--cycles", type=int, required=True,
-                     help="number of generated transfers; trace has cycles+1 words")
-    gen.add_argument("--radix", choices=("bin", "hex"), default="bin",
-                     help="trace file radix")
-    gen.add_argument("-o", "--output", help="output path (default stdout)")
-
-    analyze = sub.add_parser("analyze", help="measure switching activity of a trace")
-    analyze.add_argument("trace", help="trace file path, or - for stdin")
-    analyze.add_argument("--encode", choices=("gray", "businvert"),
-                         help="re-encode the trace before measuring")
-    # trace_io.REPORT_FORMATS, written out for the same reason
-    analyze.add_argument("--format", choices=("json", "csv", "table"), default="table")
-    analyze.add_argument("--per-cycle", action="store_true",
-                         help="include per-transfer counts (table and json output)")
-
-    power = sub.add_parser("power", help="estimate power from an activity factor")
-    power.add_argument("--tau", type=float, help="activity factor in [0, 1]")
-    power.add_argument("--from-report", help="take tau from an analyze --format json file")
-    power.add_argument("--cap", type=float, required=True, help="load capacitance, F")
-    power.add_argument("--vdd", type=float, required=True, help="supply voltage, V")
-    power.add_argument("--freq", type=float, required=True, help="clock frequency, Hz")
-    power.add_argument("--vdd-exponent", type=int, choices=(1, 2), default=1,
-                       help="voltage exponent in the dynamic term")
-    power.add_argument("--isat", type=float, help="reverse saturation current, A")
-    power.add_argument("--vdiode", type=float, help="diode voltage, V")
-    power.add_argument("--temp", type=float, default=300.0, help="temperature, K")
-
-    tables = sub.add_parser("tables", help="reproduce the bundled reference tables")
-    tables.add_argument("--taps", help="LFSR taps for the generator table")
-    tables.add_argument("--boundary", choices=boundaries, default="null")
-
-    return parser
+    return build(GRAMMAR)
 
 
 def main(argv: list[str] | None = None) -> int:
+    from .cmdline import parse
+
     try:
-        args = build_parser().parse_args(argv)
+        args = parse(argv, GRAMMAR) or build_parser().parse_args(argv)
         if args.command == "gen":
             from .generators import cmd_gen as command
         elif args.command == "analyze":

@@ -16,9 +16,10 @@ Both directions stream, one packed chunk (see `bits`) at a time, so a
 reader or writer of any trace holds one block of text and its words. The
 reader, `read_chunks`, is in `togglesim.reader`, which of the CLI commands
 only `analyze` loads, and the writer, `render_chunks`, in `togglesim.writer`,
-which only `gen` loads. `parse_trace`, `read_trace`, `load_trace` and
-`render_trace` wrap them for whole `Trace`s (`togglesim.trace`). `gen` and
-`analyze` load this module; the CLI parser writes `REPORT_FORMATS` out.
+which only `gen` loads and which writes the header line itself.
+`parse_trace`, `read_trace`, `load_trace` and `render_trace` wrap them for
+whole `Trace`s (`togglesim.trace`). `analyze` loads this module and `gen`
+does not; the CLI grammar writes `REPORT_FORMATS` out.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ from .bits import Record, check_width
 
 REPORT_FORMATS = ("json", "csv", "table")
 
-_NAME_BY_RADIX = {2: "bin", 16: "hex"}
-
 
 class TraceFormatError(ValueError):
     """Malformed trace text; the message names the offending line."""
@@ -44,12 +43,9 @@ class TraceFileHeader(Record, namedtuple("TraceFileHeader", "width radix")):
 
     def __new__(cls, width: int, radix: int) -> TraceFileHeader:
         check_width(width)
-        if radix not in _NAME_BY_RADIX:
+        if radix not in (2, 16):
             raise ValueError(f"radix must be 2 or 16, got {radix}")
         return super().__new__(cls, width, radix)
-
-    def render(self) -> str:
-        return f"width={self.width} radix={_NAME_BY_RADIX[self.radix]}"
 
     @property
     def digits(self) -> int:

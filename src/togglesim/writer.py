@@ -1,12 +1,13 @@
 """The streaming trace writer, `render_chunks`, which of the CLI commands
 only `gen` loads, and `trace_io.render_trace` where it renders a `Trace`.
+It writes the header line itself, so that `gen` loads no `trace_io`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-from .trace_io import TraceFileHeader
+from .bits import check_width
 
 # _spread_bits's tables: table k maps a byte to byte k of its spread, whose
 # nibbles are the byte's bits 7 - 2k and 6 - 2k; so it runs 0, 1, 0x10,
@@ -26,11 +27,13 @@ def render_chunks(width: int, chunks: Iterable[bytes], radix: int = 2) -> Iterat
     zeros, each word's first digit is deleted, once per pad digit, by a
     strided `del` on the chunk's text as a bytearray.
     """
-    header = TraceFileHeader(width, radix)
-    yield header.render() + "\n"
+    check_width(width)
+    if radix not in (2, 16):
+        raise ValueError(f"radix must be 2 or 16, got {radix}")
+    yield f"width={width} radix={'bin' if radix == 2 else 'hex'}\n"
     size = (width + 7) // 8
     line = (8 if radix == 2 else 2) * size + 1  # a word's whole-byte digits and "\n"
-    pad = line - 1 - header.digits
+    pad = line - 1 - (width if radix == 2 else (width + 3) // 4)  # the digits a word needs
     for chunk in chunks:
         if radix == 16:
             text = chunk.hex("\n", size).upper() + "\n"

@@ -25,6 +25,7 @@ from togglesim.trace_io import TraceFileHeader, TraceFormatError
 
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 _RADIX_BY_NAME = {"bin": 2, "hex": 16}
+_NAME_BY_RADIX = {2: "bin", 16: "hex"}
 _HEADER_RE = re.compile(r"^width=(\d+)\s+radix=(bin|hex)$")
 
 
@@ -111,7 +112,7 @@ def read_trace(data: bytes) -> tuple[Word, ...]:
 def render_trace(words: tuple[Word, ...], radix: int = 2) -> str:
     """Canonical text form; parse_trace(render_trace(t)) == t."""
     header = TraceFileHeader(words[0].width, radix)
-    lines = [header.render()]
+    lines = [f"width={header.width} radix={_NAME_BY_RADIX[header.radix]}"]
     if radix == 2:
         lines.extend(w.to_binary() for w in words)
     else:

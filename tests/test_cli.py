@@ -1,25 +1,40 @@
+import contextlib
 import gc
+import importlib
 import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import togglesim
 from togglesim.bits import Word
-from togglesim.cli import build_parser, main
+from togglesim.cli import GRAMMAR, build_parser, main
+from togglesim.cmdline import parse
 from togglesim.generators import BOUNDARIES, KINDS, GeneratorConfig, kind_parameter
 from togglesim.trace_io import REPORT_FORMATS
 import reference_generators as reference
 
 
+# A word that argparse may take for a negative number: only argparse tells
+# one from a flag, so a line with one is not plain.
+NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+
+
 def run_cli(capsys, *argv):
+    """main(argv): its exit code, stdout and stderr. Each line these tests
+    run to success is plain unless it holds a negative number, and is checked
+    to parse without argparse, so that the plain-line path cannot lapse."""
     code = main(list(argv))
     captured = capsys.readouterr()
+    if code == 0 and not any(map(NEGATIVE_NUMBER.match, argv)):
+        assert parse(list(argv), GRAMMAR) is not None, argv
     return code, captured.out, captured.err
 
 
@@ -125,6 +140,13 @@ class TestGen:
         assert run_cli(capsys, *argv, "--boundary", "null")[1] == default
         assert run_cli(capsys, *argv, "--boundary", "cyclic")[1] != default
 
+    def test_empty_output_path_exits_3(self, capsys):
+        # as analyze "" and power --from-report "" do, not a trace on stdout
+        assert run_cli(capsys, "gen", "--kind", "binary", "--width", "4", "--cycles", "3",
+                       "-o", "") == (
+            3, "", "togglesim: error: [Errno 2] No such file or directory: ''\n"
+        )
+
     def test_missing_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main([])
@@ -155,6 +177,128 @@ def test_parser_report_formats_are_write_reports_own():
     (formats,) = (action.choices for action in commands["analyze"]._actions
                   if "--format" in action.option_strings)
     assert list(formats) == list(REPORT_FORMATS)
+
+
+PARSER = build_parser()
+
+
+def argparse_namespace(argv):
+    """build_parser().parse_args(argv), or None where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return PARSER.parse_args(argv)
+        except SystemExit:
+            return None
+
+
+def assert_parsed_as_argparse_does(argv):
+    """parse(argv) declines, or gives what argparse gives, values and order."""
+    plain = parse(argv, GRAMMAR)
+    if plain is not None:
+        parsed = argparse_namespace(argv)
+        assert parsed is not None, argv
+        assert repr(vars(plain)) == repr(vars(parsed))  # repr: a nan equals itself
+    return plain
+
+
+FLAGS = sorted({flag for _, *arguments in GRAMMAR.values() for flags, *_ in arguments
+                for flag in flags.split() if flag[0] == "-"})
+VALUES = ["binary", "gray", "lfsr_internal", "ca150", "bin", "hex", "auto", "null", "cyclic",
+          "json", "csv", "table", "businvert", "0", "1", "2", "3", "8", "16", "1_0", " 4",
+          "0.5", "1e-12", "inf", "nan", "ACE1", "16,14,13,11", "x", "", "-", "t.trace"]
+# words no plain line holds where they stand: help, abbreviations, joined
+# values, the end of options, negative numbers, unknown flags and commands
+ODD = ["-h", "--help", "--", "--ki", "--wid", "--se", "--seed-r", "--per", "--out", "--fo",
+       "--kind=gray", "--width=8", "--format=json", "--per-cycle=1", "-ox", "-o=x", "-1",
+       "-0.5", "-1e-3", "-x", "--bogus", "gen", "analyze", "power", "tables", "gem"]
+# values of each declared type, for an argument without choices
+TYPED_VALUES = {int: ["0", "3", "16", " 4", "1_0"], float: ["0.5", "1e-12", "inf", "nan", "0"],
+                None: ["x", "", "ACE1", "16,14,13,11", "t.trace"]}
+# the arguments each command requires, so that drawn lines can succeed
+REQUIRED = {
+    "gen": [["--kind", "binary"], ["--width", "4"], ["--cycles", "3"]],
+    "analyze": [["t.trace"]],
+    "power": [["--tau", "0.5"], ["--cap", "1e-12"], ["--vdd", "1"], ["--freq", "1e6"]],
+    "tables": [],
+}
+
+
+@st.composite
+def command_lines(draw):
+    """A command and its required arguments, and mostly its own flags with
+    values of their types, with now and then any flag, value or word, in any
+    order; then now and then a word dropped or inserted anywhere."""
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    own = {flag: [] if kind is bool else [*map(str, choices)] if choices else TYPED_VALUES[kind]
+           for flags, kind, choices, *_ in GRAMMAR[command][1:]
+           for flag in flags.split() if flag[0] == "-"}
+    units = list(REQUIRED[command])
+    for _ in range(draw(st.integers(0, 3))):
+        unit = draw(st.sampled_from(["own"] * 6 + ["any", "alone"]))
+        if unit == "own" and own:
+            flag = draw(st.sampled_from(sorted(own)))
+            units.append([flag, *([draw(st.sampled_from(own[flag]))] if own[flag] else [])])
+        elif unit != "alone":
+            units.append([draw(st.sampled_from(FLAGS)), draw(st.sampled_from(VALUES + ODD))])
+        else:
+            units.append([draw(st.sampled_from(FLAGS))])
+    words = [command, *(word for unit in draw(st.permutations(units)) for word in unit)]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        if len(words) > 1 and draw(st.booleans()):
+            del words[draw(st.integers(0, len(words) - 1))]
+        else:
+            words.insert(draw(st.integers(0, len(words))),
+                         draw(st.sampled_from(FLAGS + VALUES + ODD)))
+    return words
+
+
+class TestPlainParse:
+    """cmdline.parse, which main tries before argparse, against argparse."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(command_lines())
+    @example(["analyze", "-", "--per-cycle", "--format", "json"])
+    @example(["gen", "-o", "x", "--output", "y", "--kind", "gray", "--width", "1",
+              "--cycles", "0", "--kind", "binary"])
+    @example(["power", "--tau", "nan", "--cap", "1", "--vdd", "1", "--freq", "1",
+              "--vdd-exponent", " 2"])
+    def test_declines_or_agrees_with_argparse(self, argv):
+        assert_parsed_as_argparse_does(argv)
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["gen", "--help"], ["analyze", "-h"], ["gem"],
+        ["gen", "--ki", "gray", "--width", "4", "--cycles", "3"],
+        ["gen", "--kind=gray", "--width", "4", "--cycles", "3"],
+        ["gen", "--kind", "gray", "--width", "4", "--cycles", "3", "-ox"],
+        ["gen", "--kind", "gray", "--width", "4", "--", "--cycles", "3"],
+        ["gen", "--kind", "gray", "--width", "4", "--cycles", "-1"],
+        ["gen", "--kind", "gray", "--width", "four", "--cycles", "3"],
+        ["gen", "--kind", "grey", "--width", "4", "--cycles", "3"],
+        ["gen", "--kind", "gray", "--width", "4"],
+        ["gen", "--kind", "gray", "--width", "4", "--cycles"],
+        ["gen", "--kind", "gray", "--width", "4", "--cycles", "3", "-o", "-"],
+        ["gen", "--kind", "gray", "--width", "4", "--cycles", "3", "extra"],
+        ["analyze"], ["analyze", "a", "b"], ["analyze", "-x"], ["analyze", "a", "--per-cycle=1"],
+        ["power", "--tau", "-0", "--cap", "1", "--vdd", "1", "--freq", "1"],
+        ["power", "--tau", "0.5", "--cap", "1", "--vdd", "1", "--freq", "1",
+         "--vdd-exponent", "3"],
+    ])
+    def test_declines_what_argparse_must_parse(self, argv):
+        # help, abbreviations, joined values, "--", negative numbers, bad values,
+        # a missing option and a second positional: argparse's text
+        assert parse(argv, GRAMMAR) is None
+
+    def test_every_benchmark_command_line_is_plain(self, monkeypatch, tmp_path):
+        # each shape of command line the benchmark's workloads run
+        monkeypatch.syspath_prepend(os.path.join(os.path.dirname(SRC), "perfbench"))
+        workloads = importlib.import_module("workloads")
+        lines = [argv for build in workloads.WORKLOADS.values()
+                 if build.__name__ != "probe_replay"
+                 for step in build(random.Random(1), tmp_path).spec["steps"]
+                 for argv in step.values()]
+        assert lines
+        for argv in lines:
+            assert assert_parsed_as_argparse_does(argv) is not None, argv
 
 
 # every kind and CA boundary, at widths that 4 does and does not divide, on
@@ -690,6 +834,23 @@ class TestProcessEntry:
         code, stdout, stderr = run_process(*argv)
         assert (code, stderr) == (0, "")
         assert stdout.startswith(f"usage: togglesim {' '.join(argv[:-1])}".rstrip())
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--help"], ["analyze", "--help"], ["gen", "--kind", "gray", "--width", "4"],
+        ["analyze", "a", "b"],
+    ], ids=["gen-help", "analyze-help", "missing-option", "second-positional"])
+    def test_fallback_prints_argparses_text(self, monkeypatch, argv):
+        # a line cmdline.parse declines prints what build_parser()'s parser
+        # prints, and exits 0 for help or 2 for a usage error
+        monkeypatch.setenv("COLUMNS", "80")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            with pytest.raises(SystemExit) as exited:
+                build_parser().parse_args(argv)
+        assert stdout.getvalue() or stderr.getvalue()
+        assert run_process(*argv, env=process_env(COLUMNS="80")) == (
+            exited.value.code, stdout.getvalue(), stderr.getvalue()
+        )
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     @pytest.mark.parametrize("sink", ["full", "closed pipe"])

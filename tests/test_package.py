@@ -53,14 +53,14 @@ def fresh_import(statement: str) -> dict:
 
 
 # Each command line shape: its argv, TRACE standing for a small trace file,
-# and the modules it loads besides the package, cli and bits.
+# and the modules it loads besides the package, cli, cmdline and bits.
 COMMANDS = {
     "gen": (["gen", "--kind", "lfsr_internal", "--width", "16", "--seed", "ACE1",
-             "--cycles", "9"], ["generators", "lanes", "trace_io", "writer"]),
+             "--cycles", "9"], ["generators", "lanes", "writer"]),
     "gen-gray": (["gen", "--kind", "gray", "--width", "16", "--cycles", "9"],
-                 ["encoders", "generators", "lanes", "trace_io", "writer"]),
+                 ["encoders", "generators", "lanes", "writer"]),
     "gen-cyclic": (["gen", "--kind", "ca150", "--width", "16", "--seed", "ACE1", "--boundary",
-                    "cyclic", "--cycles", "9"], ["frobenius", "generators", "trace_io", "writer"]),
+                    "cyclic", "--cycles", "9"], ["frobenius", "generators", "writer"]),
     "analyze": (["analyze", "TRACE"], ["activity", "reader", "trace_io"]),
     "analyze-encode": (["analyze", "TRACE", "--encode", "businvert"],
                        ["activity", "encoders", "reader", "trace_io"]),
@@ -74,11 +74,11 @@ COMMANDS = {
 # benchmark's processes run, a process compiles every one of them before
 # its command runs.
 NODE_BUDGETS = {
-    "build_parser": 700,
-    "gen": 5450,
+    "build_parser": 696,
+    "gen": 4964,
     "analyze": 4950,
-    "gen-gray": 6150,
-    "gen-cyclic": 4900,
+    "gen-gray": 5664,
+    "gen-cyclic": 4414,
     "analyze-encode": 5650,
     "tables": 8600,
     "power": 3350,
@@ -118,10 +118,10 @@ class TestImports:
         assert not loaded["csv"]
 
     def test_cli_parser_loads_no_tables_power_or_dataclasses(self):
-        # what every process runs before its command: the parser writes its
-        # choices out, so it loads no other togglesim module
+        # the grammar writes its choices out, so the argparse parser loads
+        # only cli and the builder usage, and no other togglesim module
         loaded = fresh_import("import togglesim.cli; togglesim.cli.build_parser()")
-        assert loaded["togglesim"] == ["togglesim", "togglesim.cli"]
+        assert loaded["togglesim"] == ["togglesim", "togglesim.cli", "togglesim.usage"]
         assert not loaded["dataclasses"]
 
     def test_cli_parser_loads_no_typing(self):
@@ -133,11 +133,12 @@ class TestImports:
     def test_each_command_loads_only_what_it_runs(self, tmp_path, argv, extra):
         # gen compiles neither the reader, the toggle fold nor the encoders,
         # and one of the two lane engines, analyze the encoders only to
-        # re-encode and never the generators or the writer; tables runs the
+        # re-encode and never the generators or the writer, and gen no
+        # trace_io, whose header the writer writes itself; tables runs the
         # generators into the fold as gen | analyze - does, power only its
         # model, and no command builds a held Trace
         loaded = command_modules(tmp_path, argv)
-        common = ["cli", "bits"]
+        common = ["cli", "cmdline", "bits"]
         assert loaded == sorted(
             ["togglesim", *(f"togglesim.{name}" for name in common + extra)]
         )
@@ -168,9 +169,29 @@ class TestImports:
             if line.startswith("import time:") and "|" in line
         }
         assert sorted(m for m in reported if m.split(".")[0] == "togglesim") == [
-            "togglesim", "togglesim.activity", "togglesim.bits", "togglesim.reader",
-            "togglesim.trace_io",
+            "togglesim", "togglesim.activity", "togglesim.bits", "togglesim.cmdline",
+            "togglesim.reader", "togglesim.trace_io",
         ]
+
+    @pytest.mark.parametrize("argv,argparse_loaded", [
+        (COMMANDS["gen"][0], False), (["analyze", "-"], False), (["gen", "--help"], True),
+    ], ids=["gen", "analyze", "gen-help"])
+    def test_plain_line_as_run_loads_no_argparse(self, argv, argparse_loaded):
+        # as the benchmark runs a pipeline's processes, with -S so that no site
+        # .pth file loads them first: only the fallback to argparse, --help
+        # here, imports argparse and with it gettext and locale
+        env = {**os.environ, "PYTHONPATH": SRC, "PYTHONDONTWRITEBYTECODE": "1"}
+        result = subprocess.run(
+            [sys.executable, "-S", "-X", "importtime", "-m", "togglesim.cli", *argv],
+            input="width=4 radix=bin\n0000\n0101\n", env=env, capture_output=True,
+            text=True, check=True,
+        )
+        reported = {
+            line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines()
+            if line.startswith("import time:") and "|" in line
+        }
+        loaded = reported & {"argparse", "gettext", "locale"}
+        assert loaded == ({"argparse", "gettext", "locale"} if argparse_loaded else set())
 
     def test_probe_loads_only_bits_and_activity(self):
         # activity holds the transition counts that the probe shares
