@@ -150,7 +150,7 @@ def analyze_chunks(width: int, chunks: Iterable[bytes],
 def _analyze_stream(stream, args) -> ActivityReport:
     """The ActivityReport of the trace in `stream`: reader, then the encoder
     `args` names, then the toggle fold, one chunk of the trace at a time."""
-    from .reader import read_chunks
+    from .trace_io import read_chunks
 
     width, chunks = read_chunks(stream)
     if args.encode == "gray":

@@ -42,6 +42,9 @@ CHUNK_BYTES = 1 << 14
 
 _DIGITS = {2: frozenset("01"), 16: frozenset("0123456789abcdefABCDEF")}
 
+# The trace format's name of each radix, in a header and in gen's options.
+RADIXES = {"bin": 2, "hex": 16}
+
 
 def chunk_words(width: int) -> int:
     """Values per chunk of a `width`-bit trace: CHUNK_BYTES // ceil(width / 8)."""
@@ -165,10 +168,21 @@ class Word(Record, namedtuple("Word", "width value")):
 
     def to_hex(self) -> str:
         """Uppercase hex, zero-padded to ceil(width/4) digits."""
-        return format(self.value, f"0{(self.width + 3) // 4}X")
+        return format(self.value, f"0{word_digits(self.width, 16)}X")
 
     def __repr__(self) -> str:
         return f"Word({self.width}, '{self.to_binary()}')"
+
+
+def check_radix(radix: int) -> None:
+    """Reject radixes other than 2 and 16."""
+    if radix not in RADIXES.values():
+        raise ValueError(f"radix must be 2 or 16, got {radix}")
+
+
+def word_digits(width: int, radix: int) -> int:
+    """The digits of a `width`-bit word written in full in `radix`, 2 or 16."""
+    return width if radix == 2 else (width + 3) // 4
 
 
 def word_from_text(text: str, radix: int, width: int) -> Word:
@@ -178,11 +192,10 @@ def word_from_text(text: str, radix: int, width: int) -> Word:
     leading zeros within those limits are fine. Hex is case-insensitive.
     """
     check_width(width)
-    if radix not in (2, 16):
-        raise ValueError(f"radix must be 2 or 16, got {radix}")
+    check_radix(radix)
     if not text:
         raise ValueError("empty text")
-    name, digits = ("binary", width) if radix == 2 else ("hex", (width + 3) // 4)
+    name, digits = "binary" if radix == 2 else "hex", word_digits(width, radix)
     bad = set(text) - _DIGITS[radix]
     if bad:
         raise ValueError(f"invalid {name} digit {sorted(bad)[0]!r} in {text!r}")

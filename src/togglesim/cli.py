@@ -108,7 +108,10 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, OSError, ValueError) as exc:
         # past a usage error, a failed write, a TraceFormatError or bad data
         # reaching a model contract (a trace with no transfers, say) exits 3
-        print(f"togglesim: error: {exc}", file=sys.stderr)
+        try:
+            print(f"togglesim: error: {exc}", file=sys.stderr)
+        except OSError:  # stderr fails too: the exit code alone reports the error
+            pass
         return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_DATA
 
 
@@ -122,21 +125,22 @@ def run():
     final flush of stdout and stderr still run, where `os._exit` would skip
     them. main() is the library and test entry and never freezes.
 
-    Where main()'s flush of stdout failed (exit 3), what it left in the
-    buffer would fail again at shutdown, with the interpreter's report and
-    exit 120; so if a flush here fails too, fd 1 is pointed at os.devnull,
-    as Python's `signal` documentation does.
+    Where a write to stdout or stderr failed, what it left in the buffer
+    would fail again at shutdown, with the interpreter's report and exit
+    120; so if a flush here fails too, after main() returned or argparse
+    exited, that stream's fd is pointed at os.devnull, as Python's `signal`
+    documentation does.
     """
     import gc  # here: importing cli or building its parser loads no gc
 
     try:
-        code = main()
-        try:
-            sys.stdout.flush()
-        except OSError:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(code)
+        sys.exit(main())
     finally:
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()
+            except OSError:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
         gc.freeze()
 
 

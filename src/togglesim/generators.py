@@ -42,7 +42,7 @@ from collections import namedtuple
 from collections.abc import Callable, Iterator
 
 from . import UsageError
-from .bits import Record, Word, check_width, word_from_text
+from .bits import RADIXES, Record, Word, check_width, word_from_text
 
 Step = Callable[[int], int]
 # (bit 0 of every lane) -> the step of every lane at once
@@ -244,7 +244,7 @@ def _build_config(args) -> GeneratorConfig:
     if radix == "auto":  # binary iff the string is all 0/1 and spans the full width
         radix = "bin" if set(text) <= {"0", "1"} and len(text) == args.width else "hex"
     try:
-        seed = word_from_text(text, 2 if radix == "bin" else 16, args.width)
+        seed = word_from_text(text, RADIXES[radix], args.width)
     except ValueError as exc:
         raise UsageError(f"bad --seed: {exc}")
     taps = parse_taps(args.taps) if args.taps is not None else None
@@ -268,7 +268,7 @@ def cmd_gen(args) -> None:
     if args.cycles < 0:
         raise UsageError(f"--cycles must be >= 0, got {args.cycles}")
     chunks = generate_chunks(config, args.cycles)
-    texts = render_chunks(config.width, chunks, 2 if args.radix == "bin" else 16)
+    texts = render_chunks(config.width, chunks, RADIXES[args.radix])
     words = args.cycles + 1
     if args.output is not None:  # an empty path fails to open, as analyze's does
         with open(args.output, "w", encoding="utf-8") as fh:

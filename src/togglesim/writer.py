@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-from .bits import check_width
+from .bits import RADIXES, check_radix, check_width, word_digits
 
 # _spread_bits's tables: table k maps a byte to byte k of its spread, whose
 # nibbles are the byte's bits 7 - 2k and 6 - 2k; so it runs 0, 1, 0x10,
@@ -28,12 +28,12 @@ def render_chunks(width: int, chunks: Iterable[bytes], radix: int = 2) -> Iterat
     strided `del` on the chunk's text as a bytearray.
     """
     check_width(width)
-    if radix not in (2, 16):
-        raise ValueError(f"radix must be 2 or 16, got {radix}")
-    yield f"width={width} radix={'bin' if radix == 2 else 'hex'}\n"
+    check_radix(radix)
+    name = next(name for name, value in RADIXES.items() if value == radix)
+    yield f"width={width} radix={name}\n"
     size = (width + 7) // 8
     line = (8 if radix == 2 else 2) * size + 1  # a word's whole-byte digits and "\n"
-    pad = line - 1 - (width if radix == 2 else (width + 3) // 4)  # the digits a word needs
+    pad = line - 1 - word_digits(width, radix)
     for chunk in chunks:
         if radix == 16:
             text = chunk.hex("\n", size).upper() + "\n"

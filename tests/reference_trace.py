@@ -6,10 +6,12 @@ tuples of Words where they took and returned a Trace (the width is that of
 the first word), and `read_trace` taking the bytes a stream holds: it
 decodes and parses the whole text at once, where the library streams it.
 `word_from_text` comes along because the copied bodies call it and the
-library has rewritten it. The single-word bus-invert step (`BusLineState`,
-`bus_invert_encode` and `bus_invert_decode`) and `hamming_distance` live
-only here: the library encodes chunks of ints and counts flips a pack at a
-time.
+library has rewritten it, and `_check_header` checks a header's fields as
+the library's header record did, so that the oracle shares no header code
+with the reader it is compared with. The single-word bus-invert step
+(`BusLineState`, `bus_invert_encode` and `bus_invert_decode`) and
+`hamming_distance` live only here: the library encodes chunks of ints and
+counts flips a pack at a time.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from itertools import pairwise
 from reference_generators import gray_encode
 from togglesim.activity import ActivityReport, switching_activity
 from togglesim.bits import MAX_WIDTH, Record, Word, check_width
-from togglesim.trace_io import TraceFileHeader, TraceFormatError
+from togglesim.trace_io import TraceFormatError
 
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 _RADIX_BY_NAME = {"bin": 2, "hex": 16}
@@ -65,30 +67,39 @@ def word_from_text(text: str, radix: int, width: int) -> Word:
     return Word(width, value)
 
 
+def _check_header(width: int, radix: int) -> None:
+    """Reject a header width outside 1..MAX_WIDTH or a radix but 2 and 16."""
+    if not isinstance(width, int) or not 1 <= width <= MAX_WIDTH:
+        raise ValueError(f"width must be an integer in 1..{MAX_WIDTH}, got {width!r}")
+    if radix not in (2, 16):
+        raise ValueError(f"radix must be 2 or 16, got {radix}")
+
+
 def parse_trace(text: str) -> tuple[Word, ...]:
     """Parse trace text into Words; raises TraceFormatError with line numbers."""
-    header: TraceFileHeader | None = None
+    width = radix = None
     words: list[Word] = []
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
-        if header is None:
+        if width is None:
             match = _HEADER_RE.match(line)
             if not match:
                 raise TraceFormatError(
                     f"line {lineno}: expected header 'width=<n> radix=<bin|hex>', got {line!r}"
                 )
+            width, radix = int(match.group(1)), _RADIX_BY_NAME[match.group(2)]
             try:
-                header = TraceFileHeader(int(match.group(1)), _RADIX_BY_NAME[match.group(2)])
+                _check_header(width, radix)
             except ValueError as exc:
                 raise TraceFormatError(f"line {lineno}: {exc}") from exc
             continue
         try:
-            words.append(word_from_text(line, header.radix, header.width))
+            words.append(word_from_text(line, radix, width))
         except ValueError as exc:
             raise TraceFormatError(f"line {lineno}: {exc}") from exc
-    if header is None:
+    if width is None:
         raise TraceFormatError("missing header 'width=<n> radix=<bin|hex>'")
     if not words:
         raise TraceFormatError("empty trace: no words after the header")
@@ -111,8 +122,8 @@ def read_trace(data: bytes) -> tuple[Word, ...]:
 
 def render_trace(words: tuple[Word, ...], radix: int = 2) -> str:
     """Canonical text form; parse_trace(render_trace(t)) == t."""
-    header = TraceFileHeader(words[0].width, radix)
-    lines = [f"width={header.width} radix={_NAME_BY_RADIX[header.radix]}"]
+    _check_header(words[0].width, radix)
+    lines = [f"width={words[0].width} radix={_NAME_BY_RADIX[radix]}"]
     if radix == 2:
         lines.extend(w.to_binary() for w in words)
     else:

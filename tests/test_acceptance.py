@@ -4,6 +4,7 @@ Each criterion is one test at its stated tolerance; a PASS line is printed
 once its assertions hold (run with `pytest -s` or `-v` to see them).
 """
 
+import io
 import json
 import random
 
@@ -30,7 +31,7 @@ from togglesim.tables import (
     truncated_cents,
 )
 from togglesim.trace import Trace
-from togglesim.trace_io import parse_trace, render_trace, write_report
+from togglesim.trace_io import read_trace, render_trace, write_report
 from togglesim.transition_counter import run_trace
 from reference_trace import hamming_distance
 
@@ -226,7 +227,7 @@ def test_criterion_11_round_trips_bit_exact():
         trace = Trace(width, [rng.getrandbits(width) for _ in range(length)])
         radix = rng.choice([2, 16])
         text = render_trace(trace, radix)
-        parsed = parse_trace(text)
+        parsed = read_trace(io.StringIO(text))
         assert parsed == trace
         assert render_trace(parsed, radix).encode() == text.encode()
 

@@ -755,15 +755,15 @@ def process_env(**extra):
     return {**os.environ, "PYTHONPATH": SRC, **extra}
 
 
-def run_process(*argv, stdin=b"", stdout=subprocess.PIPE, env=None):
+def run_process(*argv, stdin=b"", stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=None):
     """`python -m togglesim.cli argv` in a new process: its exit code, its
-    stdout (None when not piped) and its stderr, decoded."""
+    stdout and its stderr, each decoded, or None when not piped."""
     done = subprocess.run(
         [sys.executable, "-m", "togglesim.cli", *argv], input=stdin, stdout=stdout,
-        stderr=subprocess.PIPE, env=env or process_env(), timeout=60,
+        stderr=stderr, env=env or process_env(), timeout=60,
     )
-    stdout = None if done.stdout is None else done.stdout.decode()
-    return done.returncode, stdout, done.stderr.decode()
+    return done.returncode, *(None if out is None else out.decode()
+                              for out in (done.stdout, done.stderr))
 
 
 FAILED_OUTPUT_ERRORS = {
@@ -771,23 +771,23 @@ FAILED_OUTPUT_ERRORS = {
 }
 
 
-def run_into_a_failed_output(argv, buffered: bool, sink: str):
-    """run_process with stdout on /dev/full or on a pipe whose read end is
-    closed, and stdout buffered or not."""
+def run_into_a_failed_output(argv, buffered: bool, sink: str, stream: str = "stdout"):
+    """run_process with `stream`, stdout or stderr, on /dev/full or on a pipe
+    whose read end is closed, and both streams buffered or not."""
     env = process_env()
     if buffered:
         env.pop("PYTHONUNBUFFERED", None)
     else:
         env["PYTHONUNBUFFERED"] = "1"
     if sink == "full":
-        stdout = os.open("/dev/full", os.O_WRONLY)
+        failing = os.open("/dev/full", os.O_WRONLY)
     else:
-        read_end, stdout = os.pipe()
+        read_end, failing = os.pipe()
         os.close(read_end)
     try:
-        return run_process(*argv, stdout=stdout, env=env)
+        return run_process(*argv, env=env, **{stream: failing})
     finally:
-        os.close(stdout)
+        os.close(failing)
 
 
 class TestProcessEntry:
@@ -896,6 +896,22 @@ class TestProcessEntry:
         assert run_into_a_failed_output(argv, buffered, sink) == (
             3, None, f"togglesim: error: {FAILED_OUTPUT_ERRORS[sink]}\n"
         )
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("sink", ["full", "closed pipe"])
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv,code", [
+        (["gen", "--kind", "binary", "--width", "4", "--cycles", "3"], 3),
+        (["analyze", "/nonexistent"], 3),
+        (["gen", "--kind", "binary", "--width", "0", "--cycles", "3"], 2),
+        (["gen", "--kind", "nope"], 2),
+    ], ids=["gen", "data", "usage", "argparse-usage"])
+    def test_failed_error_output_keeps_the_exit_code(self, argv, code, buffered, sink):
+        # neither main's error line nor the interpreter's flush of stderr at
+        # shutdown may fail a second time, with exit 1 or 120; gen's trace,
+        # written before its word count, still reaches stdout
+        stdout = run_process(*argv)[1]
+        assert run_into_a_failed_output(argv, buffered, sink, "stderr") == (code, stdout, None)
 
     @pytest.mark.parametrize("argv", [
         ["power", "--tau", "0.5", "--cap", "1e-12", "--vdd", "1", "--freq", "1e6"],

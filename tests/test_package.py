@@ -26,7 +26,6 @@ from togglesim.power import DynamicPowerParams, StaticPowerParams
 from togglesim.tables import CounterRow, GeneratorCell, GeneratorRow
 from togglesim import trace
 from togglesim.trace import Trace
-from togglesim.trace_io import TraceFileHeader
 from togglesim.transition_counter import CycleRecord
 
 SRC = os.path.dirname(os.path.dirname(togglesim.__file__))
@@ -61,9 +60,9 @@ COMMANDS = {
                  ["encoders", "generators", "lanes", "writer"]),
     "gen-cyclic": (["gen", "--kind", "ca150", "--width", "16", "--seed", "ACE1", "--boundary",
                     "cyclic", "--cycles", "9"], ["frobenius", "generators", "writer"]),
-    "analyze": (["analyze", "TRACE"], ["activity", "reader", "trace_io"]),
+    "analyze": (["analyze", "TRACE"], ["activity", "trace_io"]),
     "analyze-encode": (["analyze", "TRACE", "--encode", "businvert"],
-                       ["activity", "encoders", "reader", "trace_io"]),
+                       ["activity", "encoders", "trace_io"]),
     "tables": (["tables"], ["activity", "encoders", "generators", "lanes", "tables"]),
     "power": (["power", "--tau", "0.5", "--cap", "1e-12", "--vdd", "1", "--freq", "1e6"],
               ["power"]),
@@ -76,10 +75,10 @@ COMMANDS = {
 NODE_BUDGETS = {
     "build_parser": 696,
     "gen": 4964,
-    "analyze": 4950,
+    "analyze": 4891,
     "gen-gray": 5664,
     "gen-cyclic": 4414,
-    "analyze-encode": 5650,
+    "analyze-encode": 5591,
     "tables": 8600,
     "power": 3350,
 }
@@ -170,7 +169,7 @@ class TestImports:
         }
         assert sorted(m for m in reported if m.split(".")[0] == "togglesim") == [
             "togglesim", "togglesim.activity", "togglesim.bits", "togglesim.cmdline",
-            "togglesim.reader", "togglesim.trace_io",
+            "togglesim.trace_io",
         ]
 
     @pytest.mark.parametrize("argv,argparse_loaded", [
@@ -266,7 +265,6 @@ RECORDS = {
         "transitions_delta",
         ReductionSummary(0.5, 0.25, 0.25, 0.5, 5),
     ),
-    "TraceFileHeader": (lambda: TraceFileHeader(8, 16), "radix", TraceFileHeader(8, 2)),
     "GeneratorConfig": (
         lambda: GeneratorConfig("lfsr_internal", 4, Word(4, 1), frozenset([4, 3])),
         "seed",
@@ -315,7 +313,6 @@ REPRS = {
         "ReductionSummary(tau_before=0.5, tau_after=0.25, tau_delta=0.25, "
         "relative_reduction=0.5, transitions_delta=4)"
     ),
-    "TraceFileHeader": "TraceFileHeader(width=8, radix=16)",
     "GeneratorConfig": (
         "GeneratorConfig(kind='lfsr_internal', width=4, seed=Word(4, '0001'), "
         "taps=frozenset({3, 4}), boundary=None)"
@@ -400,7 +397,6 @@ def test_match_statement_binds_fields_by_position():
 # rejects: the field and the bad value.
 BAD_FIELDS = {
     "Word": ("value", 1 << 12),
-    "TraceFileHeader": ("radix", 10),
     "GeneratorConfig": ("taps", frozenset([3])),
     "DynamicPowerParams": ("tau", 5),
     "StaticPowerParams": ("temperature", -1.0),
@@ -489,7 +485,7 @@ def test_records_of_different_classes_differ_with_equal_fields():
     cell = GeneratorCell(8, 66, "0.51", 66, "0.51")
     row = CounterRow(8, 66, "0.51", 66, "0.51")
     assert cell != row and row != cell
-    assert TraceFileHeader(8, 16) != Word(8, 16) and Word(8, 16) != TraceFileHeader(8, 16)
+    assert GeneratorRow(8, 16) != Word(8, 16) and Word(8, 16) != GeneratorRow(8, 16)
 
 
 def test_equal_traces_compare_and_hash_without_unpacking(monkeypatch):

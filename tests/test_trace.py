@@ -2,6 +2,7 @@
 oracle in reference_trace, at widths 1..MAX_WIDTH and at lengths on each
 side of a chunk edge."""
 
+import io
 import random
 import tracemalloc
 from itertools import chain
@@ -17,7 +18,7 @@ from togglesim.activity import PACK_WORDS, analyze_trace, popcounts, transfer_di
 from togglesim.bits import MAX_WIDTH, Word, chunk_words, pack
 from togglesim.encoders import bus_invert_encode_trace, gray_encode_trace
 from togglesim.trace import Trace
-from togglesim.trace_io import parse_trace, render_trace
+from togglesim.trace_io import read_trace, render_trace
 from togglesim.transition_counter import run_trace
 
 
@@ -82,7 +83,7 @@ class TestAgainstReference:
         for radix in (2, 16):
             text = render_trace(trace, radix)
             assert text == reference.render_trace(words, radix)
-            assert parse_trace(text) == trace
+            assert read_trace(io.StringIO(text)) == trace
         assert tuple(gray_encode_trace(trace)) == reference.gray_encode_trace(words)
         encoded = outcome(lambda: tuple(bus_invert_encode_trace(trace)))
         assert encoded == outcome(reference.bus_invert_encode_trace, words)

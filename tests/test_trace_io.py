@@ -7,15 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from togglesim import bits, reader, writer
+from togglesim import bits, trace_io, writer
 from togglesim.activity import analyze_trace
 from togglesim.bits import CHUNK_BYTES, Word
 from togglesim.trace import Trace
 from togglesim.trace_io import (
-    TraceFileHeader,
     TraceFormatError,
     load_trace,
-    parse_trace,
     read_trace,
     render_trace,
     write_report,
@@ -42,44 +40,45 @@ def examples(*cases):
 
 class TestParseTrace:
     def test_reference_stimulus(self):
-        trace = parse_trace(FIG_STIMULUS)
+        trace = read_trace(io.StringIO(FIG_STIMULUS))
         assert trace.width == 16
         assert [w.value for w in trace] == [0x0000, 0x0303, 0x0F03]
 
     def test_binary_radix(self):
-        trace = parse_trace("width=4 radix=bin\n0000\n1010\n")
+        trace = read_trace(io.StringIO("width=4 radix=bin\n0000\n1010\n"))
         assert [w.value for w in trace] == [0, 0b1010]
 
     def test_comments_and_blank_lines_skipped(self):
         text = "# fixture\n\nwidth=4 radix=bin\n# body\n0001\n\n0011  \n"
-        trace = parse_trace(text)
+        trace = read_trace(io.StringIO(text))
         assert [w.value for w in trace] == [1, 3]
 
     def test_header_only_is_empty_trace(self):
         with pytest.raises(TraceFormatError, match="empty trace"):
-            parse_trace("width=16 radix=hex\n")
+            read_trace(io.StringIO("width=16 radix=hex\n"))
 
     def test_invalid_digit_names_line(self):
         with pytest.raises(TraceFormatError, match="line 3"):
-            parse_trace("width=16 radix=hex\n0000\nG3\n")
+            read_trace(io.StringIO("width=16 radix=hex\n0000\nG3\n"))
 
     def test_missing_header(self):
         with pytest.raises(TraceFormatError, match="header"):
-            parse_trace("0000\n0303\n")
+            read_trace(io.StringIO("0000\n0303\n"))
         with pytest.raises(TraceFormatError, match="header"):
-            parse_trace("# nothing but comments\n")
+            read_trace(io.StringIO("# nothing but comments\n"))
 
     def test_malformed_header(self):
         with pytest.raises(TraceFormatError, match="line 1"):
-            parse_trace("width=16 radix=octal\n0000\n")
-        with pytest.raises(TraceFormatError, match="line 1"):
-            parse_trace("width=0 radix=hex\n0\n")
+            read_trace(io.StringIO("width=16 radix=octal\n0000\n"))
+        with pytest.raises(TraceFormatError,
+                           match="^line 1: width must be an integer in 1..1024, got 0$"):
+            read_trace(io.StringIO("width=0 radix=hex\n0\n"))
 
     def test_word_wider_than_declared(self):
         with pytest.raises(TraceFormatError, match="line 2"):
-            parse_trace("width=4 radix=bin\n10101\n")
+            read_trace(io.StringIO("width=4 radix=bin\n10101\n"))
         with pytest.raises(TraceFormatError, match="line 2"):
-            parse_trace("width=4 radix=hex\n1F\n")
+            read_trace(io.StringIO("width=4 radix=hex\n1F\n"))
 
     def test_read_from_byte_stream(self):
         trace = read_trace(io.BytesIO(FIG_STIMULUS.encode()))
@@ -113,7 +112,7 @@ class TestRenderTrace:
                 for width in PAD_WIDTHS for radix in (2, 16)))  # three chunks
     def test_round_trip(self, trace, radix):
         text = render_trace(trace, radix)
-        again = parse_trace(text)
+        again = read_trace(io.StringIO(text))
         assert again == trace
         assert render_trace(again, radix) == text
 
@@ -126,10 +125,10 @@ class TestRenderTrace:
         assert load_trace(str(path)) == trace
 
     def test_header_validation(self):
-        with pytest.raises(ValueError):
-            TraceFileHeader(16, 8)
-        with pytest.raises(ValueError):
-            TraceFileHeader(0, 2)
+        with pytest.raises(ValueError, match="^radix must be 2 or 16, got 8$"):
+            next(render_chunks(16, [], 8))
+        with pytest.raises(ValueError, match="^width must be an integer in 1..1024, got 0$"):
+            next(render_chunks(0, [], 2))
 
 
 def binary_counter_report():
@@ -254,7 +253,7 @@ class TestParserFuzz:
     line starts with `line N:` for a line N that exists."""
 
     def check_text(self, text):
-        outcome = parse_outcome(parse_trace, text)
+        outcome = parse_outcome(read_trace, io.StringIO(text))
         if isinstance(outcome, int):
             assert outcome <= len(text.splitlines())
         return outcome
@@ -351,7 +350,8 @@ def long_corrupted_traces(draw):
 
 
 class TestAgainstReference:
-    """parse_trace and render_trace against the Word-based versions they replaced."""
+    """read_trace of a text and render_trace against the Word-based versions
+    they replaced."""
 
     @given(
         st.one_of(
@@ -371,7 +371,7 @@ class TestAgainstReference:
     @example("# fixture\n\nwidth=4 radix=bin\n0001\n\n# body\n   \n\n01x1\n0010\n")
     @examples(*(render_trace(trace, radix) for trace, radix in SMALL_WIDTH_CASES))
     def test_parse_trace(self, text):
-        assert outcome(lambda: tuple(parse_trace(text))) == outcome(
+        assert outcome(lambda: tuple(read_trace(io.StringIO(text)))) == outcome(
             reference.parse_trace, text
         )
 
@@ -380,8 +380,8 @@ class TestAgainstReference:
     def test_long_trace_names_the_corrupted_line(self, case):
         text, lineno = case
         with pytest.raises(TraceFormatError, match=f"^line {lineno}: "):
-            parse_trace(text)
-        assert outcome(parse_trace, text) == outcome(reference.parse_trace, text)
+            read_trace(io.StringIO(text))
+        assert outcome(read_trace, io.StringIO(text)) == outcome(reference.parse_trace, text)
 
     @given(traces(min_len=1, max_width=64), st.sampled_from([2, 16]))
     @example(wide_trace(256), 2)
@@ -427,7 +427,7 @@ def blocks_outcome(data, block):
     blocks of `block` characters or bytes."""
     stream = io.BytesIO(data) if isinstance(data, bytes) else io.StringIO(data)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(reader, "CHUNK_BYTES", block)
+        patch.setattr(trace_io, "CHUNK_BYTES", block)
         return outcome(lambda: tuple(read_trace(stream)))
 
 
@@ -572,7 +572,9 @@ class TestPackedChunks:
             text = data.decode("utf-8")
         except UnicodeDecodeError:
             return
-        assert outcome(lambda: tuple(parse_trace(text))) == outcome(reference.parse_trace, text)
+        assert outcome(lambda: tuple(read_trace(io.StringIO(text)))) == outcome(
+            reference.parse_trace, text
+        )
 
 
 class TestFastPath:
@@ -589,12 +591,12 @@ class TestFastPath:
         values = tuple(rng.getrandbits(width) for _ in range(5 * CHUNK_BYTES // (digits + 1)))
         rendered = "".join(render_chunks(width, Trace(width, values).chunks(), radix))
         calls = []
-        walk = reader._words
-        monkeypatch.setattr(reader, "_words", lambda *args: calls.append(args) or walk(*args))
+        walk = trace_io._words
+        monkeypatch.setattr(trace_io, "_words", lambda *args: calls.append(args) or walk(*args))
         for end in ("\n", "\r\n"):
             text = rendered.replace("\n", end)
             assert read_trace(io.BytesIO(text.encode())).values == values
-            assert parse_trace(text).values == values
+            assert read_trace(io.StringIO(text)).values == values
             assert not calls, repr(end)  # the header's block too is parsed whole
 
 
@@ -656,10 +658,10 @@ class TestHandEditedBlocks:
     @staticmethod
     def read(data, block):
         calls = []
-        check = reader.word_from_text
+        check = trace_io.word_from_text
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(reader, "CHUNK_BYTES", block)
-            patch.setattr(reader, "word_from_text",
+            patch.setattr(trace_io, "CHUNK_BYTES", block)
+            patch.setattr(trace_io, "word_from_text",
                           lambda *args: calls.append(args) or check(*args))
             return outcome(lambda: tuple(read_trace(io.BytesIO(data)))), calls
 
