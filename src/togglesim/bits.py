@@ -17,7 +17,7 @@ one back, and ``togglesim.activity`` counts transitions over chunks.
 
 :class:`Record` is the base of every immutable value class in the package,
 :class:`Word` and ``Trace`` included: named fields, with equality, hash,
-repr and pickling by field. Every record but ``Trace`` is a tuple, most on a
+repr and pickling by field. Every record but ``Trace`` is a tuple on a
 ``collections.namedtuple`` base.
 """
 
@@ -40,7 +40,9 @@ MAX_WIDTH = 1024  # sanity bound; typical buses here are 4..16 lines
 # words or more (see `activity`), a peak of about 1.4 MiB at 1024 bits.
 CHUNK_BYTES = 1 << 14
 
-_DIGITS = {2: frozenset("01"), 16: frozenset("0123456789abcdefABCDEF")}
+# The digits of each radix, in a word's text and in the trace reader's clean
+# blocks, where a hex digit of either case is read.
+DIGITS = {2: "01", 16: "0123456789abcdefABCDEF"}
 
 # The trace format's name of each radix, in a header and in gen's options.
 RADIXES = {"bin": 2, "hex": 16}
@@ -97,8 +99,7 @@ class Record:
     """An immutable value of two or more fields, named in order in
     ``__match_args__``: a ``collections.namedtuple`` subclass with
     ``__slots__ = ()``, checked, if at all, in ``__new__``, which ``_replace``
-    runs too. ``Trace`` binds slots instead, and ``CycleRecord`` is a tuple
-    of a layout of its own.
+    runs too. ``Trace`` binds slots instead.
 
     Records of the same class with equal fields compare and hash equal, like
     the tuple of their fields (``Trace``, which stores no tuple, compares and
@@ -151,8 +152,8 @@ class Word(Record, namedtuple("Word", "width value")):
     """A value of exactly `width` bits (no hidden higher bits) and its text forms.
 
     Checked by ``Word(width, value)``; bit arithmetic is done on ``.value``.
-    A Trace or CycleRecord builds the Word of a checked word with one
-    ``tuple.__new__``."""
+    A Trace, and the records of ``run_trace``, build the Word of a checked
+    word with one ``tuple.__new__``."""
 
     __slots__ = ()
 
@@ -196,7 +197,7 @@ def word_from_text(text: str, radix: int, width: int) -> Word:
     if not text:
         raise ValueError("empty text")
     name, digits = "binary" if radix == 2 else "hex", word_digits(width, radix)
-    bad = set(text) - _DIGITS[radix]
+    bad = set(text).difference(DIGITS[radix])
     if bad:
         raise ValueError(f"invalid {name} digit {sorted(bad)[0]!r} in {text!r}")
     if len(text) > digits:

@@ -9,8 +9,10 @@ Trace text format, chosen for hand-editability of small fixtures:
     0F03
 
 Leading and trailing whitespace is stripped from every line, and lines end
-where `str.splitlines` ends them. `radix` is `bin` (MSB-first binary) or
-`hex` (case-insensitive on input, rendered uppercase and zero-padded).
+where `str.splitlines` ends them. One UTF-8 byte-order mark at the very
+start of the text is skipped. The width is written in ASCII digits, and
+`radix` is `bin` (MSB-first binary) or `hex` (case-insensitive on input,
+rendered uppercase and zero-padded).
 
 Both directions stream, one packed chunk (see `bits`) at a time, so a
 reader or writer of any trace holds one block of text and its words. The
@@ -36,7 +38,7 @@ from collections.abc import Iterable, Iterator
 from io import IOBase, TextIOBase
 from itertools import islice, repeat
 
-from .bits import CHUNK_BYTES, RADIXES, check_width, word_digits, word_from_text
+from .bits import CHUNK_BYTES, DIGITS, RADIXES, check_width, word_digits, word_from_text
 
 REPORT_FORMATS = ("json", "csv", "table")
 
@@ -45,20 +47,21 @@ class TraceFormatError(ValueError):
     """Malformed trace text; the message names the offending line."""
 
 
-_HEADER_RE = re.compile(r"^width=(\d+)\s+radix=(bin|hex)$")
-_DIGITS = {2: b"01", 16: b"0123456789abcdefABCDEF"}
+_HEADER_RE = re.compile(r"^width=([0-9]+)\s+radix=(bin|hex)$")  # ASCII digits only
+_DIGITS = {radix: digits.encode("ascii") for radix, digits in DIGITS.items()}
 
 
 def _blocks(stream: IOBase) -> Iterator[bytes]:
     """The stream's bytes in blocks of about CHUNK_BYTES read, each block
     but the last ending in a line break, so that every block starts a line
     and decodes on its own; the characters of a text stream are read as
-    their UTF-8 bytes. A line longer than a block makes the next read as
-    long as that line, so no byte is copied more than a few times. (A text
-    whose only line breaks are the rare ones str.splitlines also knows, such
-    as "\x1c" or "\u2028", is read as one block.)
+    their UTF-8 bytes, and one byte-order mark at the very start is dropped.
+    A line longer than a block makes the next read as long as that line, so
+    no byte is copied more than a few times. (A text whose only line breaks
+    are the rare ones str.splitlines also knows, such as "\x1c" or "\u2028",
+    is read as one block.)
     """
-    carry = b""
+    carry, bom = b"", b"\xef\xbb\xbf"  # the UTF-8 byte-order mark some editors write
     while data := stream.read(max(CHUNK_BYTES, len(carry))):
         if isinstance(data, str):
             data = data.encode("utf-8", "surrogatepass")
@@ -67,9 +70,10 @@ def _blocks(stream: IOBase) -> Iterator[bytes]:
         cut = block.rfind(b"\n") + 1 or block.rfind(b"\r", 0, -1) + 1
         carry = block[cut:]
         if cut:
-            yield block[:cut]
+            yield block[:cut].removeprefix(bom)
+            bom = b""
     if carry:
-        yield carry
+        yield carry.removeprefix(bom)
 
 
 def _decode(block: bytes, count: int, errors: str) -> str:
@@ -262,7 +266,8 @@ def _joined(pieces: Iterable[str], sep: str = "") -> str:
 
 def write_report(report, format: str = "table") -> str:
     """Serialize an ActivityReport; json key set is stable for tooling."""
-    from .activity import rounded_display  # here: `gen` runs without `activity`
+    # here, not at the top: a process that only reads traces loads no `activity`
+    from .activity import rounded_display
 
     tau_display = rounded_display(
         report.total_transitions, report.width, report.transfers, 2

@@ -17,16 +17,17 @@ records for a whole trace at once. Like the probe, which keeps only the
 previous word and a running total, it holds counts, not records: the
 trace, and one ``array`` each of ``one_transition`` (the per-transfer
 counts of ``analyze --per-cycle``) and ``total_transition`` counts, 10 B
-per cycle. Each :class:`CycleRecord` is built when it is read, and builds
-its ``datain`` and ``dataout`` :class:`~togglesim.bits.Word` when read.
+per cycle. Each :class:`CycleRecord` is built when it is read, with the
+trace's :class:`~togglesim.bits.Word` of its cycle and of the cycle before.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections import namedtuple
 from collections.abc import Iterator, Sequence
-from itertools import accumulate, chain, repeat
-from operator import eq, itemgetter
+from itertools import accumulate, chain, repeat, tee
+from operator import eq
 
 from .activity import popcounts, transfer_diffs
 from .bits import Record, Word, check_width
@@ -35,44 +36,19 @@ from .bits import Record, Word, check_width
 TOTAL_SATURATION = (1 << 64) - 1
 
 
-class CycleRecord(Record, tuple):
-    """Outputs observed on one clock edge.
-
-    A :class:`~togglesim.bits.Record` stored as a tuple, ``(cycle, reset,
-    width, datain value, dataout value, one_transition, total_transition)``,
-    with its fields read through properties. The records of :func:`run_trace`
-    are built each time they are read, so building one must stay a single
-    C-level ``tuple.__new__``, about 0.6 us per cycle; ``datain`` and
-    ``dataout`` are each one more when read, and ``==`` builds no ``Word``.
-    """
+class CycleRecord(Record, namedtuple("CycleRecord", "cycle reset datain dataout "
+                                     "one_transition total_transition")):
+    """Outputs observed on one clock edge; ``datain`` and ``dataout`` are
+    Words of one width."""
 
     __slots__ = ()
-    __match_args__ = (
-        "cycle", "reset", "datain", "dataout", "one_transition", "total_transition"
-    )
 
     def __new__(cls, cycle: int, reset: bool, datain: Word, dataout: Word,
-                one_transition: int, total_transition: int) -> "CycleRecord":
+                one_transition: int, total_transition: int) -> CycleRecord:
         if datain.width != dataout.width:
             raise ValueError(f"width mismatch: {datain.width} vs {dataout.width}")
-        return tuple.__new__(
-            cls,
-            (cycle, reset, datain.width, datain.value, dataout.value,
-             one_transition, total_transition),
-        )
-
-    cycle = property(itemgetter(0))
-    reset = property(itemgetter(1))
-    one_transition = property(itemgetter(5))
-    total_transition = property(itemgetter(6))
-
-    @property
-    def datain(self) -> Word:
-        return tuple.__new__(Word, self[2:4])  # (width, datain value), checked when stored
-
-    @property
-    def dataout(self) -> Word:
-        return tuple.__new__(Word, self[2:5:2])
+        return super().__new__(cls, cycle, reset, datain, dataout, one_transition,
+                               total_transition)
 
 
 class BitTransitionCounter:
@@ -108,11 +84,12 @@ class CycleRecords(Sequence):
     counts that this holds, and is not kept. It equals any sequence of the
     same records, a list of them included."""
 
-    __slots__ = ("_trace", "_reset", "_ones", "_totals")
+    __slots__ = ("_trace", "_reset", "_ones", "_totals", "_zero")
     __hash__ = None  # equal by value, like a list of the records
 
     def __init__(self, trace, reset: bool, ones: array, totals: array) -> None:
         self._trace, self._reset, self._ones, self._totals = trace, reset, ones, totals
+        self._zero = tuple.__new__(Word, (trace.width, 0))  # dataout on cycle 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Sequence):
@@ -127,15 +104,15 @@ class CycleRecords(Sequence):
 
     def __iter__(self) -> Iterator[CycleRecord]:
         trace = self._trace
+        words, before = tee(trace)  # one pass over the trace's Words
         return map(
             tuple.__new__,
             repeat(CycleRecord),
             zip(
                 range(len(trace)),
                 chain((self._reset,), repeat(False)),
-                repeat(trace.width),
-                trace.iter_values(),
-                chain((0,), trace.iter_values()),  # dataout: zero on cycle 0, then the word before
+                words,
+                chain((self._zero,), before),  # dataout: the word before
                 self._ones,
                 self._totals,
             ),
@@ -147,8 +124,8 @@ class CycleRecords(Sequence):
             return list(map(self.__getitem__, cycle))
         trace = self._trace
         return tuple.__new__(CycleRecord, (
-            cycle, self._reset if cycle == 0 else False, trace.width, trace[cycle].value,
-            trace[cycle - 1].value if cycle else 0, self._ones[cycle], self._totals[cycle],
+            cycle, self._reset if cycle == 0 else False, trace[cycle],
+            trace[cycle - 1] if cycle else self._zero, self._ones[cycle], self._totals[cycle],
         ))
 
 

@@ -3,8 +3,10 @@
 These are the straightforward implementations the library's int-backed
 trace layer replaced, copied unchanged apart from taking and returning
 tuples of Words where they took and returned a Trace (the width is that of
-the first word), and `read_trace` taking the bytes a stream holds: it
-decodes and parses the whole text at once, where the library streams it.
+the first word), `read_trace` taking the bytes a stream holds (it decodes
+and parses the whole text at once, where the library streams it), and
+`parse_trace` following two later format rules: one byte-order mark at the
+very start is skipped, and a header's width takes ASCII digits only.
 `word_from_text` comes along because the copied bodies call it and the
 library has rewritten it, and `_check_header` checks a header's fields as
 the library's header record did, so that the oracle shares no header code
@@ -28,7 +30,7 @@ from togglesim.trace_io import TraceFormatError
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 _RADIX_BY_NAME = {"bin": 2, "hex": 16}
 _NAME_BY_RADIX = {2: "bin", 16: "hex"}
-_HEADER_RE = re.compile(r"^width=(\d+)\s+radix=(bin|hex)$")
+_HEADER_RE = re.compile(r"^width=([0-9]+)\s+radix=(bin|hex)$")
 
 
 def hamming_distance(a: Word, b: Word) -> int:
@@ -76,10 +78,11 @@ def _check_header(width: int, radix: int) -> None:
 
 
 def parse_trace(text: str) -> tuple[Word, ...]:
-    """Parse trace text into Words; raises TraceFormatError with line numbers."""
+    """Parse trace text into Words; raises TraceFormatError with line numbers.
+    One byte-order mark at the very start of the text is skipped."""
     width = radix = None
     words: list[Word] = []
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+    for lineno, raw_line in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue

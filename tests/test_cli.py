@@ -400,6 +400,21 @@ class TestAnalyze:
         assert code == 3
         assert "line 3" in stderr
 
+    def test_leading_byte_order_mark_is_skipped(self, capsys, binary4_trace, tmp_path):
+        marked = tmp_path / "marked.trace"
+        marked.write_bytes(b"\xef\xbb\xbf" + binary4_trace.read_bytes())
+        assert run_cli(capsys, "analyze", str(marked)) == run_cli(
+            capsys, "analyze", str(binary4_trace)
+        )
+
+    @pytest.mark.parametrize("width", ["\uff11\uff16", "\u0661\u0666"])
+    def test_header_width_in_other_digits_exits_3(self, capsys, tmp_path, width):
+        bad = tmp_path / "bad.trace"
+        bad.write_text(f"width={width} radix=bin\n0000\n0101\n", encoding="utf-8")
+        code, stdout, stderr = run_cli(capsys, "analyze", str(bad))
+        assert (code, stdout) == (3, "")
+        assert stderr.startswith("togglesim: error: line 1: expected header ")
+
     def test_non_utf8_file_names_line(self, capsys, tmp_path):
         bad = tmp_path / "bad.trace"
         bad.write_bytes(b"width=4 radix=bin\n0000\n\xff\n")

@@ -422,11 +422,11 @@ class TestValueSemantics:
         record = make()
         assert isinstance(record, tuple) == (type(record) is not Trace)
         assert not hasattr(record, "__dict__")
-        assert hasattr(record, "_fields") == (type(record) not in (Trace, CycleRecord))
+        assert hasattr(record, "_fields") == (type(record) is not Trace)
 
     def test_namedtuple_record_is_the_sequence_of_its_fields(self, make, field, other):
         record = make()
-        if not hasattr(record, "_fields"):  # Trace binds slots; CycleRecord stores its own layout
+        if not hasattr(record, "_fields"):  # Trace binds slots
             return
         names = type(record).__match_args__
         assert record._fields == names

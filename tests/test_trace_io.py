@@ -88,6 +88,48 @@ class TestParseTrace:
         trace = read_trace(io.StringIO(FIG_STIMULUS))
         assert len(trace) == 3
 
+    @pytest.mark.parametrize("text", [
+        "\ufeffwidth=4 radix=bin\n0000\n0101\n",
+        "\ufeff# saved by an editor that writes a mark\n\n# more\nwidth=4 radix=bin\n0000\n0101\n",
+    ])
+    @pytest.mark.parametrize("stream", [io.BytesIO, io.StringIO])
+    def test_one_leading_byte_order_mark_is_skipped(self, text, stream):
+        source = stream(text.encode() if stream is io.BytesIO else text)
+        assert read_trace(source) == Trace(4, (0, 5))
+
+    @pytest.mark.parametrize("stream", [io.BytesIO, io.StringIO])
+    def test_byte_order_mark_alone_is_a_missing_header(self, stream):
+        source = stream(b"\xef\xbb\xbf" if stream is io.BytesIO else "\ufeff")
+        with pytest.raises(TraceFormatError, match="^missing header 'width=<n> radix=<bin|hex>'$"):
+            read_trace(source)
+
+    @pytest.mark.parametrize("text,message", [
+        ("# comment\n\ufeffwidth=4 radix=bin\n0000\n",
+         "line 2: expected header 'width=<n> radix=<bin|hex>', got '\\ufeffwidth=4 radix=bin'"),
+        ("\ufeff\ufeffwidth=4 radix=bin\n0000\n",
+         "line 1: expected header 'width=<n> radix=<bin|hex>', got '\\ufeffwidth=4 radix=bin'"),
+        ("width=4 radix=bin\n\ufeff0000\n",
+         "line 2: invalid binary digit '\\ufeff' in '\\ufeff0000'"),
+        # the skipped mark moves no line number
+        ("\ufeff# comment\nwidth=4 radix=bin\n0000\n0002\n",
+         "line 4: invalid binary digit '2' in '0002'"),
+    ])
+    @pytest.mark.parametrize("stream", [io.BytesIO, io.StringIO])
+    def test_byte_order_mark_elsewhere_is_an_error(self, text, message, stream):
+        source = stream(text.encode() if stream is io.BytesIO else text)
+        with pytest.raises(TraceFormatError) as raised:
+            read_trace(source)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("header", ["width=\uff11\uff16 radix=bin",  # fullwidth
+                                        "width=\u0661\u0666 radix=hex"])  # Arabic-Indic
+    def test_header_width_takes_ascii_digits_only(self, header):
+        with pytest.raises(TraceFormatError) as raised:
+            read_trace(io.StringIO(f"{header}\n0000\n0101\n"))
+        assert str(raised.value) == (
+            f"line 1: expected header 'width=<n> radix=<bin|hex>', got {header!r}"
+        )
+
     @pytest.mark.parametrize(
         "data,lineno",
         [
@@ -462,6 +504,9 @@ class TestBlockEdges:
     @example("width=4 radix=bin\r\n0000\r\n0001\r", 2)
     @example("# €\nwidth=4 radix=bin\x1c0000 0001\x85", 3)
     @example("width=4 radix=bin\n0000\n0001\n0002\n", 4)
+    @example("\ufeff# €\nwidth=4 radix=bin\r\n0000\r\n0001\n", 1)  # a mark split by block edges
+    @example("\ufeff\ufeffwidth=4 radix=bin\n0000\n", 2)
+    @example("#\n\ufeffwidth=4 radix=bin\n0000\n", 1)  # a mark that starts a later block
     def test_text(self, text, block):
         self.check(text, block)
 

@@ -12,6 +12,7 @@ from togglesim.trace import Trace
 from togglesim.transition_counter import (
     TOTAL_SATURATION,
     BitTransitionCounter,
+    CycleRecord,
     run_trace,
 )
 from reference_trace import hamming_distance
@@ -162,6 +163,21 @@ class TestRunTrace:
         for left, right in ((record, tuple(record)), (tuple(record), record), (record, record)):
             with pytest.raises(TypeError, match="not supported between instances of 'CycleRecord'"):
                 op(left, right)
+
+    def test_record_is_the_sequence_of_its_six_fields(self):
+        trace = Trace(4, (0b0001, 0b0010, 0b0111))
+        counter = BitTransitionCounter(4)
+        stepped_records = [counter.step(word, reset=(i == 0)) for i, word in enumerate(trace)]
+        records = run_trace(trace)
+        for record in [*stepped_records, *records, *(records[i] for i in range(-3, 3))]:
+            fields = (record.cycle, record.reset, record.datain, record.dataout,
+                      record.one_transition, record.total_transition)
+            assert len(record) == 6
+            assert tuple(record) == fields
+            cycle, reset, datain, dataout, one, total = record
+            assert (cycle, reset, datain, dataout, one, total) == fields
+            assert record._fields == CycleRecord.__match_args__
+        assert tuple(records[2]) == (2, False, trace[2], trace[1], 2, 4)
 
     def test_records_repr(self):
         records = run_trace(Trace(4, (0b0001, 0b0010)))
