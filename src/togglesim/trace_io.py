@@ -10,9 +10,9 @@ Trace text format, chosen for hand-editability of small fixtures:
 
 Leading and trailing whitespace is stripped from every line, and lines end
 where `str.splitlines` ends them. One UTF-8 byte-order mark at the very
-start of the text is skipped. The width is written in ASCII digits, and
-`radix` is `bin` (MSB-first binary) or `hex` (case-insensitive on input,
-rendered uppercase and zero-padded).
+start of the text is skipped. The header is `width=` and the width in ASCII
+digits, whitespace, then `radix=bin` (MSB-first binary) or `radix=hex`
+(case-insensitive on input, rendered uppercase and zero-padded).
 
 Both directions stream, one packed chunk (see `bits`) at a time, so a
 reader or writer of any trace holds one block of text and its words. The
@@ -33,12 +33,11 @@ block with a bad word is walked, to name the line a whole-text parse would.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Iterable, Iterator
 from io import IOBase, TextIOBase
 from itertools import islice, repeat
 
-from .bits import CHUNK_BYTES, DIGITS, RADIXES, check_width, word_digits, word_from_text
+from .bits import CHUNK_BYTES, DIGITS, MAX_WIDTH, RADIXES, word_digits, word_from_text
 
 REPORT_FORMATS = ("json", "csv", "table")
 
@@ -47,7 +46,6 @@ class TraceFormatError(ValueError):
     """Malformed trace text; the message names the offending line."""
 
 
-_HEADER_RE = re.compile(r"^width=([0-9]+)\s+radix=(bin|hex)$")  # ASCII digits only
 _DIGITS = {radix: digits.encode("ascii") for radix, digits in DIGITS.items()}
 
 
@@ -134,17 +132,19 @@ def _significant(lines: list[str], lineno: int) -> Iterator[tuple[int, str]]:
 def _header(line: str, lineno: int) -> tuple[int, int]:
     """The width and radix of the header whose text is `line`, line `lineno`
     of the trace."""
-    match = _HEADER_RE.match(line)
-    if not match:
+    text = " ".join(line.split())  # its fields, one space apart
+    digits, _, name = text.removeprefix("width=").partition(" radix=")
+    if not (text == f"width={digits} radix={name}" and digits.isdigit() and digits.isascii()
+            and name in RADIXES):
         raise TraceFormatError(
             f"line {lineno}: expected header 'width=<n> radix=<bin|hex>', got {line!r}"
         )
-    width = int(match.group(1))
-    try:
-        check_width(width)
-    except ValueError as exc:
-        raise TraceFormatError(f"line {lineno}: {exc}") from exc
-    return width, RADIXES[match.group(2)]
+    digits = digits.lstrip("0") or "0"  # sized as text: int() takes 4300 digits at most
+    if len(digits) > len(str(MAX_WIDTH)) or not 1 <= int(digits) <= MAX_WIDTH:
+        raise TraceFormatError(
+            f"line {lineno}: width must be an integer in 1..{MAX_WIDTH}, got {digits}"
+        )
+    return int(digits), RADIXES[name]
 
 
 def _words(lines: list[str], lineno: int, width: int, radix: int) -> bytes:

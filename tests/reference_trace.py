@@ -5,8 +5,10 @@ trace layer replaced, copied unchanged apart from taking and returning
 tuples of Words where they took and returned a Trace (the width is that of
 the first word), `read_trace` taking the bytes a stream holds (it decodes
 and parses the whole text at once, where the library streams it), and
-`parse_trace` following two later format rules: one byte-order mark at the
-very start is skipped, and a header's width takes ASCII digits only.
+`parse_trace` following three later format rules: one byte-order mark at
+the very start is skipped, a header's width takes ASCII digits only, and
+a width of more digits than MAX_WIDTH's, leading zeros aside, is rejected
+before `int()` reads it.
 `word_from_text` comes along because the copied bodies call it and the
 library has rewritten it, and `_check_header` checks a header's fields as
 the library's header record did, so that the oracle shares no header code
@@ -92,7 +94,13 @@ def parse_trace(text: str) -> tuple[Word, ...]:
                 raise TraceFormatError(
                     f"line {lineno}: expected header 'width=<n> radix=<bin|hex>', got {line!r}"
                 )
-            width, radix = int(match.group(1)), _RADIX_BY_NAME[match.group(2)]
+            # leading zeros dropped before int(), which takes 4300 digits at most
+            digits = match.group(1).lstrip("0") or "0"
+            if len(digits) > len(str(MAX_WIDTH)):
+                raise TraceFormatError(
+                    f"line {lineno}: width must be an integer in 1..{MAX_WIDTH}, got {digits}"
+                )
+            width, radix = int(digits), _RADIX_BY_NAME[match.group(2)]
             try:
                 _check_header(width, radix)
             except ValueError as exc:

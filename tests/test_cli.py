@@ -415,6 +415,23 @@ class TestAnalyze:
         assert (code, stdout) == (3, "")
         assert stderr.startswith("togglesim: error: line 1: expected header ")
 
+    def test_header_width_zero_padded_past_the_int_limit(self, capsys, tmp_path):
+        # the width's leading zeros are dropped before int(), which takes at
+        # most 4300 digits, so this header reads as width=16 does
+        padded, plain = tmp_path / "padded.trace", tmp_path / "plain.trace"
+        words = f"{'0' * 16}\n{'0' * 15}1\n"
+        padded.write_text(f"width={'0' * 5000}16 radix=bin\n{words}")
+        plain.write_text(f"width=16 radix=bin\n{words}")
+        assert run_cli(capsys, "analyze", str(padded)) == run_cli(capsys, "analyze", str(plain))
+
+    def test_header_width_past_the_int_limit_names_its_line(self, capsys, tmp_path):
+        digits = "1" + "0" * 5000
+        bad = tmp_path / "bad.trace"
+        bad.write_text(f"width={digits} radix=bin\n0\n1\n")
+        assert run_cli(capsys, "analyze", str(bad)) == (
+            3, "", f"togglesim: error: line 1: width must be an integer in 1..1024, got {digits}\n"
+        )
+
     def test_non_utf8_file_names_line(self, capsys, tmp_path):
         bad = tmp_path / "bad.trace"
         bad.write_bytes(b"width=4 radix=bin\n0000\n\xff\n")

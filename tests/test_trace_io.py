@@ -2,6 +2,7 @@ import io
 import json
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -129,6 +130,18 @@ class TestParseTrace:
         assert str(raised.value) == (
             f"line 1: expected header 'width=<n> radix=<bin|hex>', got {header!r}"
         )
+
+    @pytest.mark.parametrize("zeros", [1, 5000])
+    def test_header_width_leading_zeros_are_dropped(self, zeros):
+        # past int()'s 4300-digit limit too: the width is sized as text first
+        text = f"width={'0' * zeros}16 radix=bin\n{'0' * 16}\n{'0' * 15}1\n"
+        assert read_trace(io.StringIO(text)) == Trace(16, (0, 1))
+
+    @pytest.mark.parametrize("digits", ["10000", "1" + "0" * 5000], ids=["5", "5001"])
+    def test_header_width_of_many_digits_names_its_line(self, digits):
+        with pytest.raises(TraceFormatError) as raised:
+            read_trace(io.StringIO(f"# long\nwidth=00{digits} radix=hex\n0\n1\n"))
+        assert str(raised.value) == f"line 2: width must be an integer in 1..1024, got {digits}"
 
     @pytest.mark.parametrize(
         "data,lineno",
@@ -391,6 +404,43 @@ def long_corrupted_traces(draw):
     return "\n".join(lines) + "\n", index + 1
 
 
+# The code points str.isspace() accepts: str.split, str.strip and the \s of
+# a str regex all take exactly these as whitespace, so the reader's split
+# header accepts what the oracle's regex does.
+WHITESPACE = "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680" + "".join(
+    map(chr, range(0x2000, 0x200B))) + "\u2028\u2029\u202f\u205f\u3000"
+
+# Header lines, each followed in the trace by the words 0 and 1.
+HEADER_CASES = {
+    **{f"between-U+{ord(c):04X}": f"width=16{c}radix=bin" for c in WHITESPACE},
+    **{f"around-U+{ord(c):04X}": f"{c}width=16 {c}{c}radix=hex{c}" for c in WHITESPACE},
+    "fullwidth-digits": "width=\uff11\uff16 radix=bin",
+    "arabic-indic-digits": "width=\u0661\u0666 radix=hex",
+    "superscript-digit": "width=1\u00b2 radix=bin",
+    "leading-zero": "width=016 radix=bin",
+    "leading-zeros-past-int-limit": f"width={'0' * 5000}16 radix=bin",
+    "zeros": "width=000 radix=bin",
+    "max-width-zero-padded": "width=001024 radix=hex",
+    "past-max-width": "width=01025 radix=hex",
+    "digits-past-int-limit": f"width=1{'0' * 5000} radix=bin",
+    "radix-upper-case": "width=16 radix=HEX",
+    "key-capitalised": "width=16 Radix=bin",
+    "third-field": "width=16 radix=bin extra",
+    "space-before-equals": "width =16 radix=bin",
+    "no-digits": "width= radix=bin",
+    "fields-swapped": "radix=bin width=16",
+    "signed-width": "width=+16 radix=bin",
+    "underscore-width": "width=1_6 radix=bin",
+    "radix-only": "radix=bin",
+}
+
+
+def test_whitespace_is_what_isspace_and_the_regex_take():
+    chars = [chr(code) for code in range(sys.maxunicode + 1)]
+    assert WHITESPACE == "".join(filter(str.isspace, chars))
+    assert WHITESPACE == "".join(filter(re.compile(r"\s").fullmatch, chars))
+
+
 class TestAgainstReference:
     """read_trace of a text and render_trace against the Word-based versions
     they replaced."""
@@ -415,6 +465,17 @@ class TestAgainstReference:
     def test_parse_trace(self, text):
         assert outcome(lambda: tuple(read_trace(io.StringIO(text)))) == outcome(
             reference.parse_trace, text
+        )
+
+    @pytest.mark.parametrize("header", HEADER_CASES.values(), ids=HEADER_CASES)
+    def test_header(self, header):
+        text = f"# first\n{header}\n0\n1\n"
+        assert outcome(lambda: tuple(read_trace(io.StringIO(text)))) == outcome(
+            reference.parse_trace, text
+        )
+        data = text.encode()
+        assert outcome(lambda: tuple(read_trace(io.BytesIO(data)))) == outcome(
+            reference.read_trace, data
         )
 
     @settings(max_examples=25, deadline=None)
