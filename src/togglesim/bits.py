@@ -15,10 +15,10 @@ a stage works on a chunk in a few C-level calls, not one Python call per
 word. :func:`pack` makes a chunk of ints, ``togglesim.trace.unpack`` reads
 one back, and ``togglesim.activity`` counts transitions over chunks.
 
-:class:`Record` is the base of every immutable value class in the package,
-:class:`Word` and ``Trace`` included: named fields, with equality, hash,
-repr and pickling by field. Every record but ``Trace`` is a tuple on a
-``collections.namedtuple`` base.
+:class:`Record` is the base of the package's immutable records,
+:class:`Word` included: each is a ``collections.namedtuple``, to which the
+base adds checked ``_replace``, class-strict equality, no order and pickling
+through the constructor. ``Trace``, a held trace, is no record.
 """
 
 from __future__ import annotations
@@ -28,9 +28,12 @@ from collections import namedtuple
 from collections.abc import Iterable
 from functools import partialmethod
 from itertools import repeat
-from operator import attrgetter
 
 MAX_WIDTH = 1024  # sanity bound; typical buses here are 4..16 lines
+
+# What check_width and the trace header say of a width outside 1..MAX_WIDTH,
+# before the width they were given.
+BAD_WIDTH = f"width must be an integer in 1..{MAX_WIDTH}, got "
 
 # The byte budget of every chunked stage: the trace reader's block, and the
 # values per generated or sliced chunk (chunk_words). The per-chunk Python
@@ -92,46 +95,30 @@ def pack(width: int, values: Iterable[int]) -> bytes:
 def check_width(width: int) -> None:
     """Reject bus widths outside 1..MAX_WIDTH."""
     if not isinstance(width, int) or not 1 <= width <= MAX_WIDTH:
-        raise ValueError(f"width must be an integer in 1..{MAX_WIDTH}, got {width!r}")
+        raise ValueError(f"{BAD_WIDTH}{width!r}")
 
 
 class Record:
-    """An immutable value of two or more fields, named in order in
-    ``__match_args__``: a ``collections.namedtuple`` subclass with
-    ``__slots__ = ()``, checked, if at all, in ``__new__``, which ``_replace``
-    runs too. ``Trace`` binds slots instead.
-
-    Records of the same class with equal fields compare and hash equal, like
-    the tuple of their fields (``Trace``, which stores no tuple, compares and
-    hashes its width and chunk, which stand for its words); a record equals
-    nothing else and has no order, not even against a tuple. The repr is
-    ``Name(field=value, ...)``, and pickle and copy rebuild a record through
-    its constructor.
+    """The base of the package's immutable records, each a
+    ``collections.namedtuple`` subclass with ``__slots__ = ()``, checked, if
+    at all, in ``__new__``. It adds what namedtuple lacks: ``_replace`` runs
+    those checks, a record equals only a record of its own class with equal
+    fields (and hashes like the tuple of them), it has no order, not even
+    against a tuple, and pickle and copy rebuild it through its constructor.
     """
 
     __slots__ = ()
 
-    def __init_subclass__(cls) -> None:
-        cls._values = attrgetter(*cls.__match_args__)  # a tuple: every record has 2+ fields
-
     @classmethod
     def _make(cls, values: Iterable[object]) -> Record:  # so that _replace checks, too
         return cls(*values)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return False if isinstance(other, tuple) else NotImplemented
         return tuple.__eq__(self, other)  # compare what is stored
 
-    def __hash__(self) -> int:
-        return hash(self._values(self))
-
+    __hash__ = tuple.__hash__
     __ne__ = object.__ne__  # != inverts __eq__
 
     def _unordered(self, op: str, other: object) -> bool:
@@ -141,11 +128,7 @@ class Record:
     __lt__, __le__, __gt__, __ge__ = map(partialmethod, repeat(_unordered), ("<", "<=", ">", ">="))
 
     def __reduce__(self):
-        return self.__class__, self._values(self)
-
-    def __repr__(self) -> str:
-        fields = map("{}={!r}".format, self.__match_args__, self._values(self))
-        return f"{type(self).__qualname__}({', '.join(fields)})"
+        return self.__class__, tuple(self)
 
 
 class Word(Record, namedtuple("Word", "width value")):

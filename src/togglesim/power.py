@@ -132,12 +132,12 @@ def thermal_voltage(temperature: float) -> float:
 
 def cmd_power(args) -> None:
     """The `power` command: print the power its parsed command line describes."""
-    import json
-
     if (args.tau is None) == (args.from_report is None):
         raise UsageError("exactly one of --tau or --from-report is required")
     tau = args.tau
     if args.from_report is not None:
+        import json  # here, not at the top: --tau reads no report
+
         try:
             with open(args.from_report, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
@@ -145,7 +145,7 @@ def cmd_power(args) -> None:
             if isinstance(tau, bool) or not isinstance(tau, (int, float)):
                 raise TypeError(f"tau must be a JSON number, got {json.dumps(tau)}")
             tau = check_tau(float(tau))
-        except (OSError, OverflowError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (OSError, OverflowError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"cannot read tau from {args.from_report}: {exc}")  # exit 3
     try:
         params = DynamicPowerParams(tau=tau, load_capacitance=args.cap, supply_voltage=args.vdd,

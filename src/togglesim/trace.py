@@ -2,7 +2,8 @@
 command builds: the whole-trace wrappers (`generate`, `read_trace`,
 the encoders' `*_encode_trace`) import this module when they build one.
 `unpack`, the inverse of `bits.pack`, is here with `Trace`, the one reader
-of a chunk's words as ints.
+of a chunk's words as ints. `Trace` is a slotted class, not one of the
+tuple records on `bits.Record`.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from itertools import chain, repeat
 
-from .bits import Record, Word, check_width, chunk_words, machine_words, pack
+from .bits import Word, check_width, chunk_words, machine_words, pack
 
 
 def unpack(width: int, chunk: bytes) -> list[int]:
@@ -25,13 +26,14 @@ def unpack(width: int, chunk: bytes) -> list[int]:
     return items.tolist()
 
 
-class Trace(Record):
+class Trace:
     """Same-width words over consecutive clock cycles, cycle 0 first.
     ``Trace(width, values)`` checks and packs int values; ``values`` unpacks
-    them. Iteration builds each :class:`Word` a chunk at a time. It is the one
-    record that binds slots: as a tuple, its ``in``, ``count``, ``index`` and
-    ``+`` would act on ``(width, chunk)``, not on its words. Equality and hash
-    read ``(width, chunk)``, which the words fix, so neither unpacks a word.
+    them. Iteration builds each :class:`Word` a chunk at a time. It binds
+    slots: as a tuple, its ``in``, ``count``, ``index`` and ``+`` would act
+    on ``(width, chunk)``, not on its words. Equality and hash read
+    ``(width, chunk)``, which the words fix, so neither unpacks a word; repr,
+    pickle and copy give ``width`` and ``values``, as the constructor takes.
     """
 
     __slots__ = ("width", "chunk")
@@ -81,13 +83,15 @@ class Trace(Record):
         chunk, step = self.chunk, chunk_words(self.width) * ((self.width + 7) // 8)
         return (chunk[start : start + step] for start in range(0, len(chunk), step))
 
-    def iter_values(self) -> Iterator[int]:
-        """The words' int values, unpacked a chunk at a time."""
-        return chain.from_iterable(map(unpack, repeat(self.width), self.chunks()))
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
-            return super().__eq__(other)
+            return NotImplemented
         return self.width == other.width and self.chunk == other.chunk
 
     def __hash__(self) -> int:
@@ -97,7 +101,8 @@ class Trace(Record):
         return len(self.chunk) // ((self.width + 7) // 8)
 
     def __iter__(self) -> Iterator[Word]:
-        return map(tuple.__new__, repeat(Word), zip(repeat(self.width), self.iter_values()))
+        values = chain.from_iterable(map(unpack, repeat(self.width), self.chunks()))
+        return map(tuple.__new__, repeat(Word), zip(repeat(self.width), values))
 
     def __getitem__(self, index: int | slice) -> Word | list[Word]:
         cycle = range(len(self))[index]  # an int, negatives counted from the end, or a range
@@ -106,3 +111,9 @@ class Trace(Record):
         size = (self.width + 7) // 8
         value = int.from_bytes(self.chunk[cycle * size : (cycle + 1) * size], "big")
         return tuple.__new__(Word, (self.width, value))
+
+    def __reduce__(self):
+        return self.__class__, (self.width, self.values)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(width={self.width!r}, values={self.values!r})"

@@ -37,7 +37,7 @@ from collections.abc import Iterable, Iterator
 from io import IOBase, TextIOBase
 from itertools import islice, repeat
 
-from .bits import CHUNK_BYTES, DIGITS, MAX_WIDTH, RADIXES, word_digits, word_from_text
+from .bits import BAD_WIDTH, CHUNK_BYTES, DIGITS, MAX_WIDTH, RADIXES, word_digits, word_from_text
 
 REPORT_FORMATS = ("json", "csv", "table")
 
@@ -141,9 +141,7 @@ def _header(line: str, lineno: int) -> tuple[int, int]:
         )
     digits = digits.lstrip("0") or "0"  # sized as text: int() takes 4300 digits at most
     if len(digits) > len(str(MAX_WIDTH)) or not 1 <= int(digits) <= MAX_WIDTH:
-        raise TraceFormatError(
-            f"line {lineno}: width must be an integer in 1..{MAX_WIDTH}, got {digits}"
-        )
+        raise TraceFormatError(f"line {lineno}: {BAD_WIDTH}{digits}")
     return int(digits), RADIXES[name]
 
 

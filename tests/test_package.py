@@ -7,6 +7,7 @@ import copy
 import importlib
 import inspect
 import json
+import operator
 import os
 import pickle
 import pkgutil
@@ -74,13 +75,13 @@ COMMANDS = {
 # its command runs.
 NODE_BUDGETS = {
     "build_parser": 696,
-    "gen": 4964,
-    "analyze": 4891,
-    "gen-gray": 5664,
-    "gen-cyclic": 4414,
-    "analyze-encode": 5591,
-    "tables": 8600,
-    "power": 3350,
+    "gen": 4861,
+    "analyze": 4788,
+    "gen-gray": 5561,
+    "gen-cyclic": 4311,
+    "analyze-encode": 5488,
+    "tables": 8497,
+    "power": 3243,
 }
 
 
@@ -174,14 +175,16 @@ class TestImports:
 
     @pytest.mark.parametrize("argv,argparse_loaded", [
         (COMMANDS["gen"][0], False), (["analyze", "-"], False),
-        (["analyze", "-", "--format", "csv"], False), (["gen", "--help"], True),
-    ], ids=["gen", "analyze", "analyze-csv", "gen-help"])
+        (["analyze", "-", "--format", "csv"], False), (COMMANDS["power"][0], False),
+        (["gen", "--help"], True),
+    ], ids=["gen", "analyze", "analyze-csv", "power", "gen-help"])
     def test_plain_line_as_run_loads_no_argparse(self, argv, argparse_loaded):
         # as the benchmark runs a pipeline's processes, with -S so that no site
         # .pth file loads them first: only the fallback to argparse, --help
         # here, imports argparse and with it gettext, locale, re and enum; a
         # plain analyze loads no re, as the trace header is checked without
-        # it (analyze --format json still loads re, through json)
+        # it, and no line loads json, which loads re and enum: only analyze
+        # --format json and power --from-report import it
         env = {**os.environ, "PYTHONPATH": SRC, "PYTHONDONTWRITEBYTECODE": "1"}
         result = subprocess.run(
             [sys.executable, "-S", "-X", "importtime", "-m", "togglesim.cli", *argv],
@@ -194,6 +197,7 @@ class TestImports:
         }
         heavy = {"argparse", "gettext", "locale", "re", "enum"}
         assert reported & heavy == (heavy if argparse_loaded else set())
+        assert "json" not in reported
 
     def test_probe_loads_only_bits_and_activity(self):
         # activity holds the transition counts that the probe shares
@@ -501,6 +505,27 @@ def test_equal_traces_compare_and_hash_without_unpacking(monkeypatch):
     assert a == b and not a != b and hash(a) == hash(b)
     assert a != shorter and a != Trace(13, range(4000))
     assert a != (12, a.chunk)
+
+
+def test_trace_pickles_through_its_constructor():
+    # Trace is no Record: it defines its pickling itself, as Record does
+    t = Trace(4, (1, 2))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert t.__reduce_ex__(protocol) == (Trace, (4, (1, 2)))
+
+
+@pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge])
+def test_trace_has_no_order_even_against_a_tuple(op):
+    t = Trace(4, (1, 2))
+    for left, right in ((t, Trace(4, (1, 3))), (t, t), (t, (4, (1, 2))), ((4, t.chunk), t)):
+        with pytest.raises(TypeError, match="not supported between instances of"):
+            op(left, right)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_every_record_but_trace_is_a_tuple_record(name):
+    cls = type(RECORDS[name][0]())
+    assert issubclass(cls, tuple) == issubclass(cls, Record) == (cls is not Trace)
 
 
 def test_cycle_record_rejects_mixed_widths():
