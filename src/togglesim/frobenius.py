@@ -1,6 +1,6 @@
-"""The chunk source of a cyclic CA, which only its generator imports: its
-lanes start by the powers M^(2^k) of the step's bit matrix M, at every
-width and run length. A cyclic step multiplies by x + c + x^-1 modulo
+"""The chunk source of a cyclic CA, which only its generator imports, and
+the powers M^(2^k) of the step's bit matrix M, by which its lanes start at
+every width and run length. A cyclic step multiplies by x + c + x^-1 modulo
 x^w - 1 (c = 1 for rule 150), and squaring over GF(2) is additive, so
 M^(2^k) is x^d + c + x^-d, d = 2^k mod w: two rotations of each lane (O.
 Martin, A. M. Odlyzko and S. Wolfram, "Algebraic properties of cellular
@@ -11,15 +11,15 @@ rule 90 is all-zero from step w/2 on.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 
 from .bits import chunk_words
 from .generators import Source, Step
 
 
-def power_source(width: int, power: Callable[[int, int], Step]) -> Source:
-    """The source of a linear kind whose `power(k, low)` is M^(2^k) as the
-    step of every lane at once, `low` holding bit 0 of each (a cyclic CA).
+def power_source(width: int, self_mask: int) -> Source:
+    """The source of a cyclic CA whose rule keeps the cells of `self_mask`
+    (none for rule 90, all for rule 150).
 
     A batch is K lanes, K the largest power of two no greater than a
     chunk's words or the run's: the seed's lane doubles into K lanes through
@@ -30,6 +30,16 @@ def power_source(width: int, power: Callable[[int, int], Step]) -> Source:
     """
     size = (width + 7) // 8
     bits, one = 8 * size, (1).to_bytes(size, "big")
+
+    def power(k: int, low: int) -> Step:
+        # M^(2^k) = x^d + c + x^-d on every lane at once, `low` holding bit 0 of each
+        d, own = pow(2, k, width), low * self_mask
+        if 2 * d % width == 0:  # x^d = x^-d: the rotations cancel
+            return lambda s: s & own
+        e = width - d
+        low_d, low_e = (low << d) - low, (low << e) - low  # bits 0 to d - 1, e - 1
+        return lambda s: (((s >> d) & low_e) ^ ((s & low_d) << e) ^ ((s >> e) & low_d)
+                          ^ ((s & low_e) << d) ^ (s & own))
 
     def chunks(seed: int, cycles: int) -> Iterator[bytes]:
         words = cycles + 1

@@ -26,8 +26,8 @@ builder that returns the kind's chunk source (gray: the binary counter's,
 gray-mapped). The binary counter, LFSRs and null-boundary CAs give
 `lanes.source` their one-word step, the linear ones also their step on
 lanes of words in one int, started by jumps through matrix columns. A
-cyclic CA gives `frobenius.power_source` its powers M^(2^k), two rotations
-of each lane. Each builder imports the engine it runs. `GeneratorConfig`
+cyclic CA's source is `frobenius.power_source`, which owns the powers M^(2^k)
+of its step. Each builder imports the engine it runs. `GeneratorConfig`
 validates every parameter once, so the builders trust it. `generate_chunks`,
 or `generate` for a whole `Trace`, is the one way to run a generator: the
 CLI, tables and benchmark all use it. Only `gen` and `tables` load this
@@ -114,20 +114,7 @@ def _ca(width: int, self_mask: int, boundary: str) -> Source:
 
     from .frobenius import power_source
 
-    def power(k: int, low: int) -> Step:
-        # M^(2^k) = x^d + c + x^-d, d = 2^k mod w, c = 1 for rule 150 (see `frobenius`)
-        d = pow(2, k, width)
-        if 2 * d % width == 0:  # x^d = x^-d: the rotations cancel
-            return (lambda s: s) if self_mask else (lambda s: 0)
-        e = width - d
-        low_d, low_e = (low << d) - low, (low << e) - low  # bits 0 to d - 1, e - 1
-        if self_mask:
-            return lambda s: (((s >> d) & low_e) ^ ((s & low_d) << e) ^ ((s >> e) & low_d)
-                              ^ ((s & low_e) << d) ^ s)
-        return lambda s: (
-            ((s >> d) & low_e) ^ ((s & low_d) << e) ^ ((s >> e) & low_d) ^ ((s & low_e) << d))
-
-    return power_source(width, power)
+    return power_source(width, self_mask)
 
 
 def _binary(width: int) -> Source:

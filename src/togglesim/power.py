@@ -8,23 +8,23 @@ n = 2.
 Static power is the subthreshold leakage current times the supply voltage,
 leakage following the diode law i_s * (exp(qV / kT) - 1).
 
-A power or current too large for a float raises ValueError; none is
-returned as inf. `cmd_power` is the `power` command's body.
+One overflow rule, `_unless_overflow`, covers all three quantities: one too
+large for a float raises ValueError naming it, and none is returned as inf.
+qV/kT is V/T times q/k, so a temperature too small for k*T is an overflow,
+not a zero divisor. `cmd_power` is the `power` command's body.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Callable
 
 from . import UsageError
 from .bits import Record
 
 ELEMENTARY_CHARGE = 1.602176634e-19  # C
 BOLTZMANN = 1.380649e-23  # J/K
-
-# exp() overflows doubles just above exp(709); reject clearly before that.
-_MAX_EXPONENT = 700.0
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -82,8 +82,12 @@ class StaticPowerParams(Record, namedtuple("StaticPowerParams", "saturation_curr
                                supply_voltage)
 
 
-def _check_result(name: str, value: float) -> float:
-    """Return a computed magnitude if it is finite; an overflow raises ValueError."""
+def _unless_overflow(name: str, quantity: Callable[[], float]) -> float:
+    """Return quantity(); one that overflows the float range raises ValueError."""
+    try:
+        value = quantity()
+    except OverflowError:  # float ** int and math.expm1 raise where float * float gives inf
+        value = math.inf
     if not math.isfinite(value):
         raise ValueError(f"{name} overflows the float range")
     return value
@@ -91,11 +95,8 @@ def _check_result(name: str, value: float) -> float:
 
 def dynamic_power(p: DynamicPowerParams) -> float:
     """Average switching power in watts: tau * C * V^n * f."""
-    try:
-        watts = p.tau * p.load_capacitance * p.supply_voltage**p.voltage_exponent * p.frequency
-    except OverflowError:  # float ** int raises where float * float gives inf
-        watts = math.inf
-    return _check_result("dynamic power", watts)
+    return _unless_overflow("dynamic power", lambda: (
+        p.tau * p.load_capacitance * p.supply_voltage**p.voltage_exponent * p.frequency))
 
 
 def leakage_current(saturation_current: float, voltage: float, temperature: float) -> float:
@@ -103,12 +104,9 @@ def leakage_current(saturation_current: float, voltage: float, temperature: floa
     _check_positive("saturation_current", saturation_current)
     _check_finite("voltage", voltage)
     _check_positive("temperature", temperature)
-    exponent = ELEMENTARY_CHARGE * voltage / (BOLTZMANN * temperature)
-    if exponent > _MAX_EXPONENT:
-        raise ValueError(
-            f"qV/kT = {exponent:.1f} exceeds {_MAX_EXPONENT:.0f}; result would overflow"
-        )
-    return _check_result("leakage current", saturation_current * math.expm1(exponent))
+    exponent = voltage / temperature * (ELEMENTARY_CHARGE / BOLTZMANN)
+    return _unless_overflow("leakage current",
+                            lambda: saturation_current * math.expm1(exponent))
 
 
 def static_power(p: StaticPowerParams) -> float:
@@ -117,11 +115,8 @@ def static_power(p: StaticPowerParams) -> float:
     For a circuit of n devices, sum the per-device leakages first and scale
     a single call, or sum per-device static_power results.
     """
-    return _check_result(
-        "static power",
-        leakage_current(p.saturation_current, p.diode_voltage, p.temperature)
-        * p.supply_voltage,
-    )
+    current = leakage_current(p.saturation_current, p.diode_voltage, p.temperature)
+    return _unless_overflow("static power", lambda: current * p.supply_voltage)
 
 
 def thermal_voltage(temperature: float) -> float:
@@ -145,7 +140,7 @@ def cmd_power(args) -> None:
             if isinstance(tau, bool) or not isinstance(tau, (int, float)):
                 raise TypeError(f"tau must be a JSON number, got {json.dumps(tau)}")
             tau = check_tau(float(tau))
-        except (OSError, OverflowError, KeyError, TypeError, ValueError) as exc:
+        except (OSError, OverflowError, RecursionError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"cannot read tau from {args.from_report}: {exc}")  # exit 3
     try:
         params = DynamicPowerParams(tau=tau, load_capacitance=args.cap, supply_voltage=args.vdd,

@@ -704,6 +704,47 @@ class TestPower:
         assert "finite" in stderr
 
 
+    def test_report_nested_past_the_recursion_limit_exits_3(self, capsys, tmp_path):
+        report = tmp_path / "deep.json"
+        report.write_text("[" * 200_000 + "]" * 200_000)
+        code, stdout, stderr = run_cli(
+            capsys, "power", "--from-report", str(report), "--cap", "1e-12",
+            "--vdd", "1", "--freq", "1e6",
+        )
+        assert code == 3
+        assert stdout == ""
+        assert stderr.startswith(
+            f"togglesim: error: cannot read tau from {report}: maximum recursion depth exceeded")
+
+    def test_temperature_too_small_for_kt_exits_2(self, capsys):
+        # k * 1e-310 K underflows to 0.0; qV/kT overflows instead of dividing by it
+        code, stdout, stderr = run_cli(
+            capsys, "power", "--tau", "0.5", "--cap", "1e-12", "--vdd", "1", "--freq", "1e6",
+            "--isat", "1e-12", "--vdiode", "0.3", "--temp", "1e-310",
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr == "togglesim: error: leakage current overflows the float range\n"
+
+    def test_every_parameter_line_exits_0_2_or_3(self, capsys):
+        # zeros, subnormals, the float range's ends, negatives and non-finite
+        # values in every parameter: a result, or one error line, never a traceback
+        values = ["0", "-0", "5e-324", "1e-310", "1e-300", "1e-12", "0.3", "1", "700", "1e200",
+                  "1.7976931348623157e308", "-1", "nan", "inf"]
+        rng = random.Random(34)
+        for _ in range(500):
+            argv = ["power", "--tau", rng.choice(["0", "0.5", "1"])]
+            for flag in ("--cap", "--vdd", "--freq", "--isat", "--vdiode", "--temp"):
+                argv += [flag, rng.choice(values)]
+            code = main(argv)
+            stdout, stderr = capsys.readouterr()
+            assert code in (0, 2, 3), argv
+            if code:
+                assert stdout == "" and stderr.count("\n") == 1, argv
+                assert stderr.startswith("togglesim: error: "), argv
+            else:
+                assert "inf" not in stdout and "nan" not in stdout, argv
+
     @pytest.mark.parametrize(
         "argv,quantity",
         [

@@ -75,13 +75,13 @@ COMMANDS = {
 # its command runs.
 NODE_BUDGETS = {
     "build_parser": 696,
-    "gen": 4861,
+    "gen": 4669,
     "analyze": 4788,
-    "gen-gray": 5561,
-    "gen-cyclic": 4311,
+    "gen-gray": 5369,
+    "gen-cyclic": 4258,
     "analyze-encode": 5488,
-    "tables": 8497,
-    "power": 3243,
+    "tables": 8305,
+    "power": 3238,
 }
 
 

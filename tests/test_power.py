@@ -117,11 +117,25 @@ class TestLeakageCurrent:
         v = -40 * thermal_voltage(300.0)
         assert leakage_current(1e-12, v, 300.0) == pytest.approx(-1e-12, rel=1e-15)
 
-    def test_overflow_guarded(self):
-        # qV/kT just above 700 must be rejected, not overflow
-        v = 701 * thermal_voltage(300.0)
-        with pytest.raises(ValueError, match="exceed"):
-            leakage_current(1e-12, v, 300.0)
+    def test_current_that_fits_a_float_is_returned(self):
+        # qV/kT = 705: the current, about 1.5e6 A, is finite
+        v = 705 * thermal_voltage(300.0)
+        assert leakage_current(1e-300, v, 300.0) == pytest.approx(
+            1e-300 * math.expm1(705), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "isat,voltage,temperature",
+        [(1e-300, 710 * thermal_voltage(300.0), 300.0), (1e-12, 0.3, 5e-324)],
+        ids=["exp-past-the-float-range", "temperature-too-small-for-kt"],
+    )
+    def test_overflow_raises(self, isat, voltage, temperature):
+        with pytest.raises(ValueError, match="leakage current overflows"):
+            leakage_current(isat, voltage, temperature)
+
+    @pytest.mark.parametrize("voltage,current", [(0.0, 0.0), (-0.3, -1e-12)])
+    def test_temperature_too_small_for_kt(self, voltage, current):
+        # k * 5e-324 is 0.0, but qV/kT is formed as V/T times q/k: +-inf or 0
+        assert leakage_current(1e-12, voltage, 5e-324) == current
 
     def test_monotonic_in_voltage(self):
         vt = thermal_voltage(300.0)
