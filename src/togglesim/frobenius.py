@@ -6,7 +6,10 @@ M^(2^k) is x^d + c + x^-d, d = 2^k mod w: two rotations of each lane (O.
 Martin, A. M. Odlyzko and S. Wolfram, "Algebraic properties of cellular
 automata", Commun. Math. Phys. 93, 1984). At a power-of-two width
 x^(w/2) = x^-(w/2), so M^(w/2) = c: rule 150's period divides w/2, and
-rule 90 is all-zero from step w/2 on.
+rule 90 is all-zero from step w/2 on. `recurrence` runs the LFSRs and
+null-boundary CAs by the same identity, applied to their seed orbit's
+recurrence, which it must first find by elimination; these powers need
+none, at any run length.
 """
 
 from __future__ import annotations

@@ -23,11 +23,13 @@ Shift and tap conventions, fixed so sequences are reproducible:
 `_GENERATORS` is the single place a kind is defined: it names the one
 `GeneratorConfig` field the kind accepts (`taps`, `boundary` or none) and a
 builder that returns the kind's chunk source (gray: the binary counter's,
-gray-mapped). The binary counter, LFSRs and null-boundary CAs give
-`lanes.source` their one-word step, the linear ones also their step on
-lanes of words in one int, started by jumps through matrix columns. A
-cyclic CA's source is `frobenius.power_source`, which owns the powers M^(2^k)
-of its step. Each builder imports the engine it runs. `GeneratorConfig`
+gray-mapped). The LFSRs and null-boundary CAs give `recurrence.source`
+their one-word step, by which it finds the seed orbit's least recurrence
+and runs it in rows of consecutive words. A cyclic CA's source is
+`frobenius.power_source`, which owns the powers M^(2^k) of its step. The
+binary counter emits rows of K words that start at multiples of K, the
+first cut to start at the seed, each one packed row of 0 .. K - 1 modulo
+2 ** width OR'd with one high part, so it needs neither. Each builder imports the engine it runs. `GeneratorConfig`
 validates every parameter once, so the builders trust it. `generate_chunks`,
 or `generate` for a whole `Trace`, is the one way to run a generator: the
 CLI, tables and benchmark all use it. Only `gen` and `tables` load this
@@ -42,11 +44,9 @@ from collections import namedtuple
 from collections.abc import Callable, Iterator
 
 from . import UsageError
-from .bits import RADIXES, Record, Word, check_width, word_from_text
+from .bits import RADIXES, Record, Word, check_width, chunk_words, pack, word_from_text
 
 Step = Callable[[int], int]
-# (bit 0 of every lane) -> the step of every lane at once
-Swar = Callable[[int], Step]
 # (seed value, cycles) -> the seed and `cycles` generated words, as chunks
 Source = Callable[[int, int], Iterator[bytes]]
 
@@ -58,59 +58,31 @@ BOUNDARIES = ("null", "cyclic")
 
 
 def _fibonacci(width: int, taps: frozenset[int]) -> Source:
-    from .lanes import source
+    from .recurrence import source
 
     mask = 0
     for t in taps:
         mask |= 1 << (t - 1)
     top = width - 1
-    # the largest power of two below the width (0 at width 1): in lanes, the
-    # first fold moves a lane's tapped bits from `half` up onto those below
-    # it, and the rest fold those to their parity in bit 0
-    half = 1 << top.bit_length() >> 1
-
-    def swar(low: int) -> Step:
-        lower, upper = low * (mask & ((1 << half) - 1)), low * (mask >> half << half)
-        keep, folds = low * ((1 << top) - 1), [half >> k for k in range(1, half.bit_length())]
-
-        def step(s: int) -> int:
-            t = (s & lower) ^ ((s & upper) >> half)
-            for fold in folds:
-                t ^= t >> fold
-            return ((s >> 1) & keep) | ((t & low) << top)
-
-        return step
-
-    return source(width, lambda v: (v >> 1) | (((v & mask).bit_count() & 1) << top), swar)
+    return source(width, lambda v: (v >> 1) | (((v & mask).bit_count() & 1) << top))
 
 
 def _galois(width: int, taps: frozenset[int]) -> Source:
-    from .lanes import source
+    from .recurrence import source
 
     mask = 1 << (width - 1)
     for t in taps:
         if t != width:
             mask |= 1 << (t - 1)
-
-    def swar(low: int) -> Step:
-        # the product puts `mask` in every lane whose low bit is set
-        keep = low * ((1 << (width - 1)) - 1)
-        return lambda s: ((s >> 1) & keep) ^ ((s & low) * mask)
-
-    return source(width, lambda v: (v >> 1) ^ mask if v & 1 else v >> 1, swar)
+    return source(width, lambda v: (v >> 1) ^ mask if v & 1 else v >> 1)
 
 
 def _ca(width: int, self_mask: int, boundary: str) -> Source:
     full = (1 << width) - 1
     if boundary == "null":
-        from .lanes import source
+        from .recurrence import source
 
-        def swar(low: int) -> Step:
-            # in lanes, a shift brings in a bit of the next lane, which `down` and `up` clear
-            down, up, own = low * (full >> 1), low * (full ^ 1), low * self_mask
-            return lambda s: ((s >> 1) & down) ^ ((s << 1) & up) ^ (s & own)
-
-        return source(width, lambda v: (v >> 1) ^ ((v << 1) & full) ^ (v & self_mask), swar)
+        return source(width, lambda v: (v >> 1) ^ ((v << 1) & full) ^ (v & self_mask))
 
     from .frobenius import power_source
 
@@ -118,10 +90,21 @@ def _ca(width: int, self_mask: int, boundary: str) -> Source:
 
 
 def _binary(width: int) -> Source:
-    from .lanes import source
+    size, full = (width + 7) // 8, (1 << width) - 1
 
-    full = (1 << width) - 1
-    return source(width, lambda v: (v + 1) & full)
+    def chunks(seed: int, cycles: int) -> Iterator[bytes]:
+        # rows of K words from multiples of K, the first cut to start at the
+        # seed: each is `base`, 0 .. K - 1 modulo 2 ** width, OR'd with one
+        # high part in every word
+        words = cycles + 1
+        k = min(chunk_words(width), words).bit_length() - 1
+        base = int.from_bytes(pack(width, map(full.__and__, range(1 << k))), "big")
+        for start in range(-(seed % (1 << k)), words, 1 << k):
+            high = ((seed + start) & full).to_bytes(size, "big") * (1 << k)
+            row = (base | int.from_bytes(high, "big")).to_bytes(size << k, "big")
+            yield row[max(-start, 0) * size : (words - start) * size]
+
+    return chunks
 
 
 def _gray(width: int) -> Source:

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from togglesim import bits, lanes
+from togglesim import bits, recurrence
 from togglesim.bits import Word, word_from_text
 from togglesim.generators import (
-    BOUNDARIES, DEFAULT_TAPS_16, KINDS, GeneratorConfig, generate, kind_parameter
+    BOUNDARIES, DEFAULT_TAPS_16, KINDS, GeneratorConfig, generate, generate_chunks,
+    kind_parameter
 )
+from togglesim.trace import unpack
 import reference_generators as reference
 from reference_trace import hamming_distance
 from strategies import words
@@ -293,10 +295,10 @@ WIDTHS = st.one_of(st.integers(1, 64), st.sampled_from([256, 1024]))
 
 
 @st.composite
-def configs(draw):
+def configs(draw, widths=WIDTHS):
     """Any valid GeneratorConfig: all six kinds, random taps and seeds."""
     kind = draw(st.sampled_from(KINDS))
-    width = draw(WIDTHS)
+    width = draw(widths)
     taps = boundary = None
     low = 0
     if kind_parameter(kind) == "taps":
@@ -315,6 +317,17 @@ class TestAgainstReference:
     def test_generate_equals_reference_walk(self, config, cycles):
         assert list(generate(config, cycles)) == reference.walk(config, cycles)
 
+    @given(configs(st.integers(1, 20)), st.integers(1, 16), st.data())
+    def test_rows_equal_reference_walk(self, config, chunk, data):
+        # chunks of a few words, and runs from width ** 2 words, where linear
+        # kinds run in rows, to a few rows past the d <= width rows of history
+        width = config.width
+        most = max(width * width, width * chunk) + 4 * chunk
+        cycles = data.draw(st.integers(width * width, most)) - 1
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bits, "CHUNK_BYTES", chunk * ((width + 7) // 8))
+            assert list(generate(config, cycles)) == reference.walk(config, cycles)
+
 
 # every linear kind and CA boundary
 LINEAR = [
@@ -324,27 +337,37 @@ LINEAR = [
 ]
 
 
-def lane_edges(width):
-    """Cycle counts that end a run of a `width`-bit linear kind with lanes
-    at each lane and batch edge: K lanes stepped m times make a batch of
-    K m words, and the run's last batch holds 1, m - 1, m, m + 1, K m - 1
-    or K m words after at least width ** 2 words (the shortest run with
-    lanes) or three batches, whichever is more; and 0 and 1, short runs."""
-    count = lanes._lane_count(width, 1 << 30)
-    steps = bits.chunk_words(width) // count
-    batch = count * steps
-    shortest = width * width if count > 1 else 0
-    base = batch * max(3, -(-shortest // batch))
-    return sorted({0, 1} | {base + last - 1 for last in (1, steps - 1, steps, steps + 1,
-                                                           batch - 1, batch)})
+def reference_step(config):
+    """The reference's step of `config` on plain ints."""
+    return lambda value: reference.step(config, Word(config.width, value)).value
+
+
+def row_edges(config):
+    """Cycle counts that end a run of a linear kind at each edge of its
+    rows, d being its orbit's degree and K its rows' words: width ** 2 words,
+    the shortest run in rows; past it, every d * K words, where K doubles;
+    1, K - 1, K, K + 1 and 3 K words past the d rows of history of the
+    widest K, and past two chunks of whole rows; and 0 and 1, short runs.
+    Past 64 bits the runs in rows are long, so there only chunk edges: 1,
+    m - 1, m and m + 1 words past three chunks of m words."""
+    width, chunk = config.width, bits.chunk_words(config.width)
+    if width > 64:
+        return sorted({0, 1} | {3 * chunk + last - 1 for last in (1, chunk - 1, chunk, chunk + 1)})
+    d = max(len(recurrence.least_recurrence(reference_step(config), config.seed.value)[0]), 1)
+    widest = 1 << min(chunk, recurrence.HISTORY_WORDS // d).bit_length() - 1
+    ends = {width * width + edge for edge in (0, 1)}
+    ends |= {(d << j) + edge for j in range(widest.bit_length()) for edge in (-1, 0, 1)}
+    for held in (max(width * width, d * widest), 2 * (chunk // widest * widest)):
+        ends |= {held + last for last in (1, widest - 1, widest, widest + 1, 3 * widest)}
+    return sorted({0, 1} | {n - 1 for n in ends if n >= width * width})
 
 
 class TestLanes:
-    """Linear kinds step K lanes at once after a jump ahead; every cycle
-    count at a lane or batch edge, several batches, all-zero CA seeds and
-    short cycles match the reference one step at a time. The widths run to
-    the widest with column jumps (LANE_WIDTH) and past it; cyclic CAs, which
-    jump by the powers M^(2^k) at every width, also at each doubling edge."""
+    """Linear kinds run in rows of K words past a gate; every cycle count at
+    a gate, doubling or history edge, all-zero CA seeds and short cycles
+    match the reference one step at a time. The widths run past 64 bits,
+    where rows need long runs; cyclic CAs, which run by the powers M^(2^k)
+    at every width, also at each of their doubling edges."""
 
     @staticmethod
     def check(config, cycle_counts):
@@ -363,26 +386,83 @@ class TestLanes:
     @pytest.mark.parametrize("kind,boundary", LINEAR)
     @pytest.mark.parametrize("width", [*range(1, 66), 256, 1024])
     def test_small_chunks(self, kind, boundary, width):
-        # 100-word chunks: K m up to 100 words, m from 1 (8 bits) to 6 (64 bits)
+        # 100-word chunks: rows of up to 64 words
         seeds = [random.Random(width).getrandbits(width) | 1]
         if kind_parameter(kind) == "boundary":
             seeds.append(0)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(bits, "CHUNK_BYTES", 100 * ((width + 7) // 8))
             for seed in seeds:
-                self.check(self.config(kind, width, boundary, seed), lane_edges(width))
+                config = self.config(kind, width, boundary, seed)
+                self.check(config, row_edges(config))
 
     @pytest.mark.parametrize("kind,boundary", LINEAR)
     @pytest.mark.parametrize("width", [8, 16, 24, 64, 65])
     def test_budget_chunks(self, kind, boundary, width):
         seed = random.Random(width).getrandbits(width) | 1
-        self.check(self.config(kind, width, boundary, seed), lane_edges(width))
+        config = self.config(kind, width, boundary, seed)
+        self.check(config, row_edges(config))
 
     @pytest.mark.parametrize("width", [2, 8, 16, 32, 64])
-    def test_short_runs_step_one_word(self, width):
-        # fewer than width ** 2 words: the jumps would cost more than lanes save
-        assert lanes._lane_count(width, width * width - 1) == 1
-        assert lanes._lane_count(width, width * width) > 1
+    def test_short_runs_step_one_word(self, width, monkeypatch):
+        # fewer than width ** 2 words: finding the recurrence would cost more than rows save
+        found, least_recurrence = [], recurrence.least_recurrence
+        monkeypatch.setattr(recurrence, "least_recurrence",
+                            lambda step, seed: found.append(seed) or least_recurrence(step, seed))
+        config = self.config("lfsr_internal", width, None, 1)
+        expected = tuple(w.value for w in reference.walk(config, width * width - 1))
+        assert generate(config, width * width - 2).values == expected[:-1]
+        assert found == []
+        assert generate(config, width * width - 1).values == expected
+        assert found == [1]
+
+    @staticmethod
+    def first_chunk_words(config, words):
+        """The words of the first chunk of a run of `words` words in chunks
+        of 255 words: whole rows, so 256 - K words in rows of K > 1 words,
+        and 255 words one step at a time."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bits, "CHUNK_BYTES", 255 * ((config.width + 7) // 8))
+            chunks = list(generate_chunks(config, words - 1))
+        expected = tuple(w.value for w in reference.walk(config, words - 1))
+        assert tuple(unpack(config.width, b"".join(chunks))) == expected
+        return len(chunks[0]) // ((config.width + 7) // 8)
+
+    @pytest.mark.parametrize("kind,boundary", [("lfsr_external", None), ("ca150", "null")])
+    def test_orbits_with_many_lags_step_one_word(self, kind, boundary, monkeypatch):
+        # a row XORs one held row per lag: past XOR_BITS / width lags one step is cheaper
+        config = self.config(kind, 16, boundary, 0xACE1)
+        d, lags = map(len, recurrence.least_recurrence(reference_step(config), 0xACE1))
+        rows = 1 << (1000 // d).bit_length() - 1
+        monkeypatch.setattr(recurrence, "XOR_BITS", 16 * lags)
+        assert self.first_chunk_words(config, 1000) == 256 - rows
+        monkeypatch.setattr(recurrence, "XOR_BITS", 16 * lags - 1)
+        assert self.first_chunk_words(config, 1000) == 255
+
+    @pytest.mark.parametrize("kind,boundary", [
+        ("lfsr_internal", None), ("lfsr_external", None), ("ca90", "null"), ("ca150", "null")])
+    @pytest.mark.parametrize("width", [3, 16, 17])
+    def test_rows_double_at_each_multiple_of_the_degree(self, kind, boundary, width):
+        # a run of d * K words, and no fewer, has rows of K words, up to a chunk's
+        config = self.config(kind, width, boundary, random.Random(width).getrandbits(width) | 1)
+        d = len(recurrence.least_recurrence(reference_step(config), config.seed.value)[0])
+        runs = {width * width} | {(d << j) + edge for j in range(10) for edge in (-1, 0)}
+        for run in sorted(n for n in runs if n >= max(width * width, 255)):
+            rows = 1 << min(run // d, 255).bit_length() - 1
+            assert self.first_chunk_words(config, run) == 256 - rows
+        assert rows == 128
+
+    @pytest.mark.parametrize("kind,boundary", [("lfsr_internal", None), ("ca90", "null")])
+    @pytest.mark.parametrize("history", [1, 3, 4, 5, 8])
+    def test_history_caps_the_rows(self, kind, boundary, history, monkeypatch):
+        # d rows of K words hold at most HISTORY_WORDS: here K is at most
+        # `history` words, however long the run, also past the history
+        config = self.config(kind, 16, boundary, 0xACE1)
+        d = len(recurrence.least_recurrence(reference_step(config), 0xACE1)[0])
+        monkeypatch.setattr(recurrence, "HISTORY_WORDS", history * d)
+        rows = 1 << history.bit_length() - 1
+        for run in (256, 257, 256 + rows + 1, 2001):  # from width ** 2 words
+            assert self.first_chunk_words(config, run) == 256 - rows
 
     @pytest.mark.parametrize(
         "kind,width,taps,boundary,seed,tail,period",
@@ -473,3 +553,23 @@ class TestCounterChunks:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(bits, "CHUNK_BYTES", chunk * ((width + 7) // 8))
             self.check(kind, width, 3 * chunk + 4)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 8, 16])
+    @pytest.mark.parametrize("rows,offset", [(0, 0), (0, 1), (0, -1), (1, -1), (1, 1),
+                                             (-1, 0), (-1, 1)])
+    def test_binary_rows_start_at_multiples_of_k(self, width, rows, offset):
+        # rows of K words from multiples of K, the first cut at the seed; in
+        # 16-word chunks K = 16: from 4 bits each wrap falls between rows,
+        # and below 4 bits a row holds whole periods
+        size, k = (width + 7) // 8, 16
+        seed = (rows * k + offset) & ((1 << width) - 1)
+        config = GeneratorConfig("binary", width, Word(width, seed))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bits, "CHUNK_BYTES", k * size)
+            chunks = list(generate_chunks(config, 3 * k + 4))
+        head = -seed % k
+        rest = 3 * k + 5 - head
+        assert [len(chunk) // size for chunk in chunks] == (
+            [head] * (head > 0) + [k] * (rest // k) + [rest % k] * (rest % k > 0))
+        assert tuple(unpack(width, b"".join(chunks))) == tuple(
+            w.value for w in reference.walk(config, 3 * k + 4))
