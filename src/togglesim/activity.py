@@ -16,12 +16,11 @@ also takes `packs`. `cmd_analyze` is the `analyze` command's body.
 
 from __future__ import annotations
 
-import sys
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from itertools import chain, repeat
 
-from . import UsageError
+from . import UsageError, stdio
 from .bits import Record, chunk_words, machine_words
 
 # The fewest words in a pack of transfers (see packs), so that a pack's
@@ -166,16 +165,16 @@ def _analyze_stream(stream, args) -> ActivityReport:
 
 def cmd_analyze(args) -> None:
     """The `analyze` command: report on the trace its parsed command line names."""
-    from .trace_io import write_report
+    from .trace_io import report_pieces
 
     if args.per_cycle and args.format == "csv":
         raise UsageError("--per-cycle has no csv form; use --format table or json")
     if args.trace == "-":
-        report = _analyze_stream(sys.stdin.buffer, args)
+        report = _analyze_stream(stdio("stdin").buffer, args)
     else:
         with open(args.trace, "rb") as fh:
             report = _analyze_stream(fh, args)
-    sys.stdout.write(write_report(report, args.format))
+    stdio("stdout").writelines(report_pieces(report, args.format))
 
 
 def analyze_trace(trace, include_per_cycle: bool = False) -> ActivityReport:

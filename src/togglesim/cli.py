@@ -1,6 +1,7 @@
 """Command-line front end: generate stimulus, analyze traces, estimate power.
 
-Exit codes: 0 success, 2 usage error, 3 data/parse error or failed write.
+Exit codes: 0 success, 2 usage error, 3 data/parse error or failed read or
+write, of a standard stream that the process started without too.
 
 `gen` and `analyze` run once per probed trace, so each process compiles only
 its command's code, and a plain command line loads no argparse. `GRAMMAR`
@@ -30,9 +31,7 @@ are freed by the OS, and a `__del__` of cyclic garbage left then never runs.
 import os
 import sys
 
-from . import UsageError
-
-EXIT_OK, EXIT_USAGE, EXIT_DATA = 0, 2, 3
+from . import UsageError, stdio
 
 # Each command's help, then its arguments, each (flags, type, choices,
 # default, help): flags without a dash name the positional, which is always
@@ -103,16 +102,18 @@ def main(argv: list[str] | None = None) -> int:
         else:
             from .tables import cmd_tables as command
         command(args)
-        sys.stdout.flush()  # so that a failed write, a closed pipe too, exits 3
-        return EXIT_OK
+        # so that a failed write exits 3, to a closed pipe or to a stdout that
+        # the process started without too, where print() wrote nothing
+        stdio("stdout").flush()
+        return 0
     except (UsageError, OSError, ValueError) as exc:
         # past a usage error, a failed write, a TraceFormatError or bad data
         # reaching a model contract (a trace with no transfers, say) exits 3
         try:
-            print(f"togglesim: error: {exc}", file=sys.stderr)
-        except OSError:  # stderr fails too: the exit code alone reports the error
+            print(f"togglesim: error: {exc}", file=stdio("stderr"))
+        except OSError:  # stderr fails or is closed: the exit code alone reports the error
             pass
-        return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_DATA
+        return 2 if isinstance(exc, UsageError) else 3
 
 
 def run():
@@ -136,7 +137,7 @@ def run():
     try:
         sys.exit(main())
     finally:
-        for stream in (sys.stdout, sys.stderr):
+        for stream in filter(None, (sys.stdout, sys.stderr)):  # None: closed at start
             try:
                 stream.flush()
             except OSError:

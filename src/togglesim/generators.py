@@ -39,11 +39,10 @@ module; the CLI parser writes out `KINDS` and `BOUNDARIES`, pinned by a test.
 
 from __future__ import annotations
 
-import sys
 from collections import namedtuple
 from collections.abc import Callable, Iterator
 
-from . import UsageError
+from . import UsageError, stdio
 from .bits import RADIXES, Record, Word, check_width, chunk_words, pack, word_from_text
 
 Step = Callable[[int], int]
@@ -245,6 +244,6 @@ def cmd_gen(args) -> None:
             fh.writelines(texts)
         print(f"wrote {words} words to {args.output}")
     else:
-        sys.stdout.writelines(texts)
-        sys.stdout.flush()  # a failed write fails here, before the count is reported
-        print(f"{words} words", file=sys.stderr)
+        stdio("stdout").writelines(texts)
+        stdio("stdout").flush()  # a failed write fails here, before the count is reported
+        print(f"{words} words", file=stdio("stderr"))

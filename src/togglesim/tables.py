@@ -17,10 +17,9 @@ cells, round-half-up only 2). `cmd_tables` is the `tables` command's body.
 from __future__ import annotations
 
 import os
-import sys
 from collections import namedtuple
 
-from . import UsageError
+from . import UsageError, stdio
 from .activity import analyze_chunks, rounded_display
 from .bits import Record, Word, word_from_text
 from .generators import (
@@ -190,14 +189,13 @@ def render_generator_table(rows: list[GeneratorRow], paint=str) -> str:
 def cmd_tables(args) -> None:
     """The `tables` command: print both tables for its parsed command line,
     the match flags colored on a terminal unless NO_COLOR is set."""
-    paint = str
-    if os.environ.get("NO_COLOR") is None and sys.stdout.isatty():
-        paint = lambda text: f"\x1b[{32 if text == 'ok' else 31}m{text}\x1b[0m"
     taps = parse_taps(args.taps) if args.taps is not None else DEFAULT_TAPS_16
     try:
         generators = generator_rows(taps=taps, boundary=args.boundary)
     except ValueError as exc:
         raise UsageError(str(exc))
-    sys.stdout.write(render_counter_table(counter_rows(), paint))
-    print()
-    sys.stdout.write(render_generator_table(generators, paint))
+    paint, stdout = str, stdio("stdout")  # after the checks: a bad --taps exits 2 regardless
+    if os.environ.get("NO_COLOR") is None and stdout.isatty():
+        paint = lambda text: f"\x1b[{32 if text == 'ok' else 31}m{text}\x1b[0m"
+    stdout.write(render_counter_table(counter_rows(), paint) + "\n")
+    stdout.write(render_generator_table(generators, paint))

@@ -20,7 +20,8 @@ reader, `read_chunks`, is here, and of the CLI commands only `analyze`
 loads this module. The writer, `render_chunks`, is in `togglesim.writer`,
 which only `gen` loads and which writes the header line itself.
 `read_trace`, `load_trace` and `render_trace` wrap them for whole `Trace`s
-(`togglesim.trace`). The CLI grammar writes `REPORT_FORMATS` out.
+(`togglesim.trace`). `report_pieces` writes a report in `REPORT_FORMATS`,
+which the CLI grammar writes out, a piece at a time; `write_report` joins it.
 
 `read_chunks` reads a stream in blocks of about `CHUNK_BYTES` bytes, each
 cut after a line break. A clean block, one full-width word per line ended
@@ -33,9 +34,9 @@ block with a bad word is walked, to name the line a whole-text parse would.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from io import IOBase, TextIOBase
-from itertools import islice, repeat
+from itertools import repeat
 
 from .bits import BAD_WIDTH, CHUNK_BYTES, DIGITS, MAX_WIDTH, RADIXES, word_digits, word_from_text
 
@@ -250,61 +251,59 @@ def render_trace(trace, radix: int = 2) -> str:
     return "".join(render_chunks(trace.width, trace.chunks(), radix))
 
 
-_JOIN_SLICE = 4096  # pieces joined per str.join
+def _listed(counts, text, sep: str):
+    """`sep.join(map(text, counts))` in pieces, a slice of 65536 counts per
+    join, so that one slice's text is alive at a time, not all of it."""
+    for start in range(0, len(counts), 65536):
+        if start:
+            yield sep
+        yield sep.join(map(text, counts[start : start + 65536]))
 
 
-def _joined(pieces: Iterable[str], sep: str = "") -> str:
-    """`sep.join(pieces)`, joined a slice at a time, so that only one slice
-    of pieces is alive at once, not all of them: at 10^6 per-transfer
-    counts, one str each, those are most of a report's memory."""
-    pieces = iter(pieces)
-    slices = iter(lambda: list(islice(pieces, _JOIN_SLICE)), [])
-    return sep.join(map(sep.join, slices))
+def _json_list(counts, text):
+    """`counts` as json.dumps(indent=2) writes the list that a key holds."""
+    if counts:
+        yield "[\n    "
+        yield from _listed(counts, text, ",\n    ")
+    yield "\n  ]" if counts else "[]"
+
+
+def report_pieces(report, format: str = "table") -> Iterator[str]:
+    """The text of an ActivityReport in pieces, which write_report joins and
+    `analyze` writes as they come. Every json value is an int, a finite
+    float or a list of ints, so the text is json.dumps(payload, indent=2)'s."""
+    # here, not at the top: a process that only reads traces loads no `activity`
+    from .activity import rounded_display
+
+    width, transfers, total, tau, toggles, per_cycle = report
+    tau_display = rounded_display(total, width, transfers, 2)
+    texts = {count: str(count) for count in range(width + 1)}.__getitem__  # 0 <= count <= width
+    if format == "json":
+        yield (f'{{\n  "width": {width},\n  "transfers": {transfers},\n'
+               f'  "total_transitions": {total},\n  "tau": {tau!r},\n'
+               f'  "tau_display": {float(tau_display)!r},\n  "per_bit_toggles": ')
+        yield from _json_list(toggles, str)
+        if per_cycle is not None:
+            yield ',\n  "per_cycle": '
+            yield from _json_list(per_cycle, texts)
+        yield "\n}\n"
+    elif format == "csv":
+        # no field can hold a comma, quote or newline, so none needs quoting
+        yield "line,toggles,width,transfers,tau\n"
+        yield from (f"bit{i},{count},,,\n" for i, count in enumerate(toggles))
+        yield f"summary,{total},{width},{transfers},{tau!r}\n"
+    elif format == "table":
+        yield (f"lines               {width}\ntransfers           {transfers}\ntotal transitions   "
+               f"{total}\nswitching activity  {tau_display}\nper-bit toggles     "
+               + " ".join(f"bit{i}={toggles[i]}" for i in reversed(range(width))) + "\n")
+        if per_cycle is not None:
+            yield "per-transfer counts "
+            yield from _listed(per_cycle, texts, " ")
+            yield "\n"
+    else:
+        raise ValueError(f"format must be one of {REPORT_FORMATS}, got {format!r}")
 
 
 def write_report(report, format: str = "table") -> str:
     """Serialize an ActivityReport; json key set is stable for tooling."""
-    # here, not at the top: a process that only reads traces loads no `activity`
-    from .activity import rounded_display
-
-    tau_display = rounded_display(
-        report.total_transitions, report.width, report.transfers, 2
-    )
-    if format == "json":
-        import json  # here, not at the top: only json reports need it
-
-        payload = {
-            "width": report.width,
-            "transfers": report.transfers,
-            "total_transitions": report.total_transitions,
-            "tau": report.tau,
-            "tau_display": float(tau_display),
-            "per_bit_toggles": list(report.per_bit_toggles),
-        }
-        if report.per_cycle is not None:
-            payload["per_cycle"] = report.per_cycle  # a tuple encodes as a list
-        # json.dumps(payload, indent=2) joins these pieces, one per count, at once
-        return _joined(json.JSONEncoder(indent=2).iterencode(payload)) + "\n"
-    if format == "csv":
-        # no field can hold a comma, quote or newline, so none needs quoting
-        rows = ["line,toggles,width,transfers,tau"]
-        rows += (f"bit{i},{count},,," for i, count in enumerate(report.per_bit_toggles))
-        rows.append(f"summary,{report.total_transitions},{report.width},{report.transfers},"
-                    f"{report.tau!r}")
-        return "\n".join(rows) + "\n"
-    if format == "table":
-        lines = [
-            f"lines               {report.width}",
-            f"transfers           {report.transfers}",
-            f"total transitions   {report.total_transitions}",
-            f"switching activity  {tau_display}",
-            "per-bit toggles     "
-            + " ".join(
-                f"bit{i}={report.per_bit_toggles[i]}"
-                for i in reversed(range(report.width))
-            ),
-        ]
-        if report.per_cycle is not None:
-            lines.append("per-transfer counts " + _joined(map(str, report.per_cycle), " "))
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"format must be one of {REPORT_FORMATS}, got {format!r}")
+    return "".join(report_pieces(report, format))

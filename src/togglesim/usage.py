@@ -6,19 +6,16 @@ them, loads this module, and with it argparse, `gettext` and `locale`.
 """
 
 import argparse
-import sys
+
+from . import stdio
 
 
 class Parser(argparse.ArgumentParser):
     """An ArgumentParser whose help text fails as any other output does (exit
-    3): argparse's print_help ignores an OSError, and its exit never flushes."""
+    3): argparse's print_help ignores an OSError and never flushes."""
 
     def print_help(self, file=None):
-        (file or sys.stdout).write(self.format_help())
-
-    def exit(self, status=0, message=None):
-        sys.stdout.flush()
-        super().exit(status, message)
+        print(self.format_help(), end="", file=file or stdio("stdout"), flush=True)
 
 
 def build(grammar: dict) -> Parser:

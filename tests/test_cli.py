@@ -566,6 +566,21 @@ class TestFlatMemory:
         capsys.readouterr()
         assert large <= small + (64 << 10)
 
+    def test_analyze_per_cycle_json_to_a_discarding_sink(self, monkeypatch, tmp_path):
+        # the counts are held, but the report is written a slice of them at a
+        # time, never whole: the peak grows by what holding the added counts
+        # takes, 12 bytes each (a tuple slot, a quarter more while the tuple
+        # grows, and an array('H') entry while it is built), and 256 KiB
+        with open(os.devnull, "w", encoding="utf-8") as sink:
+            monkeypatch.setattr("sys.stdout", sink)
+            peaks = []
+            for words in (20_000, 200_000):
+                path = tmp_path / f"{words}.trace"
+                main([*GEN_LFSR16, "--cycles", str(words - 1), "-o", str(path)])
+                peaks.append(peak_bytes(["analyze", str(path), "--per-cycle", "--format", "json"]))
+        small, large = peaks
+        assert large <= small + 12 * (200_000 - 20_000) + (256 << 10)
+
 
 class TestPower:
     def test_dynamic_from_tau(self, capsys):
@@ -861,6 +876,63 @@ def run_into_a_failed_output(argv, buffered: bool, sink: str, stream: str = "std
         return run_process(*argv, env=env, **{stream: failing})
     finally:
         os.close(failing)
+
+
+def run_with_closed(fd: int, *argv):
+    """run_process with file descriptor `fd`, 0 or 1, closed as the process
+    starts, as a shell's `<&-` or `>&-` leaves it: Python then sets sys.stdin
+    or sys.stdout to None."""
+    code = ("import os, sys\n"
+            f"os.close({fd})\n"
+            "os.execv(sys.executable, [sys.executable, '-m', 'togglesim.cli', *sys.argv[1:]])\n")
+    done = subprocess.run([sys.executable, "-c", code, *argv], stdin=subprocess.DEVNULL,
+                          capture_output=True, env=process_env(), timeout=60)
+    return done.returncode, done.stdout.decode(), done.stderr.decode()
+
+
+POWER = ["power", "--tau", "0.5", "--cap", "1e-12", "--vdd", "1", "--freq", "1e6"]
+
+
+class TestClosedStandardStreams:
+    """A command that uses a standard stream the process started without
+    fails as a failed read or write does, and one that does not use it runs."""
+
+    def test_analyze_of_a_closed_stdin_exits_3(self):
+        assert run_with_closed(0, "analyze", "-") == (
+            3, "", "togglesim: error: stdin is closed\n"
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "TRACE"], ["analyze", "TRACE", "--per-cycle", "--format", "json"],
+        LFSR16, POWER, ["tables"], ["--help"], ["gen", "--help"],
+    ], ids=["analyze", "analyze-json", "gen", "power", "tables", "help", "gen-help"])
+    def test_output_to_a_closed_stdout_exits_3(self, tmp_path, argv):
+        trace = tmp_path / "words.trace"
+        trace.write_text("width=4 radix=bin\n0000\n0101\n")
+        argv = [str(trace) if arg == "TRACE" else arg for arg in argv]
+        assert run_with_closed(1, *argv) == (3, "", "togglesim: error: stdout is closed\n")
+
+    def test_gen_to_a_file_writes_it_then_exits_3(self, capsys, tmp_path):
+        # the trace is written before the line that reports it fails
+        closed, expected = tmp_path / "closed.trace", tmp_path / "expected.trace"
+        assert run_with_closed(1, *LFSR16, "-o", str(closed)) == (
+            3, "", "togglesim: error: stdout is closed\n"
+        )
+        assert run_cli(capsys, *LFSR16, "-o", str(expected))[0] == 0
+        assert closed.read_text() == expected.read_text()
+
+    @pytest.mark.parametrize("argv", [LFSR16, POWER, ["tables"]], ids=["gen", "power", "tables"])
+    def test_command_that_reads_no_stdin_runs_without_it(self, argv):
+        assert run_with_closed(0, *argv) == run_process(*argv)
+
+    @pytest.mark.parametrize("argv,stderr", [
+        (["gen", "--kind", "nope"], "usage: togglesim gen"),
+        (["tables", "--taps", "17"], "togglesim: error: invalid tap position 17 for width 16"),
+    ], ids=["argparse", "tables"])
+    def test_usage_error_with_a_closed_stdout_exits_2(self, argv, stderr):
+        code, stdout, err = run_with_closed(1, *argv)
+        assert (code, stdout) == (2, "")
+        assert err.startswith(stderr)
 
 
 class TestProcessEntry:

@@ -176,16 +176,19 @@ class TestImports:
 
     @pytest.mark.parametrize("argv,argparse_loaded", [
         (COMMANDS["gen"][0], False), (["analyze", "-"], False),
-        (["analyze", "-", "--format", "csv"], False), (COMMANDS["power"][0], False),
-        (["gen", "--help"], True),
-    ], ids=["gen", "analyze", "analyze-csv", "power", "gen-help"])
+        (["analyze", "-", "--format", "csv"], False),
+        (["analyze", "-", "--format", "json"], False),
+        (["analyze", "-", "--per-cycle", "--format", "json"], False),
+        (COMMANDS["power"][0], False), (["gen", "--help"], True),
+    ], ids=["gen", "analyze", "analyze-csv", "analyze-json", "analyze-per-cycle-json", "power",
+            "gen-help"])
     def test_plain_line_as_run_loads_no_argparse(self, argv, argparse_loaded):
         # as the benchmark runs a pipeline's processes, with -S so that no site
         # .pth file loads them first: only the fallback to argparse, --help
         # here, imports argparse and with it gettext, locale, re and enum; a
         # plain analyze loads no re, as the trace header is checked without
-        # it, and no line loads json, which loads re and enum: only analyze
-        # --format json and power --from-report import it
+        # it, and no line loads json, which loads re and enum: analyze writes
+        # its json report itself, and only power --from-report imports json
         env = {**os.environ, "PYTHONPATH": SRC, "PYTHONDONTWRITEBYTECODE": "1"}
         result = subprocess.run(
             [sys.executable, "-S", "-X", "importtime", "-m", "togglesim.cli", *argv],

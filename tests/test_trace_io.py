@@ -9,14 +9,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from togglesim import bits, trace_io, writer
-from togglesim.activity import analyze_trace
+from togglesim.activity import ActivityReport, analyze_trace, rounded_display, switching_activity
 from togglesim.bits import CHUNK_BYTES, Word
 from togglesim.trace import Trace
 from togglesim.trace_io import (
+    REPORT_FORMATS,
     TraceFormatError,
     load_trace,
     read_trace,
     render_trace,
+    report_pieces,
     write_report,
 )
 from togglesim.writer import render_chunks
@@ -190,6 +192,58 @@ def binary_counter_report():
     return analyze_trace(Trace(4, range(16)))
 
 
+def reference_report(report, format):
+    """The report's text made whole, each list by one join and json by
+    json.dumps of the payload: what write_report must equal byte for byte."""
+    tau_display = rounded_display(report.total_transitions, report.width, report.transfers, 2)
+    if format == "json":
+        payload = {
+            "width": report.width,
+            "transfers": report.transfers,
+            "total_transitions": report.total_transitions,
+            "tau": report.tau,
+            "tau_display": float(tau_display),
+            "per_bit_toggles": list(report.per_bit_toggles),
+        }
+        if report.per_cycle is not None:
+            payload["per_cycle"] = list(report.per_cycle)
+        return json.dumps(payload, indent=2) + "\n"
+    if format == "csv":
+        rows = ["line,toggles,width,transfers,tau"]
+        rows += (f"bit{i},{count},,," for i, count in enumerate(report.per_bit_toggles))
+        rows.append(f"summary,{report.total_transitions},{report.width},{report.transfers},"
+                    f"{report.tau!r}")
+        return "\n".join(rows) + "\n"
+    lines = [
+        f"lines               {report.width}",
+        f"transfers           {report.transfers}",
+        f"total transitions   {report.total_transitions}",
+        f"switching activity  {tau_display}",
+        "per-bit toggles     " + " ".join(
+            f"bit{i}={report.per_bit_toggles[i]}" for i in reversed(range(report.width))
+        ),
+    ]
+    if report.per_cycle is not None:
+        lines.append("per-transfer counts " + " ".join(map(str, report.per_cycle)))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def reports(draw):
+    """An ActivityReport of 1 to 1024 lines, whose per-transfer counts are
+    None, none, a few, or from one short of report_pieces' 65,536-count slice
+    to one past two of them."""
+    width = draw(st.integers(1, 1024))
+    transfers = draw(st.integers(1, 2**40))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    toggles = tuple(rng.choice([0, transfers, rng.randint(0, transfers)]) for _ in range(width))
+    count = draw(st.one_of(st.none(), st.integers(0, 3), st.integers(65535, 2 * 65536 + 1)))
+    per_cycle = None if count is None else tuple(rng.choices(range(width + 1), k=count))
+    total = sum(toggles)
+    return ActivityReport(width, transfers, total, switching_activity(total, width, transfers),
+                          toggles, per_cycle)
+
+
 class TestWriteReport:
     def test_table_shows_reference_cells(self):
         text = write_report(binary_counter_report(), "table")
@@ -218,6 +272,24 @@ class TestWriteReport:
         payload = json.loads(text)
         assert payload["per_cycle"] == list(report.per_cycle)
         assert text == json.dumps(payload, indent=2) + "\n"
+
+    @settings(max_examples=40, deadline=None)
+    @given(reports())
+    @example(ActivityReport(1, 1, 0, 0.0, (0,), ()))
+    @example(ActivityReport(1024, 1, 1024, 1.0, (1,) * 1024, (1024,) * 65537))
+    def test_every_format_equals_the_whole_text(self, report):
+        for format in REPORT_FORMATS:
+            text = write_report(report, format)
+            assert "".join(report_pieces(report, format)) == text
+            assert text == reference_report(report, format)
+
+    @pytest.mark.parametrize("count", [-1, 5])
+    @pytest.mark.parametrize("format", ["json", "table"])
+    def test_count_outside_the_width_is_refused(self, count, format):
+        # a transfer flips 0 to width lines: no text stands for another count
+        report = ActivityReport(4, 1, 0, 0.0, (0,) * 4, (count,))
+        with pytest.raises(KeyError):
+            write_report(report, format)
 
     def test_json_zero_activity(self):
         report = analyze_trace(Trace(8, [3] * 4))
