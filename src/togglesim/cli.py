@@ -51,7 +51,7 @@ GRAMMAR = {
         ("--boundary", None, ("null", "cyclic"), None, "CA boundary (CA kinds; default null)"),
         ("--cycles", int, None, ..., "number of generated transfers; trace has cycles+1 words"),
         ("--radix", None, ("bin", "hex"), "bin", "trace file radix"),
-        ("-o --output", None, None, None, "output path (default stdout)"),
+        ("-o --output", None, None, None, "output path, or - for stdout (the default)"),
     ),
     "analyze": (
         "measure switching activity of a trace",
@@ -63,7 +63,8 @@ GRAMMAR = {
     "power": (
         "estimate power from an activity factor",
         ("--tau", float, None, None, "activity factor in [0, 1]"),
-        ("--from-report", None, None, None, "take tau from an analyze --format json file"),
+        ("--from-report", None, None, None,
+         "take tau from an analyze --format json file, or - for stdin"),
         ("--cap", float, None, ..., "load capacitance, F"),
         ("--vdd", float, None, ..., "supply voltage, V"),
         ("--freq", float, None, ..., "clock frequency, Hz"),

@@ -239,7 +239,7 @@ def cmd_gen(args) -> None:
     chunks = generate_chunks(config, args.cycles)
     texts = render_chunks(config.width, chunks, RADIXES[args.radix])
     words = args.cycles + 1
-    if args.output is not None:  # an empty path fails to open, as analyze's does
+    if args.output not in (None, "-"):  # an empty path fails to open, as analyze's does
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.writelines(texts)
         print(f"wrote {words} words to {args.output}")

@@ -20,7 +20,7 @@ import math
 from collections import namedtuple
 from collections.abc import Callable
 
-from . import UsageError
+from . import UsageError, stdio
 from .bits import Record
 
 ELEMENTARY_CHARGE = 1.602176634e-19  # C
@@ -134,8 +134,11 @@ def cmd_power(args) -> None:
         import json  # here, not at the top: --tau reads no report
 
         try:
-            with open(args.from_report, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
+            if args.from_report == "-":  # stdin, as analyze - reads it
+                payload = json.load(stdio("stdin"))
+            else:
+                with open(args.from_report, "r", encoding="utf-8") as fh:
+                    payload = json.load(fh)
             tau = payload["tau"]
             if isinstance(tau, bool) or not isinstance(tau, (int, float)):
                 raise TypeError(f"tau must be a JSON number, got {json.dumps(tau)}")
